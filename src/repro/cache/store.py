@@ -28,23 +28,23 @@ The store is also a first-class chaos surface: named injection points
 :mod:`repro.faults`) let a recorded fault plan exercise exactly these
 degradation paths deterministically.
 
-Payloads are pickled: the report/measurement dataclasses round-trip
-exactly (types included), which is what makes a cache-hit report
-byte-identical to the cold one.  Cross-version safety comes from the
-schema salt in the key plus the embedded schema check, not from trusting
-old pickles.
+Payloads are pickled through :mod:`repro.cache.codec`: the
+report/measurement dataclasses round-trip exactly (types included),
+which is what makes a cache-hit report byte-identical to the cold one.
+Cross-version safety comes from the schema salt in the key plus the
+embedded schema check, not from trusting old pickles.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro import faults
+from repro.cache import codec
 from repro.cache import keys as _keys
 from repro.obs import trace as _trace
 
@@ -131,21 +131,6 @@ class DiscoveryCache:
     def _entry_path(self, key: str) -> Path:
         return self.root / "entries" / key[:2] / f"{key}.pkl"
 
-    def _validate_blob(self, key: str, blob: bytes) -> Any:
-        """Unpickle a wrapped entry blob and check its embedded address.
-
-        Returns the payload; raises on truncation, garbage bytes, or a
-        schema/key mismatch (the callers decide how that degrades).
-        """
-        wrapped = pickle.loads(blob)
-        if (
-            not isinstance(wrapped, dict)
-            or wrapped.get("schema") != self.version
-            or wrapped.get("key") != key
-        ):
-            raise ValueError("cache entry does not match its address")
-        return wrapped["payload"]
-
     def _read_validated(self, key: str) -> tuple[bytes, Any] | None:
         """Read + validate ``key``'s entry: ``(raw blob, payload)`` or miss.
 
@@ -180,7 +165,7 @@ class DiscoveryCache:
             self.degradations["read_error"] += 1
             return None
         try:
-            payload = self._validate_blob(key, blob)
+            payload = codec.decode(key, blob, self.version)
         except Exception:
             try:
                 path.unlink()
@@ -227,10 +212,7 @@ class DiscoveryCache:
         in-memory object never leaks into the store.
         """
         try:
-            blob = pickle.dumps(
-                {"schema": self.version, "key": key, "payload": payload},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            blob = codec.encode(key, payload, self.version)
         except Exception:
             self.degradations["write_error"] += 1
             return False
@@ -244,7 +226,7 @@ class DiscoveryCache:
         forged blob counts as a corrupt entry and never reaches disk.
         """
         try:
-            self._validate_blob(key, blob)
+            codec.decode(key, blob, self.version)
         except Exception:
             self.degradations["corrupt_entry"] += 1
             return False
@@ -305,16 +287,10 @@ class DiscoveryCache:
         for path in paths:
             key = path.stem
             try:
-                wrapped = pickle.loads(path.read_bytes())
+                payload = codec.decode(key, path.read_bytes(), self.version)
             except Exception:
                 continue
-            if (
-                not isinstance(wrapped, dict)
-                or wrapped.get("schema") != self.version
-                or wrapped.get("key") != key
-            ):
-                continue
-            yield key, wrapped["payload"]
+            yield key, payload
 
     def entry_count(self) -> int:
         """Number of entry files on disk (cheap: no unpickling)."""

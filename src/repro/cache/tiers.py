@@ -4,14 +4,14 @@ One :class:`~repro.cache.store.DiscoveryCache` directory is both the
 store and the scale ceiling; this module turns it into one tier of a
 stack.  Reads fall through the tiers in order and **promote** on the way
 back (a disk hit lands in memory, a peer hit lands in memory *and*
-disk), so every tier self-heals from the tiers below it; writes follow a
-per-tier policy (write-through, write-back with an explicit
-:meth:`TieredCache.flush`, or off).
+disk), so every tier self-heals from the tiers below it; writes land in
+every tier at once (the peer tier refuses them: peers pull).
 
 What moves between tiers is the store's *wrapped entry blob* — the exact
-pickled bytes the disk tier writes, embedding the key and schema salt —
-never a re-serialisation.  That is what keeps the standing invariant
-cheap to maintain: a report served out of memory, off disk, or fetched
+bytes :mod:`repro.cache.codec` encodes and the disk tier writes,
+embedding the key and schema salt — never a re-serialisation.  That is
+what keeps the standing invariant cheap to maintain: a report served
+out of memory, off disk, or fetched
 from a peer is byte-identical to a fresh ``mt4g --no-cache -j``, because
 at no point does any tier re-encode the payload.
 
@@ -28,7 +28,8 @@ The tiers:
   ``GET /store/{key}`` route, routed by the consistent-hash ring
   (:mod:`repro.cache.ring`), with a bounded
   :class:`~repro.faults.retry.RetryPolicy`, a fetch timeout, and a
-  per-peer circuit breaker so one dead replica cannot stall every read.
+  per-peer :class:`~repro.faults.Breaker` so one dead replica cannot
+  stall every read.
 
 Every tier keeps the same counter quartet the bare store does (hits /
 misses / stores / degradations), and the composed
@@ -44,9 +45,7 @@ degradation paths above are deterministically exercisable.
 
 from __future__ import annotations
 
-import pickle
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator
 from urllib import error as _urlerror
@@ -54,9 +53,12 @@ from urllib import request as _urlrequest
 from urllib.parse import quote
 
 from repro import faults
+from repro.cache import codec
 from repro.cache import keys as _keys
+from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
 from repro.cache.store import DEGRADATION_KINDS, DEFAULT_PRUNE_BYTES, DiscoveryCache
+from repro.errors import TransientError
 from repro.faults.retry import RetryPolicy
 from repro.obs import trace as _trace
 
@@ -182,8 +184,7 @@ class MemoryTier(CacheTier):
     """Byte-bounded in-process LRU over pre-pickled entry blobs.
 
     >>> tier = MemoryTier(max_bytes=1 << 20)
-    >>> blob = pickle.dumps({"schema": _keys.SCHEMA_VERSION,
-    ...                      "key": "a" * 64, "payload": {"x": 1}})
+    >>> blob = codec.encode("a" * 64, {"x": 1}, _keys.SCHEMA_VERSION)
     >>> tier.put_blob("a" * 64, blob)
     True
     >>> tier.fetch("a" * 64)[1]
@@ -200,33 +201,17 @@ class MemoryTier(CacheTier):
         super().__init__()
         self.max_bytes = int(max_bytes)
         self.version = int(version)
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
-        self._bytes = 0
+        self._blobs = LRU(max_bytes=self.max_bytes)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._blobs)
 
     @property
     def current_bytes(self) -> int:
-        return self._bytes
-
-    def _validate(self, key: str, blob: bytes) -> Any:
-        wrapped = pickle.loads(blob)
-        if (
-            not isinstance(wrapped, dict)
-            or wrapped.get("schema") != self.version
-            or wrapped.get("key") != key
-        ):
-            raise ValueError("memory entry does not match its address")
-        return wrapped["payload"]
-
-    def _evict(self, key: str) -> None:
-        blob = self._entries.pop(key, None)
-        if blob is not None:
-            self._bytes -= len(blob)
+        return self._blobs.bytes
 
     def fetch(self, key: str) -> tuple[bytes, Any] | None:
-        blob = self._entries.get(key)
+        blob = self._blobs.get(key)
         if blob is None:
             self.misses += 1
             return None
@@ -241,13 +226,12 @@ class MemoryTier(CacheTier):
             # sees, so the slot degrades to a miss and gets evicted.
             blob = blob[: len(blob) // 2]
         try:
-            payload = self._validate(key, blob)
+            payload = codec.decode(key, blob, self.version)
         except Exception:
-            self._evict(key)  # self-heal: the next get falls through
+            self._blobs.pop(key)  # self-heal: the next get falls through
             self.misses += 1
             self.degradations["corrupt_entry"] += 1
             return None
-        self._entries.move_to_end(key)
         self.hits += 1
         return blob, payload
 
@@ -259,14 +243,8 @@ class MemoryTier(CacheTier):
         validation cost is paid on the read path, where corruption must
         degrade anyway.
         """
-        if self.max_bytes <= 0 or len(blob) > self.max_bytes:
+        if not self._blobs.put(key, blob):
             return False
-        self._evict(key)
-        self._entries[key] = blob
-        self._bytes += len(blob)
-        while self._bytes > self.max_bytes and self._entries:
-            oldest = next(iter(self._entries))
-            self._evict(oldest)
         self.stores += 1
         return True
 
@@ -316,11 +294,10 @@ class PeerTier(CacheTier):
     replica that happens to *be* the ring owner still has a peer to
     ask.  Each candidate gets a :class:`RetryPolicy`-bounded number of
     attempts under a timeout; transport failures open a per-peer
-    circuit breaker (threshold/cooldown/half-open, same shape as the
-    job queue's per-key breakers) so a dead peer costs one timeout per
-    cooldown, not one per read.  An HTTP 404 is an authoritative miss
-    from that candidate — no breaker penalty — and the next candidate
-    is tried.
+    :class:`~repro.faults.Breaker` (the one the job queue keys by
+    report) so a dead peer costs one timeout per cooldown, not one per
+    read.  An HTTP 404 is an authoritative miss from that candidate —
+    no breaker penalty — and the next candidate is tried.
     """
 
     name = "peer"
@@ -339,41 +316,11 @@ class PeerTier(CacheTier):
         self.retry = retry
         self.timeout = float(timeout)
         self.version = int(version)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = float(breaker_cooldown)
-        #: node -> {"failures": int, "blocked_until": monotonic seconds}
-        self._health: dict[str, dict[str, float]] = {}
-
-    def _validate(self, key: str, blob: bytes) -> Any:
-        wrapped = pickle.loads(blob)
-        if (
-            not isinstance(wrapped, dict)
-            or wrapped.get("schema") != self.version
-            or wrapped.get("key") != key
-        ):
-            raise ValueError("peer blob does not match its address")
-        return wrapped["payload"]
-
-    def _blocked(self, node: str) -> bool:
-        health = self._health.get(node)
-        if health is None:
-            return False
-        # Past the cooldown the breaker is half-open: the next fetch is
-        # the trial request; failure re-blocks, success heals.
-        return time.monotonic() < health.get("blocked_until", 0.0)
-
-    def _record_failure(self, node: str) -> None:
-        health = self._health.setdefault(node, {"failures": 0, "blocked_until": 0.0})
-        health["failures"] += 1
-        if health["failures"] >= self.breaker_threshold:
-            health["blocked_until"] = time.monotonic() + self.breaker_cooldown
-
-    def _heal(self, node: str) -> None:
-        self._health.pop(node, None)
+        self.breaker = faults.Breaker(breaker_threshold, breaker_cooldown)
 
     def open_peers(self) -> list[str]:
         """Peers currently blocked by their breaker (for /metrics)."""
-        return sorted(n for n in self._health if self._blocked(n))
+        return sorted(self.breaker.open_names())
 
     def candidates(self, key: str) -> list[str]:
         if self.ring is None:
@@ -387,59 +334,59 @@ class PeerTier(CacheTier):
         have it / is sick" (the caller moves on to the next candidate).
         """
         ctx = _trace.CURRENT.get()
-        for attempt in range(1, self.retry.attempts + 1):
-            fired = None
+
+        def attempt(n: int) -> tuple[int, bytes]:
             span_start = time.perf_counter() if ctx is not None else 0.0
+            status = None
             try:
                 fired = faults.inject("tier.peer", node)
                 status, body = peer_fetch(node, key, timeout=self.timeout)
-            except Exception:
-                status, body = None, b""  # transport failure
-            if ctx is not None:
-                _trace.record(
-                    ctx,
-                    "peer.fetch",
-                    span_start,
-                    node=node,
-                    attempt=attempt,
-                    status=status if status is not None else "transport-error",
-                )
+            finally:
+                if ctx is not None:
+                    _trace.record(
+                        ctx,
+                        "peer.fetch",
+                        span_start,
+                        node=node,
+                        attempt=n,
+                        status=status if status is not None else "transport-error",
+                    )
+            if status not in (200, 404):
+                raise TransientError(f"peer {node} answered HTTP {status}")
             if fired is not None and fired.kind == "corrupt":
                 body = body[: len(body) // 2]
-            if status == 200:
-                try:
-                    payload = self._validate(key, body)
-                except Exception:
-                    # A peer that serves garbage is indistinguishable
-                    # from a sick peer for routing purposes.
-                    self.degradations["corrupt_entry"] += 1
-                    self._record_failure(node)
-                    return None
-                self._heal(node)
-                return body, payload
-            if status == 404:
-                # Authoritative miss: the peer is healthy, just cold.
-                self._heal(node)
-                return None
-            if attempt < self.retry.attempts:
-                time.sleep(self.retry.delay(key, attempt))
-        self.degradations["read_error"] += 1
-        self._record_failure(node)
-        return None
+            return status, body
+
+        outcome = self.retry.run(key, attempt)
+        if outcome.error is not None:
+            self.degradations["read_error"] += 1
+            self.breaker.record_failure(node)
+            return None
+        status, body = outcome.value
+        if status == 404:
+            # Authoritative miss: the peer is healthy, just cold.
+            self.breaker.heal(node)
+            return None
+        try:
+            payload = codec.decode(key, body, self.version)
+        except Exception:
+            # A peer that serves garbage is indistinguishable from a
+            # sick peer for routing purposes.
+            self.degradations["corrupt_entry"] += 1
+            self.breaker.record_failure(node)
+            return None
+        self.breaker.heal(node)
+        return body, payload
 
     def fetch(self, key: str) -> tuple[bytes, Any] | None:
-        hit = None
         for node in self.candidates(key):
-            if self._blocked(node):
-                continue
-            hit = self._fetch_from(node, key)
-            if hit is not None:
-                break
-        if hit is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return hit
+            if self.breaker.blocked_for(node) is None:
+                hit = self._fetch_from(node, key)
+                if hit is not None:
+                    self.hits += 1
+                    return hit
+        self.misses += 1
+        return None
 
     def put_blob(self, key: str, blob: bytes) -> bool:
         """Peers pull; this instance never pushes.  Always a no-op.
@@ -451,14 +398,6 @@ class PeerTier(CacheTier):
         return False
 
 
-#: Per-tier write policy values.
-_WRITE_MODES = ("through", "back", "off")
-
-#: Default write policy: land writes in memory and on disk immediately,
-#: never push to peers (they pull).
-DEFAULT_WRITE_POLICY = {"memory": "through", "disk": "through", "peer": "off"}
-
-
 class TieredCache:
     """The composed stack — a drop-in for :class:`DiscoveryCache`.
 
@@ -466,10 +405,7 @@ class TieredCache:
     promote the winning blob into every tier *above* the hit, so the
     expensive tiers self-heal the cheap ones; ``peer=False`` restricts
     the read to local tiers (what the ``/store/{key}`` route uses to
-    stay loop-free).  Writes follow ``policy`` per tier: ``"through"``
-    lands immediately, ``"back"`` buffers until :meth:`flush` (or an
-    automatic flush every ``write_back_max`` buffered entries), and
-    ``"off"`` skips the tier.
+    stay loop-free).  Writes land in every tier that takes them.
 
     Everything else a :class:`DiscoveryCache` owner relies on — key
     derivation, catalog enumeration, pruning, the wall-time sidecar,
@@ -477,41 +413,22 @@ class TieredCache:
     therefore mandatory.
     """
 
-    def __init__(
-        self,
-        tiers: "list[CacheTier] | tuple[CacheTier, ...]",
-        policy: dict[str, str] | None = None,
-        write_back_max: int = 8,
-    ) -> None:
+    def __init__(self, tiers: "list[CacheTier] | tuple[CacheTier, ...]") -> None:
         self.tiers: list[CacheTier] = list(tiers)
         disks = [t for t in self.tiers if isinstance(t, DiskTier)]
         if not disks:
             raise ValueError("a TieredCache needs a DiskTier (the durable anchor)")
         self._disk = disks[0]
-        self.policy = dict(DEFAULT_WRITE_POLICY)
-        if policy:
-            for tier_name, mode in policy.items():
-                if mode not in _WRITE_MODES:
-                    raise ValueError(
-                        f"unknown write mode {mode!r} for tier {tier_name!r}; "
-                        f"known: {_WRITE_MODES}"
-                    )
-                self.policy[tier_name] = mode
-        self.write_back_max = int(write_back_max)
-        self._backlog: dict[str, OrderedDict[str, bytes]] = {}
         self._full_misses = 0
 
     # ------------------------------------------------------------------ #
     # composition                                                         #
     # ------------------------------------------------------------------ #
 
-    def add_tier(self, tier: CacheTier, index: int | None = None) -> None:
-        """Insert a tier (used to attach the peer tier after the server
+    def add_tier(self, tier: CacheTier) -> None:
+        """Append a tier (used to attach the peer tier after the server
         binds, when the instance finally knows its own advertise URL)."""
-        if index is None:
-            self.tiers.append(tier)
-        else:
-            self.tiers.insert(index, tier)
+        self.tiers.append(tier)
 
     @property
     def store(self) -> DiscoveryCache:
@@ -564,8 +481,6 @@ class TieredCache:
             if got is not None:
                 blob = got[0]
                 for upper in consulted:
-                    # Promotion is read-path healing, not a write: it
-                    # deliberately ignores the write policy.
                     promote_start = time.perf_counter() if ctx is not None else 0.0
                     upper.put_blob(key, blob)
                     if ctx is not None:
@@ -578,23 +493,7 @@ class TieredCache:
                         )
                 return got
             consulted.append(tier)
-        buffered = self._buffered(key)
-        if buffered is not None:
-            return buffered
         self._full_misses += 1
-        return None
-
-    def _buffered(self, key: str) -> tuple[bytes, Any] | None:
-        """A write-back entry not yet flushed anywhere must still hit."""
-        for pending in self._backlog.values():
-            blob = pending.get(key)
-            if blob is None:
-                continue
-            try:
-                wrapped = pickle.loads(blob)
-                return blob, wrapped["payload"]
-            except Exception:
-                continue
         return None
 
     def get(self, key: str, peer: bool = True) -> Any | None:
@@ -606,57 +505,32 @@ class TieredCache:
         return None if got is None else got[0]
 
     # ------------------------------------------------------------------ #
-    # writes: policy per tier                                             #
+    # writes: every tier                                                  #
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, payload: Any) -> bool:
         try:
-            blob = pickle.dumps(
-                {"schema": self.version, "key": key, "payload": payload},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            blob = codec.encode(key, payload, self.version)
         except Exception:
             self._disk.store.degradations["write_error"] += 1
             return False
-        return self.put_blob(key, blob)
+        return self._land(key, blob)
 
     def put_blob(self, key: str, blob: bytes) -> bool:
+        """Land a blob fetched from a peer, checked once before any tier
+        sees it: a forged or truncated blob counts as a corrupt entry."""
+        try:
+            codec.decode(key, blob, self.version)
+        except Exception:
+            self._disk.store.degradations["corrupt_entry"] += 1
+            return False
+        return self._land(key, blob)
+
+    def _land(self, key: str, blob: bytes) -> bool:
         landed = False
         for tier in self.tiers:
-            mode = self.policy.get(tier.name, "through")
-            if mode == "off":
-                continue
-            if mode == "back":
-                pending = self._backlog.setdefault(tier.name, OrderedDict())
-                pending[key] = blob
-                pending.move_to_end(key)
-                landed = True
-                if len(pending) >= self.write_back_max:
-                    self._flush_tier(tier)
-            else:
-                landed = tier.put_blob(key, blob) or landed
+            landed = tier.put_blob(key, blob) or landed
         return landed
-
-    def _flush_tier(self, tier: CacheTier) -> int:
-        pending = self._backlog.get(tier.name)
-        if not pending:
-            return 0
-        flushed = 0
-        while pending:
-            key, blob = pending.popitem(last=False)
-            if tier.put_blob(key, blob):
-                flushed += 1
-        return flushed
-
-    def flush(self) -> int:
-        """Drain every write-back backlog; returns entries landed."""
-        flushed = 0
-        for tier in self.tiers:
-            flushed += self._flush_tier(tier)
-        return flushed
-
-    def pending_writes(self) -> int:
-        return sum(len(p) for p in self._backlog.values())
 
     # ------------------------------------------------------------------ #
     # aggregate accounting (drop-in for DiscoveryCache counters)          #

@@ -11,9 +11,9 @@ halves:
   the serving queue.  Off by default with nothing but a ``None`` check
   on the hot path; activated explicitly or via ``$MT4G_FAULT_PLAN`` (so
   worker processes inherit the plan);
-* :mod:`repro.faults.retry` — the :class:`RetryPolicy` both retry layers
-  share: bounded attempts, exponential backoff, deterministic per-key
-  jitter, optional overall deadline.
+* :mod:`repro.faults.retry` — the :class:`RetryPolicy` every retry loop
+  runs: bounded attempts, exponential backoff, deterministic per-key
+  jitter, optional overall deadline; :class:`Breaker` guards keys and peers.
 
 The contract the chaos harness (``benchmarks/bench_chaos.py``) enforces:
 any discovery that *succeeds* under an injected fault plan is
@@ -21,6 +21,7 @@ byte-identical to its fault-free report — faults may cost retries and
 wall-clock, never correctness.
 """
 
+from repro.faults.breaker import Breaker
 from repro.faults.plan import (
     ENV_VAR,
     FaultPlan,
@@ -40,6 +41,7 @@ from repro.faults.retry import (
 )
 
 __all__ = [
+    "Breaker",
     "DEFAULT_FLEET_RETRY",
     "DEFAULT_SERVE_RETRY",
     "ENV_VAR",

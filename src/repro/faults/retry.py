@@ -1,14 +1,14 @@
 """Retry budgets with exponential backoff and deterministic jitter.
 
-One :class:`RetryPolicy` shape serves both retry layers — the fleet
-worker's in-process attempt loop and the serving queue's per-job budget —
-so "how many attempts, how long between them, how long overall" is
-configured once and means the same thing everywhere.
+One :class:`RetryPolicy` shape and one loop, :meth:`RetryPolicy.run`,
+serve every retry layer — the fleet worker, the serving queue's proxy
+fetch and the peer tier — so "how many attempts, how long between them,
+how long overall" is configured once and means the same thing everywhere.
 
 Jitter is deterministic: the delay for attempt *n* of operation *key* is
 the exponential base delay scaled by a factor in ``[0.5, 1.0)`` drawn
-from ``sha256(seed | key | n)``.  Determinism matters twice over — the
-chaos harness replays recovery schedules exactly, and a fleet of workers
+from ``sha256(seed | key | n)``.  Determinism matters twice over — the chaos
+harness replays recovery schedules exactly, and a fleet of workers
 retrying the same failure still decorrelates (each key hashes its own
 schedule) without sharing any RNG state.
 """
@@ -16,9 +16,25 @@ schedule) without sharing any RNG state.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, replace
+from typing import Any, Callable
 
-__all__ = ["RetryPolicy", "DEFAULT_FLEET_RETRY", "DEFAULT_SERVE_RETRY"]
+from repro.errors import is_transient
+
+__all__ = ["RetryOutcome", "RetryPolicy", "DEFAULT_FLEET_RETRY", "DEFAULT_SERVE_RETRY"]
+
+#: The backoff sleep, module-level so tests can retry without waiting.
+_sleep = time.sleep
+
+
+@dataclass
+class RetryOutcome:
+    value: Any = None
+    error: BaseException | None = None
+    #: "" | "transient" (budget spent) | "permanent" | "deadline".
+    kind: str = ""
+    attempts: int = 0
 
 
 @dataclass(frozen=True)
@@ -65,6 +81,44 @@ class RetryPolicy:
         if deadline_seconds is None:
             return self
         return replace(self, deadline_seconds=deadline_seconds)
+
+    def run(
+        self,
+        key: str,
+        attempt: Callable[[int], Any],
+        on_failure: "Callable[[int, float, BaseException, str, float], None] | None" = None,
+    ) -> RetryOutcome:
+        """Call ``attempt(n)`` for n = 1, 2, … until one ends the operation.
+
+        A return ends it.  A raise classified transient by
+        :func:`~repro.errors.is_transient` sleeps ``delay(key, n - 1)`` —
+        0-based: the first retry waits ``delay(key, 0)`` — and tries
+        again while attempts remain and the sleep ends inside the
+        deadline; anything else ends it.  ``on_failure(n, started, exc,
+        kind, backoff)`` sees each failed attempt (callers record their
+        attempt spans there).
+        """
+        start = time.perf_counter()
+        deadline = None if self.deadline_seconds is None else start + self.deadline_seconds
+        n = 0
+        while True:
+            n += 1
+            started = time.perf_counter()
+            try:
+                return RetryOutcome(value=attempt(n), attempts=n)
+            except Exception as exc:
+                kind = "transient" if is_transient(exc) else "permanent"
+                retrying = kind == "transient" and n < self.attempts
+                backoff = self.delay(key, n - 1) if retrying else 0.0
+                if retrying and deadline is not None and (
+                    time.perf_counter() + backoff >= deadline
+                ):
+                    kind, retrying, backoff = "deadline", False, 0.0
+                if on_failure is not None:
+                    on_failure(n, started, exc, kind, backoff)
+                if not retrying:
+                    return RetryOutcome(error=exc, kind=kind, attempts=n)
+                _sleep(backoff)
 
 
 #: Fleet workers: a couple of quick retries, never minutes of backoff —

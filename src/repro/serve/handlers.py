@@ -325,18 +325,19 @@ def _report_key(
         raise HTTPError(404, str(exc)) from None
 
 
-def _off_loop(fn, *args):
+def _off_loop(fn, *args, executor=None):
     """``run_in_executor`` that carries the active span context along.
 
     ``loop.run_in_executor`` does not copy contextvars into the worker
     thread, so without this the store/tier spans recorded under an
     off-loop read would silently detach from their request trace.  With
     tracing off this is exactly the plain call (one ``None`` check).
+    ``executor`` None is the loop's default pool.
     """
     loop = asyncio.get_running_loop()
     ctx = CURRENT.get()
     if ctx is None:
-        return loop.run_in_executor(None, fn, *args)
+        return loop.run_in_executor(executor, fn, *args)
 
     def call():
         token = CURRENT.set(ctx)
@@ -345,7 +346,7 @@ def _off_loop(fn, *args):
         finally:
             CURRENT.reset(token)
 
-    return loop.run_in_executor(None, call)
+    return loop.run_in_executor(executor, call)
 
 
 async def _load_report(
@@ -400,7 +401,7 @@ async def _load_report(
             raise HTTPError(
                 503,
                 f"discovery failed for {preset}: {job.error}",
-                retry_after=job.retry_after or service.jobs.failure_ttl,
+                retry_after=job.retry_after or service.jobs.breaker.failure_ttl,
             )
         payload = await _off_loop(service.store.get, key)
         if payload is None:
@@ -412,7 +413,9 @@ async def _load_report(
     report = payload.get("report") if isinstance(payload, dict) else None
     if not isinstance(report, TopologyReport):
         raise HTTPError(500, f"cache entry for {preset} holds no report payload")
-    service.remember_good(key, report)
+    if allow_stale:
+        # Only routes that may serve a stale report pay for keeping one.
+        service.remember_good(key, report)
     return report, False
 
 
@@ -569,10 +572,15 @@ async def handle_store(
     still coalesce into exactly one discovery here.  The preset triple
     must re-derive the requested key — a mismatch is the client's bug
     and a 400, not a discovery of something else.
+
+    Local reads run on the service's own ``store_reads`` pool: the
+    default pool's threads may all be blocked in peer fetches that are
+    waiting for exactly this answer.
     """
     if not _STORE_KEY.match(key):
         raise HTTPError(400, f"not a content-addressed store key: {key!r}")
-    blob = await _off_loop(lambda: service.store.get_blob(key, peer=False))
+    read_local = service.store.get_blob
+    blob = await _off_loop(read_local, key, False, executor=service.store_reads)
     if blob is None and _bool_param(request, "discover"):
         if service.read_only:
             raise HTTPError(
@@ -600,9 +608,9 @@ async def handle_store(
             raise HTTPError(
                 503,
                 f"discovery failed for {preset}: {job.error}",
-                retry_after=job.retry_after or service.jobs.failure_ttl,
+                retry_after=job.retry_after or service.jobs.breaker.failure_ttl,
             )
-        blob = await _off_loop(lambda: service.store.get_blob(key, peer=False))
+        blob = await _off_loop(read_local, key, False, executor=service.store_reads)
     if blob is None:
         raise HTTPError(
             404,

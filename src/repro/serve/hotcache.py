@@ -28,15 +28,15 @@ Stale fallback responses (``X-MT4G-Stale``) are never cached: staleness
 must be re-evaluated — and re-marked — on every request.
 
 The cache is event-loop-confined (handlers touch it on the loop
-thread), so it needs no locks; counters feed ``GET /metrics``.
+thread); counters feed ``GET /metrics``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from time import perf_counter
 from typing import Any
 
+from repro.cache.lru import LRU
 from repro.obs import trace as _trace
 
 __all__ = ["DEFAULT_HOT_CACHE_BYTES", "HotReportCache"]
@@ -62,26 +62,28 @@ class HotReportCache:
     def __init__(self, max_bytes: int = DEFAULT_HOT_CACHE_BYTES) -> None:
         self.max_bytes = int(max_bytes)
         #: (report key, render kind) -> (body bytes, content type).
-        self._entries: "OrderedDict[tuple[str, str], tuple[bytes, str]]" = OrderedDict()
-        self._bytes = 0
+        self._renders = LRU(max_bytes=self.max_bytes, weigh=lambda render: len(render[0]))
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evictions = 0
         self.invalidations = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._renders)
 
     @property
     def bytes_used(self) -> int:
-        return self._bytes
+        return self._renders.bytes
+
+    @property
+    def evictions(self) -> int:
+        return self._renders.evictions
 
     def get(self, key: str, kind: str) -> "tuple[bytes, str] | None":
         """The rendered ``(body, content_type)`` for ``(key, kind)``."""
         ctx = _trace.CURRENT.get()  # None = tracing off: no other cost
         start = perf_counter() if ctx is not None else 0.0
-        entry = self._entries.get((key, kind))
+        entry = self._renders.get((key, kind))
         if entry is None:
             self.misses += 1
             if ctx is not None:
@@ -89,7 +91,6 @@ class HotReportCache:
                     ctx, "hotcache.lookup", start, outcome="miss", kind=kind
                 )
             return None
-        self._entries.move_to_end((key, kind))
         self.hits += 1
         if ctx is not None:
             _trace.record(ctx, "hotcache.lookup", start, outcome="hit", kind=kind)
@@ -101,44 +102,28 @@ class HotReportCache:
         A body larger than the whole budget is refused (it would evict
         everything for one entry that itself cannot stay).
         """
-        if self.max_bytes <= 0 or len(body) > self.max_bytes:
+        if not self._renders.put((key, kind), (body, content_type)):
             return False
-        self._drop((key, kind))
-        self._entries[(key, kind)] = (body, content_type)
-        self._bytes += len(body)
-        while self._bytes > self.max_bytes and self._entries:
-            oldest = next(iter(self._entries))
-            self._drop(oldest)
-            self.evictions += 1
         self.stores += 1
         return True
 
     def invalidate(self, key: str) -> int:
         """Drop every rendered format of ``key``; returns renders dropped."""
-        doomed = [entry for entry in self._entries if entry[0] == key]
+        doomed = [entry for entry in self._renders.keys() if entry[0] == key]
         for entry in doomed:
-            self._drop(entry)
+            self._renders.pop(entry)
         self.invalidations += len(doomed)
         return len(doomed)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-
-    def _drop(self, entry: "tuple[str, str]") -> None:
-        existing = self._entries.pop(entry, None)
-        if existing is not None:
-            self._bytes -= len(existing[0])
 
     def stats(self) -> dict[str, Any]:
         """The ``GET /metrics`` payload fragment for this cache."""
         return {
             "max_bytes": self.max_bytes,
-            "bytes": self._bytes,
-            "entries": len(self._entries),
+            "bytes": self._renders.bytes,
+            "entries": len(self._renders),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "evictions": self.evictions,
+            "evictions": self._renders.evictions,
             "invalidations": self.invalidations,
         }

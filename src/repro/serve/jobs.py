@@ -58,7 +58,7 @@ import itertools
 import json
 import os
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import median
@@ -66,6 +66,7 @@ from typing import Any
 
 from repro import faults
 from repro.cache.costs import estimate_discovery_cost
+from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
 from repro.cache.store import DiscoveryCache
 from repro.cache.tiers import (
@@ -75,7 +76,7 @@ from repro.cache.tiers import (
     peer_fetch,
 )
 from repro.core.tool import AMD_ELEMENTS, NVIDIA_ELEMENTS
-from repro.errors import is_transient
+from repro.errors import TransientError, is_transient
 from repro.faults.retry import DEFAULT_SERVE_RETRY, RetryPolicy
 from repro.obs import trace as _trace
 from repro.gpusim.device import SimulatedGPU
@@ -101,6 +102,10 @@ def _warm_worker(cache_dir: str) -> int:
     """
     build_worker_cache(cache_dir)
     return os.getpid()
+
+
+class _PeerAnswer(TransientError):
+    """The owner answered, but not with a usable entry: worth a retry."""
 
 
 def fetch_report_for_job(
@@ -138,17 +143,80 @@ def fetch_report_for_job(
     ``permanent`` for the proxy path (that owner can never produce the
     entry), while a 404 without the marker stays ``transient``.
     """
-    if traceparent is None:
-        return _fetch_report_for_job(
-            owner, key, preset, seed, cache_config, engine, validate,
-            cache_dir, retry, timeout,
+    policy = retry if retry is not None else DEFAULT_PEER_RETRY
+    start = time.perf_counter()
+    ctx = None  # set below, before any attempt runs
+
+    def failed(attempts: int, error: str, kind: str) -> WorkerOutcome:
+        return WorkerOutcome(
+            preset, None, time.perf_counter() - start, error, kind, attempts
         )
+
+    def attempt(n: int) -> WorkerOutcome:
+        attempt_start = time.perf_counter() if ctx is not None else 0.0
+        # Chaos point shared with the read-path peer tier: one site
+        # covers every HTTP hop toward a peer.
+        faults.inject("tier.peer", owner)
+        status, body = peer_fetch(
+            owner,
+            key,
+            timeout=timeout,
+            discover=True,
+            preset=preset,
+            seed=seed,
+            validate=validate,
+        )
+        if ctx is not None:
+            _trace.record(ctx, "proxy.attempt", attempt_start, attempt=n, status=status)
+        if status == 200:
+            store = build_worker_cache(cache_dir)
+            if not store.put_blob(key, body):
+                # Truncated in flight (or forged): treat like any other
+                # flaky transfer and retry within budget.
+                raise _PeerAnswer(f"peer blob from {owner} failed validation")
+            payload = store.get(key, peer=False)
+            report = payload.get("report") if isinstance(payload, dict) else None
+            if report is None:
+                return failed(n, f"peer entry from {owner} holds no report payload", "permanent")
+            return WorkerOutcome(preset, report, time.perf_counter() - start, attempts=n)
+        if status == 404:
+            # A discover=1 404 is authoritative; retrying is noise.
+            read_only = False
+            try:
+                detail = json.loads(body.decode("utf-8"))
+                read_only = bool(detail.get("read_only"))
+            except Exception:
+                pass
+            if read_only:
+                return failed(
+                    n, f"owner {owner} is read-only and has no entry for {preset}", "permanent"
+                )
+            return failed(n, f"owner {owner} has no entry for {preset}", "transient")
+        raise _PeerAnswer(f"peer {owner} answered HTTP {status}")
+
+    def transport_span(n, started, exc, kind, backoff) -> None:
+        # An answered attempt already recorded its span with the status.
+        if ctx is not None and not isinstance(exc, _PeerAnswer):
+            _trace.record(
+                ctx,
+                "proxy.attempt",
+                started,
+                attempt=n,
+                outcome="transport-error",
+                backoff_s=round(backoff, 6),
+            )
+
     with _trace.worker_trace(traceparent) as ctx:
-        start = time.perf_counter()
-        outcome = _fetch_report_for_job(
-            owner, key, preset, seed, cache_config, engine, validate,
-            cache_dir, retry, timeout,
-        )
+        run = policy.run(key, attempt, on_failure=transport_span)
+        if run.error is None:
+            outcome = run.value
+        elif isinstance(run.error, _PeerAnswer):
+            outcome = failed(run.attempts, str(run.error), run.kind)
+        else:
+            reason = str(run.error) or type(run.error).__name__
+            outcome = failed(
+                run.attempts, f"peer fetch from {owner} failed: {reason}", run.kind
+            )
         if ctx is not None:
             _trace.complete(
                 ctx,
@@ -162,110 +230,6 @@ def fetch_report_for_job(
             )
             outcome.spans = ctx.tracer.drain()
         return outcome
-
-
-def _fetch_report_for_job(
-    owner: str,
-    key: str,
-    preset: str,
-    seed: int,
-    cache_config: str,
-    engine: str,
-    validate: bool,
-    cache_dir: str,
-    retry: RetryPolicy | None = None,
-    timeout: float = DEFAULT_PEER_TIMEOUT,
-) -> WorkerOutcome:
-    policy = retry if retry is not None else DEFAULT_PEER_RETRY
-    ctx = _trace.CURRENT.get()
-    start = time.perf_counter()
-    error, kind = "", "transient"
-    attempt = 0
-    while attempt < policy.attempts:
-        attempt += 1
-        attempt_start = time.perf_counter() if ctx is not None else 0.0
-        try:
-            # Chaos point shared with the read-path peer tier: one site
-            # covers every HTTP hop toward a peer.
-            faults.inject("tier.peer", owner)
-            status, body = peer_fetch(
-                owner,
-                key,
-                timeout=timeout,
-                discover=True,
-                preset=preset,
-                seed=seed,
-                validate=validate,
-            )
-        except Exception as exc:
-            error = f"peer fetch from {owner} failed: {str(exc) or type(exc).__name__}"
-            kind = "transient" if is_transient(exc) else "permanent"
-            retrying = kind != "permanent" and attempt < policy.attempts
-            backoff = policy.delay(key, attempt - 1) if retrying else 0.0
-            if ctx is not None:
-                _trace.record(
-                    ctx,
-                    "proxy.attempt",
-                    attempt_start,
-                    attempt=attempt,
-                    outcome="transport-error",
-                    backoff_s=round(backoff, 6),
-                )
-            if not retrying:
-                break
-            time.sleep(backoff)
-            continue
-        if ctx is not None:
-            _trace.record(
-                ctx, "proxy.attempt", attempt_start, attempt=attempt, status=status
-            )
-        if status == 200:
-            store = build_worker_cache(cache_dir)
-            if not store.put_blob(key, body):
-                # Truncated in flight (or forged): treat like any other
-                # flaky transfer and retry within budget.
-                error = f"peer blob from {owner} failed validation"
-                kind = "transient"
-                if attempt >= policy.attempts:
-                    break
-                time.sleep(policy.delay(key, attempt - 1))
-                continue
-            payload = store.get(key, peer=False)
-            report = payload.get("report") if isinstance(payload, dict) else None
-            if report is None:
-                error = f"peer entry from {owner} holds no report payload"
-                kind = "permanent"
-                break
-            return WorkerOutcome(
-                preset, report, time.perf_counter() - start, attempts=attempt
-            )
-        if status == 404:
-            read_only = False
-            try:
-                detail = json.loads(body.decode("utf-8"))
-                read_only = bool(detail.get("read_only"))
-            except Exception:
-                pass
-            if read_only:
-                error = f"owner {owner} is read-only and has no entry for {preset}"
-                kind = "permanent"
-            else:
-                error = f"owner {owner} has no entry for {preset}"
-                kind = "transient"
-            break  # a discover=1 404 is authoritative; retrying is noise
-        error = f"peer {owner} answered HTTP {status}"
-        kind = "transient"
-        if attempt >= policy.attempts:
-            break
-        time.sleep(policy.delay(key, attempt - 1))
-    return WorkerOutcome(
-        preset,
-        None,
-        time.perf_counter() - start,
-        error=error,
-        error_kind=kind,
-        attempts=attempt,
-    )
 
 
 @dataclass
@@ -390,7 +354,7 @@ class JobQueue:
         #: Key derivation builds a SimulatedGPU and canonicalises the
         #: whole identity dict through SHA-256 — pure, but far too slow
         #: for a per-request hot path, hence this bounded memo.
-        self._key_memo: "OrderedDict[tuple[str, int, bool], str]" = OrderedDict()
+        self._key_memo = LRU(max_entries=self.KEY_MEMO_MAX)
         self.retry = retry if retry is not None else DEFAULT_SERVE_RETRY
         #: key routing across instances; None = standalone (every job
         #: discovers locally, the pre-ring behaviour).
@@ -405,21 +369,16 @@ class JobQueue:
         self.prune_bytes = prune_bytes
         #: per-job wall budget, enforced on the loop (None = unbounded).
         self.deadline_seconds = deadline_seconds
-        #: how long a failed key fast-fails before a retry is admitted.
-        self.failure_ttl = failure_ttl
-        #: consecutive failures that open a key's circuit breaker…
-        self.breaker_threshold = max(1, breaker_threshold)
-        #: …and how long the breaker stays open.
-        self.breaker_cooldown = breaker_cooldown
+        #: per-key failure memo + circuit breaker: a failed key fast-fails
+        #: for ``failure_ttl`` seconds; ``breaker_threshold`` consecutive
+        #: failures open its breaker for ``breaker_cooldown`` seconds.
+        self.breaker = faults.Breaker(breaker_threshold, breaker_cooldown, failure_ttl)
         self._jobs: dict[str, DiscoveryJob] = {}
         self._by_key: dict[str, DiscoveryJob] = {}
         self._pending: list[DiscoveryJob] = []
         self._terminal: deque[str] = deque()
         self._running = 0
         self._ids = itertools.count(1)
-        #: key -> failure memo: consecutive failures, monotonic
-        #: blocked-until, breaker state, last error (kind + message).
-        self._key_health: dict[str, dict[str, Any]] = {}
         self._deadline_handles: dict[str, asyncio.TimerHandle] = {}
         #: single-flight accounting (the acceptance counters).
         self.discoveries_started = 0
@@ -429,7 +388,6 @@ class JobQueue:
         #: fault-tolerance accounting (the resilience counters).
         self.retries_total = 0
         self.deadlines_expired = 0
-        self.breaker_opens = 0
         self.fast_failures = 0
         #: sharding accounting: jobs dispatched as peer fetches, and
         #: failed proxies re-run as local discoveries.
@@ -470,7 +428,6 @@ class JobQueue:
         memo_key = (preset, int(seed), bool(validate))
         cached = self._key_memo.get(memo_key)
         if cached is not None:
-            self._key_memo.move_to_end(memo_key)
             return cached
         spec = get_preset(preset)
         device = SimulatedGPU(spec, seed=seed, cache_config=self.cache_config)
@@ -482,9 +439,7 @@ class JobQueue:
             frozenset(),
             validate,
         )
-        self._key_memo[memo_key] = key
-        while len(self._key_memo) > self.KEY_MEMO_MAX:
-            self._key_memo.popitem(last=False)
+        self._key_memo.put(memo_key, key)
         return key
 
     # ------------------------------------------------------------------ #
@@ -529,7 +484,8 @@ class JobQueue:
                     requests=inflight.requests,
                 )
             return inflight
-        blocked_for = self._blocked_for(key)
+        # A lapsed block admits this request as the half-open probe.
+        blocked_for = self.breaker.blocked_for(key)
         if blocked_for is not None:
             if ctx is not None:
                 _trace.record(
@@ -565,24 +521,11 @@ class JobQueue:
     # failure memo + circuit breaker                                      #
     # ------------------------------------------------------------------ #
 
-    def _blocked_for(self, key: str) -> float | None:
-        """Seconds the key is still blocked, or None to admit the job.
-
-        A lapsed block admits the next request as the half-open probe:
-        the memo entry survives (so one more failure re-opens the breaker
-        immediately) but nothing is blocked until that probe resolves.
-        """
-        health = self._key_health.get(key)
-        if health is None:
-            return None
-        remaining = health["blocked_until"] - time.monotonic()
-        return remaining if remaining > 0 else None
-
     def _fast_fail(
         self, preset: str, seed: int, validate: bool, key: str, retry_after: float
     ) -> DiscoveryJob:
         """A pre-failed terminal job: the memoised error plus a hint."""
-        health = self._key_health[key]
+        trip = self.breaker.trip(key)
         job = DiscoveryJob(
             id=f"job-{next(self._ids)}",
             key=key,
@@ -590,8 +533,8 @@ class JobQueue:
             seed=seed,
             validate=validate,
             status="error",
-            error=health["last_error"],
-            error_kind="breaker" if health["open"] else "unavailable",
+            error=trip.error,
+            error_kind="breaker" if trip.open else "unavailable",
             retry_after=retry_after,
         )
         self.fast_failures += 1
@@ -600,33 +543,13 @@ class JobQueue:
         self._retire(job)
         return job
 
-    def _record_failure(self, job: DiscoveryJob) -> None:
-        health = self._key_health.setdefault(
-            job.key,
-            {"failures": 0, "blocked_until": 0.0, "open": False, "last_error": ""},
-        )
-        health["failures"] += 1
-        health["last_error"] = job.error
-        now = time.monotonic()
-        if health["failures"] >= self.breaker_threshold:
-            if not health["open"]:
-                health["open"] = True
-                self.breaker_opens += 1
-            health["blocked_until"] = now + self.breaker_cooldown
-        else:
-            health["blocked_until"] = now + self.failure_ttl
-
-    def _heal(self, key: str) -> None:
-        self._key_health.pop(key, None)
+    @property
+    def breaker_opens(self) -> int:
+        return self.breaker.opens
 
     def open_breakers(self) -> dict[str, float]:
         """key -> seconds of cooldown left, for currently-open breakers."""
-        now = time.monotonic()
-        return {
-            key: round(health["blocked_until"] - now, 3)
-            for key, health in self._key_health.items()
-            if health["open"] and health["blocked_until"] > now
-        }
+        return self.breaker.open_names()
 
     def _estimate_cost(self, preset: str) -> float:
         """Admission cost: the recorded wall, or a calibrated estimate."""
@@ -680,7 +603,7 @@ class JobQueue:
             job.error = str(exc) or type(exc).__name__
             job.error_kind = "transient" if is_transient(exc) else "permanent"
             self.discoveries_failed += 1
-            self._record_failure(job)
+            self.breaker.record_failure(job.key, job.error)
             job.done.set()
             self._retire(job)
             return
@@ -758,7 +681,7 @@ class JobQueue:
         job.wall_seconds = self.deadline_seconds
         self.deadlines_expired += 1
         self.discoveries_failed += 1
-        self._record_failure(job)
+        self.breaker.record_failure(job.key, job.error)
         if job.trace_ctx is not None:
             _trace.complete(
                 job.trace_ctx,
@@ -831,11 +754,11 @@ class JobQueue:
             job.status = "error"
             job.error = error or "discovery produced no report"
             self.discoveries_failed += 1
-            self._record_failure(job)
+            self.breaker.record_failure(job.key, job.error)
         else:
             job.status = "done"
             self.discoveries_completed += 1
-            self._heal(job.key)
+            self.breaker.heal(job.key)
             # Feed the LPT scheduler exactly like the fleet parent does:
             # only genuinely measured walls, never hash-lookup hits —
             # and never peer-fetch walls, which measure the network, not

@@ -43,14 +43,15 @@ drive the service.
 from __future__ import annotations
 
 import asyncio
-import pickle
 import sys
 import urllib.parse
-from collections import OrderedDict
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
+from repro.cache import codec
+from repro.cache.keys import SCHEMA_VERSION
+from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
 from repro.cache.store import DiscoveryCache
 from repro.cache.tiers import (
@@ -92,6 +93,10 @@ KEEP_ALIVE_TIMEOUT_SECONDS = 60.0
 #: Requests served per connection before the server closes it — bounds
 #: how long one socket can monopolise a connection task.
 MAX_REQUESTS_PER_CONNECTION = 1000
+#: Threads serving ``GET /store/{key}`` local reads.  They are the
+#: service's own, so a peer's read never queues behind threads of the
+#: default pool that sit blocked in outbound peer fetches.
+STORE_READ_THREADS = 2
 
 
 class _PayloadTooLarge(ValueError):
@@ -176,10 +181,14 @@ class TopologyService:
         #: consistent-hash membership; None until attach_ring() (post-
         #: bind, because the advertise URL may need the ephemeral port).
         self.ring: HashRing | None = None
-        #: report key -> pickled last-good report (pickled so every
-        #: fallback read deserialises a fresh object, exactly like a
-        #: store hit — handlers may mutate what they are given).
-        self._last_good: OrderedDict[str, bytes] = OrderedDict()
+        #: report key -> encoded last-good report (encoded so every
+        #: fallback read decodes a fresh object, exactly like a store
+        #: hit — handlers may mutate what they are given).
+        self._last_good = LRU(max_entries=self.LAST_GOOD_MAX)
+        #: the pool ``GET /store/{key}`` reads local tiers on.
+        self.store_reads = ThreadPoolExecutor(
+            STORE_READ_THREADS, thread_name_prefix="mt4g-store-read"
+        )
         self._server: asyncio.AbstractServer | None = None
         #: (host, port) actually bound; port 0 resolves on start().
         self.address: tuple[str, int] | None = None
@@ -205,14 +214,11 @@ class TopologyService:
     # ------------------------------------------------------------------ #
 
     def remember_good(self, key: str, report: TopologyReport) -> None:
-        self._last_good[key] = pickle.dumps(report, pickle.HIGHEST_PROTOCOL)
-        self._last_good.move_to_end(key)
-        while len(self._last_good) > self.LAST_GOOD_MAX:
-            self._last_good.popitem(last=False)
+        self._last_good.put(key, codec.encode(key, report, SCHEMA_VERSION))
 
     def last_good(self, key: str) -> TopologyReport | None:
         blob = self._last_good.get(key)
-        return pickle.loads(blob) if blob is not None else None
+        return None if blob is None else codec.decode(key, blob, SCHEMA_VERSION)
 
     # ------------------------------------------------------------------ #
     # ring membership (sharding + replication)                            #
@@ -321,6 +327,7 @@ class TopologyService:
             await self._server.wait_closed()
             self._server = None
         self.jobs.shutdown()
+        self.store_reads.shutdown(wait=False)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

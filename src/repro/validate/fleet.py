@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -45,7 +46,7 @@ from repro.cache.store import DiscoveryCache
 from repro.cache.tiers import build_worker_cache
 from repro.core.report import TopologyReport
 from repro.core.tool import MT4G
-from repro.errors import ReproError, is_transient
+from repro.errors import ReproError
 from repro.faults.retry import DEFAULT_FLEET_RETRY, RetryPolicy
 from repro.gpusim.device import SimulatedGPU
 from repro.gpuspec.presets import available_presets, get_preset
@@ -336,55 +337,6 @@ def _discover_one(
 ) -> WorkerOutcome:
     """Worker body: one full discovery (+ validation) for one preset.
 
-    ``traceparent`` (PR 10) joins this worker to the submitting
-    request's trace: spans recorded here come back on
-    ``WorkerOutcome.spans`` — worker processes share no tracer ring with
-    the service.  ``profile`` additionally activates the discovery phase
-    profiler and returns its breakdown on ``WorkerOutcome.profile``.
-    Both default off and then cost nothing — the fleet CLI path never
-    even enters the instrumented wrapper.
-    """
-    if traceparent is None and not profile:
-        return _discover_one_inner(
-            preset, seed, cache_config, engine, validate, cache_dir, retry
-        )
-    start = time.perf_counter()
-    with _trace.worker_trace(traceparent) as ctx:
-        if profile:
-            with _profile.profiled() as prof:
-                outcome = _discover_one_inner(
-                    preset, seed, cache_config, engine, validate, cache_dir, retry
-                )
-            outcome.profile = prof.as_dict()
-        else:
-            outcome = _discover_one_inner(
-                preset, seed, cache_config, engine, validate, cache_dir, retry
-            )
-        if ctx is not None:  # profile without a traceparent: no spans
-            _trace.complete(
-                ctx,
-                "worker.discover",
-                start,
-                preset=preset,
-                ok=outcome.ok,
-                attempts=outcome.attempts,
-                error_kind=outcome.error_kind,
-            )
-            outcome.spans = ctx.tracer.drain()
-    return outcome
-
-
-def _discover_one_inner(
-    preset: str,
-    seed: int,
-    cache_config: str,
-    engine: str,
-    validate: bool,
-    cache_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-) -> WorkerOutcome:
-    """The uninstrumented worker body (see :func:`_discover_one`).
-
     *Transient* failures (see :func:`repro.errors.is_transient`) are
     retried in-worker under ``retry`` — bounded attempts, exponential
     backoff, deterministic per-preset jitter, optional overall deadline;
@@ -399,70 +351,69 @@ def _discover_one_inner(
     ``cache_dir`` points every worker at one shared on-disk store — safe
     because entries are immutable and land via atomic rename, and two
     workers racing on the same key write byte-identical payloads.
+
+    ``traceparent`` joins this worker to the submitting
+    request's trace: spans recorded here come back on
+    ``WorkerOutcome.spans`` — worker processes share no tracer ring with
+    the service.  ``profile`` additionally activates the discovery phase
+    profiler and returns its breakdown on ``WorkerOutcome.profile``.
+    Both default off.
     """
     policy = retry if retry is not None else RetryPolicy(attempts=1)
     start = time.perf_counter()
-    deadline = (
-        start + policy.deadline_seconds
-        if policy.deadline_seconds is not None
-        else None
-    )
-    error, kind = "", ""
-    attempt = 0
-    ctx = _trace.CURRENT.get()  # None unless _discover_one set a trace
-    while attempt < policy.attempts:
-        attempt += 1
+    ctx = None  # set below, before any attempt runs
+
+    def attempt(n: int) -> TopologyReport:
         attempt_start = time.perf_counter()
-        try:
-            # The chaos plane's hook: label = "<preset>@<attempt index>"
-            # so a recorded plan can fail attempt 0 and spare attempt 1
-            # regardless of which process runs the worker.
-            faults.inject("fleet.worker", f"{preset}@{attempt - 1}")
-            # The standard tier stack (memory LRU over the shared disk
-            # store): reads within this worker's retries hit memory,
-            # writes land through to disk where every worker sees them.
-            store = build_worker_cache(cache_dir)
-            device = SimulatedGPU(
-                get_preset(preset), seed=seed, cache_config=cache_config
+        # The chaos plane's hook: label = "<preset>@<attempt index>"
+        # so a recorded plan can fail attempt 0 and spare attempt 1
+        # regardless of which process runs the worker.
+        faults.inject("fleet.worker", f"{preset}@{n - 1}")
+        # The standard tier stack (memory LRU over the shared disk
+        # store): reads within this worker's retries hit memory,
+        # writes land through to disk where every worker sees them.
+        store = build_worker_cache(cache_dir)
+        device = SimulatedGPU(get_preset(preset), seed=seed, cache_config=cache_config)
+        tool = MT4G(device, config=PChaseConfig(engine=engine), cache=store)
+        report = tool.discover(validate=validate)
+        if ctx is not None:
+            _trace.record(ctx, "worker.attempt", attempt_start, attempt=n, outcome="ok")
+        return report
+
+    def attempt_span(n, started, exc, kind, backoff) -> None:
+        if ctx is not None:
+            _trace.record(
+                ctx, "worker.attempt", started, attempt=n,
+                outcome=kind, backoff_s=round(backoff, 6),
             )
-            tool = MT4G(device, config=PChaseConfig(engine=engine), cache=store)
-            report = tool.discover(validate=validate)
-            if ctx is not None:
-                _trace.record(
-                    ctx, "worker.attempt", attempt_start, attempt=attempt,
-                    outcome="ok",
-                )
-            return WorkerOutcome(
-                preset, report, time.perf_counter() - start, attempts=attempt
-            )
-        except Exception as exc:
+
+    with _trace.worker_trace(traceparent) as ctx:
+        with _profile.profiled() if profile else nullcontext() as prof:
+            run = policy.run(preset, attempt, on_failure=attempt_span)
+        outcome = WorkerOutcome(
+            preset,
+            run.value,
+            time.perf_counter() - start,
             # An exception with an empty message (``raise ValueError()``)
             # must not yield an error entry that renders as blank text.
-            error = _describe(exc)
-            kind = "transient" if is_transient(exc) else "permanent"
-            retrying = kind != "permanent" and attempt < policy.attempts
-            pause = policy.delay(preset, attempt - 1) if retrying else 0.0
-            if retrying and deadline is not None and (
-                time.perf_counter() + pause >= deadline
-            ):
-                kind = "deadline"
-                retrying = False
-            if ctx is not None:
-                _trace.record(
-                    ctx, "worker.attempt", attempt_start, attempt=attempt,
-                    outcome=kind, backoff_s=round(pause, 6) if retrying else 0.0,
-                )
-            if not retrying:
-                break
-            time.sleep(pause)
-    return WorkerOutcome(
-        preset,
-        None,
-        time.perf_counter() - start,
-        error=error,
-        error_kind=kind,
-        attempts=attempt,
-    )
+            error="" if run.error is None else _describe(run.error),
+            error_kind=run.kind,
+            attempts=run.attempts,
+        )
+        if prof is not None:
+            outcome.profile = prof.as_dict()
+        if ctx is not None:  # profile without a traceparent: no spans
+            _trace.complete(
+                ctx,
+                "worker.discover",
+                start,
+                preset=preset,
+                ok=outcome.ok,
+                attempts=outcome.attempts,
+                error_kind=outcome.error_kind,
+            )
+            outcome.spans = ctx.tracer.drain()
+    return outcome
 
 
 #: Public name of the worker body: the serving subsystem's single-flight

@@ -235,6 +235,8 @@ class TestServeChaos:
                 breaker_threshold=2,
                 breaker_cooldown=60.0,
             )
+            now = [0.0]
+            queue.breaker.clock = lambda: now[0]
             first = await queue.wait(queue.submit(PRESET))
             assert first.status == "error" and first.error_kind == "transient"
             # within the TTL: the memo answers, no second discovery runs
@@ -247,7 +249,7 @@ class TestServeChaos:
             # a failure memo is not a breaker yet
             assert queue.open_breakers() == {}
             # force the memo window shut and fail once more: breaker opens
-            queue._key_health[first.key]["blocked_until"] = 0.0
+            now[0] += 31.0
             third = await queue.wait(queue.submit(PRESET))
             assert third.status == "error"
             assert queue.breaker_opens == 1
@@ -270,12 +272,14 @@ class TestServeChaos:
                 retry=RetryPolicy(attempts=1),
                 failure_ttl=30.0,
             )
+            now = [0.0]
+            queue.breaker.clock = lambda: now[0]
             failed = await queue.wait(queue.submit(PRESET))
             assert failed.status == "error"
-            queue._key_health[failed.key]["blocked_until"] = 0.0  # lapse TTL
+            now[0] += 31.0  # lapse the TTL
             probe = await queue.wait(queue.submit(PRESET))  # half-open probe
             assert probe.status == "done"
-            assert queue._key_health == {}  # healed entirely
+            assert len(queue.breaker) == 0  # healed entirely
             assert queue.open_breakers() == {}
 
         with faults.injected(plan(crash_once)):

@@ -470,9 +470,10 @@ class TestProfiler:
         assert "discovery profile:" in text
         assert "L1" in text and "size_sweep" in text
 
-    def test_cli_profile_flag_keeps_stdout_identical(self, capsys):
+    def test_cli_profile_flag_keeps_stdout_identical(self, capsys, tmp_path, monkeypatch):
         from repro.core.cli import main
 
+        monkeypatch.chdir(tmp_path)  # bare -j also writes <GPU>.json here
         assert main(["--gpu", PRESET, "--no-cache", "-j"]) == 0
         plain = capsys.readouterr()
         assert main(["--gpu", PRESET, "--no-cache", "-j", "--profile"]) == 0

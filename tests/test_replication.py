@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -147,7 +148,11 @@ class TestTwoInstances:
                 await b.stop()
             return a, b, seed, responses
 
+        started = time.perf_counter()
         a, b, seed, responses = asyncio.run(scenario())
+        # Healthy peers answer in milliseconds: a burst that waits out the
+        # 30 s peer timeout means the /store reads starved.
+        assert time.perf_counter() - started < 10.0
         assert [r.status for r in responses] == [200] * 6
         assert len({r.body for r in responses}) == 1
         assert responses[0].body == cli_bytes(seed=seed)

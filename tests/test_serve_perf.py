@@ -613,7 +613,7 @@ class TestReportKeyMemo:
 
     def test_memo_is_bounded(self, store, executor):
         queue = JobQueue(store, executor=executor)
-        queue.KEY_MEMO_MAX = 3
+        queue._key_memo.max_entries = 3
         for seed in range(6):
             queue.report_key(PRESET, seed, False)
         assert len(queue._key_memo) == 3

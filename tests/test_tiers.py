@@ -271,43 +271,14 @@ class TestTieredCache:
         assert cache.store.degradations["corrupt_entry"] == 1
         assert cache.store.entry_count() == 0
 
-    def test_write_back_buffers_serve_and_flush(self, tmp_path):
-        cache = TieredCache(
-            [DiskTier(DiscoveryCache(tmp_path / "store"))],
-            policy={"disk": "back"},
-            write_back_max=10,
-        )
-        cache.put(KEY, {"x": 1})
-        assert cache.pending_writes() == 1
-        assert cache.store.entry_count() == 0  # nothing durable yet
-        assert cache.get(KEY) == {"x": 1}  # the backlog still answers
-        assert cache.flush() == 1
-        assert cache.pending_writes() == 0
-        assert cache.store.entry_count() == 1
-        assert cache.get(KEY) == {"x": 1}
-
-    def test_write_back_auto_flushes_at_the_watermark(self, tmp_path):
-        cache = TieredCache(
-            [DiskTier(DiscoveryCache(tmp_path / "store"))],
-            policy={"disk": "back"},
-            write_back_max=2,
-        )
-        cache.put(KEY, {"x": 1})
-        assert cache.store.entry_count() == 0
-        cache.put(OTHER, {"x": 2})
-        assert cache.pending_writes() == 0  # watermark hit: drained
-        assert cache.store.entry_count() == 2
-
-    def test_write_off_tier_still_heals_via_promotion(self, tmp_path):
-        cache = stack(tmp_path, policy={"memory": "off"})
-        cache.put(KEY, {"x": 1})
-        assert cache.tier_stats()["memory"]["stores"] == 0  # write skipped
-        assert cache.get(KEY) == {"x": 1}  # disk hit...
-        assert cache.tier_stats()["memory"]["stores"] == 1  # ...promotes anyway
-
-    def test_unknown_write_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown write mode"):
-            stack(tmp_path, policy={"memory": "sideways"})
+    def test_put_blob_refuses_a_forged_blob_before_any_tier(self, tmp_path):
+        cache = stack(tmp_path)
+        assert not cache.put_blob(KEY, wrap(OTHER, {"x": 1}))  # misaddressed
+        stats = cache.tier_stats()
+        assert stats["memory"]["stores"] == 0 and stats["disk"]["stores"] == 0
+        assert cache.degradations["corrupt_entry"] == 1
+        assert cache.put_blob(KEY, wrap(KEY, {"x": 1}))
+        assert cache.tier_stats()["memory"]["stores"] == 1
 
     def test_disk_tier_is_mandatory(self):
         with pytest.raises(ValueError, match="DiskTier"):

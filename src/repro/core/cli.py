@@ -142,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="profile the discovery: per-element per-phase wall clock and "
-        "p-chase run counts, printed to stderr after the run (report "
-        "bytes on stdout are unchanged)",
+        help="profile the discovery: per-element per-phase self time and "
+        "p-chase run counts, printed to stderr after the run (rows sum "
+        "to the wall time; report bytes on stdout are unchanged)",
     )
     return parser
 
@@ -205,6 +205,39 @@ def _default_path(arg: str | None, gpu: str, suffix: str) -> Path | None:
     return Path(arg) if arg else Path(f"{gpu}{suffix}")
 
 
+def _profiled_discover(tool: MT4G, validate: bool):
+    """Discover under a throwaway trace context, then print the folded
+    phase table to stderr (stdout stays reserved for report bytes)."""
+    from time import perf_counter
+
+    from repro.obs import trace
+    from repro.obs.profile import fold
+
+    root = trace.format_traceparent(trace.new_trace_id(), trace.new_span_id())
+    with trace.worker_trace(root) as ctx:
+        start = perf_counter()
+        report = tool.discover(validate=validate)
+        trace.complete(ctx, "mt4g.discover", start)
+    table = fold(ctx.tracer.drain())
+    rows = table["rows"]
+    lines = [
+        f"discovery profile: {table['wall_s']:.3f}s wall, "
+        f"{sum(r.get('runs', 0) for r in rows)} p-chase runs "
+        f"({sum(r.get('seconds', 0.0) for r in rows):.3f}s); self time per phase",
+        f"{'element':<18} {'phase':<24} {'self_s':>8} {'calls':>5} {'runs':>5} "
+        f"{'pchase_s':>8} {'full':>5} {'sufx':>5} {'shrk':>5}",
+    ]
+    for r in rows:
+        lines.append(
+            f"{r['element']:<18} {r['phase']:<24} {r['wall_s']:>8.4f} "
+            f"{r['calls']:>5} {r.get('runs', 0):>5} {r.get('seconds', 0.0):>8.4f} "
+            f"{r.get('full_warms', 0):>5} {r.get('suffix_warms', 0):>5} "
+            f"{r.get('shrink_warms', 0):>5}"
+        )
+    print("\n".join(lines), file=sys.stderr)
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "fleet":
@@ -244,15 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.quiet:
             print(f"# analysing {spec.name} ({spec.vendor.value}), seed {args.seed}", file=sys.stderr)
         if args.profile:
-            from repro.obs.profile import print_profile, profiled
-
-            with profiled() as profiler:
-                report = tool.discover(validate=args.validate)
-            # The profile is provenance, not report content: drop it from
-            # meta so stdout/report bytes match an unprofiled run exactly,
-            # and print the human table to stderr instead.
-            report.meta.pop("profile", None)
-            print_profile(profiler)
+            report = _profiled_discover(tool, args.validate)
         else:
             report = tool.discover(validate=args.validate)
         cache_meta = report.meta.get("cache")
@@ -578,6 +603,11 @@ def graph_main(argv: list[str] | None = None) -> int:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
+    # The service's own defaults, so flags and embedders never disagree.
+    from repro.serve.hotcache import DEFAULT_HOT_CACHE_BYTES
+    from repro.serve.jobs import POOL_MODE
+    from repro.serve.server import CATALOG_TTL_SECONDS, KEEP_ALIVE_TIMEOUT_SECONDS
+
     parser = argparse.ArgumentParser(
         prog="mt4g serve",
         description=(
@@ -662,37 +692,37 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--keep-alive-timeout",
         type=float,
-        default=60.0,
+        default=KEEP_ALIVE_TIMEOUT_SECONDS,
         metavar="SECONDS",
         help="idle seconds a keep-alive connection is held open for its "
         "next request; 0 disables keep-alive entirely, closing after "
-        "every response (default: 60)",
+        "every response (default: %(default)g)",
     )
     parser.add_argument(
         "--hot-cache-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_HOT_CACHE_BYTES,
         metavar="BYTES",
         help="byte budget for the hot-report render cache of "
         "pre-rendered response bodies; 0 disables it "
-        "(default: 64 MiB)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--pool",
-        default="warm",
+        default=POOL_MODE,
         choices=("warm", "lazy"),
         help="discovery worker-pool lifecycle: 'warm' spawns and "
         "pre-warms the persistent pool at service start, 'lazy' "
-        "creates it on the first cold request (default: warm)",
+        "creates it on the first cold request (default: %(default)s)",
     )
     parser.add_argument(
         "--catalog-ttl",
         type=float,
-        default=2.0,
+        default=CATALOG_TTL_SECONDS,
         metavar="SECONDS",
         help="seconds the /devices and /healthz catalog snapshot stays "
         "valid before the store is re-walked; 0 re-walks per request "
-        "(default: 2)",
+        "(default: %(default)g)",
     )
     parser.add_argument(
         "--trace",
@@ -735,7 +765,6 @@ def serve_main(argv: list[str] | None = None) -> int:
 
     from repro.cache.ring import normalize_node
     from repro.cache.tiers import DEFAULT_MEMORY_BYTES
-    from repro.serve.hotcache import DEFAULT_HOT_CACHE_BYTES
     from repro.serve.server import run_service
 
     parser = build_serve_parser()
@@ -765,9 +794,7 @@ def serve_main(argv: list[str] | None = None) -> int:
                 else args.memory_limit,
                 cache_limit=resolve_cache_limit(args),
                 keep_alive_timeout=args.keep_alive_timeout,
-                hot_cache_bytes=DEFAULT_HOT_CACHE_BYTES
-                if args.hot_cache_bytes is None
-                else args.hot_cache_bytes,
+                hot_cache_bytes=args.hot_cache_bytes,
                 catalog_ttl=args.catalog_ttl,
                 pool_mode=args.pool,
                 trace=args.trace,

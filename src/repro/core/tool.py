@@ -23,7 +23,7 @@ Per-element pipelines (dependencies dictate the order):
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.api.hip import hip_get_device_properties
@@ -50,9 +50,9 @@ from repro.errors import ReproError, SimulationError, SpecError
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind
 from repro.gpuspec.presets.amd import CORES_PER_CU
-from repro.obs import profile as _profile
 from repro.gpuspec.presets.nvidia import CORES_PER_SM
 from repro.gpuspec.spec import Vendor
+from repro.obs import trace as _trace
 from repro.pchase.config import PChaseConfig
 from repro.stats.compare import majority_index, median_index
 from repro.units import KiB, MiB
@@ -122,10 +122,13 @@ _AMD_KINDS = {
 #: noise streams, far from any seed a user would pick deliberately.
 _ESCALATION_SEED_OFFSETS = (1009, 2003, 3001)
 
-#: One shared no-op context for every un-profiled phase scope: entering
-#: it allocates nothing, keeping ``MT4G._phase`` free when profiling is
-#: off (the ``faults.inject()`` zero-cost contract).
+#: One shared no-op context for every untraced phase scope: entering it
+#: allocates nothing, keeping ``MT4G._phase`` free when tracing is off
+#: (the ``faults.inject()`` zero-cost contract).
 _NULL_PHASE = nullcontext()
+
+#: ``PChaseRunner.stats`` counters a phase span closes with, as deltas.
+_PHASE_COUNTERS = ("runs", "seconds", "full_warms", "suffix_warms", "shrink_warms")
 
 
 class MT4G:
@@ -185,6 +188,10 @@ class MT4G:
         #: one pass, the per-(seed, targets) matrix is computed once and
         #: each element takes its row from it.
         self._sharing_remeasure_cache: dict[tuple, dict[str, MeasurementResult]] = {}
+        #: stats of every runner this tool drives (the pipeline's, then
+        #: one per escalation context), so a phase's run delta includes
+        #: re-measurements nested inside it.
+        self._runner_stats: list[dict] = [self.ctx.runner.stats]
 
     # ------------------------------------------------------------------ #
     # public API                                                          #
@@ -227,12 +234,6 @@ class MT4G:
                         self.cache.get(key), key
                     )
                 if report is not None:
-                    prof = _profile.ACTIVE
-                    if prof is not None:
-                        # Attached to the *returned* report only — the
-                        # stored payload predates this run, so profile
-                        # data can never leak into served bytes.
-                        report.meta["profile"] = prof.as_dict()
                     return report
         with self._phase("general", "api_query"):
             general, compute = self._general_and_compute()
@@ -280,11 +281,6 @@ class MT4G:
                 },
             )
             report.meta["cache"] = self._cache_provenance("miss", key)
-        prof = _profile.ACTIVE
-        if prof is not None:
-            # After cache.put, like meta["cache"]: profiles describe this
-            # process's run, never the stored (and therefore served) bytes.
-            report.meta["profile"] = prof.as_dict()
         return report
 
     def _cache_provenance(self, status: str, key: str) -> dict[str, Any]:
@@ -402,16 +398,28 @@ class MT4G:
     # ------------------------------------------------------------------ #
 
     def _phase(self, element: str, phase: str):
-        """Profiler phase scope, or a shared no-op when profiling is off.
+        """Discovery phase scope: a ``discover.phase`` child span of the
+        active trace, or the shared no-op when tracing is off.
 
-        Wall-clock nests: an inner phase's time is attributed to the
-        inner entry only (:meth:`DiscoveryProfile.phase`), so wrapping a
-        whole element *and* its sub-stages double-counts nothing.
+        Spans nest like the phases do and carry totals (wall duration,
+        p-chase run deltas); :func:`repro.obs.profile.fold` turns them
+        into self-time rows.
         """
-        prof = _profile.ACTIVE
-        if prof is None:
+        if _trace.CURRENT.get() is None:
             return _NULL_PHASE
-        return prof.phase(element, phase)
+        return self._phase_span(element, phase)
+
+    @contextmanager
+    def _phase_span(self, element: str, phase: str):
+        stats = self._runner_stats
+        before = [sum(s[k] for s in stats) for k in _PHASE_COUNTERS]
+        attrs: dict[str, Any] = {"element": element, "phase": phase}
+        with _trace.child("discover.phase", attrs):
+            try:
+                yield
+            finally:
+                for k, b in zip(_PHASE_COUNTERS, before):
+                    attrs[k] = sum(s[k] for s in stats) - b
 
     def _bench(self, element: MemoryElementReport, attribute: str, m: MeasurementResult) -> None:
         element.set(attribute, AttributeValue.from_measurement(m))
@@ -424,6 +432,13 @@ class MT4G:
 
     def _fg(self, name: str, default: int = 32) -> int:
         return self._measured_fg.get(name, default)
+
+    def _bandwidth_element(self, element: MemoryElementReport, name: str) -> None:
+        with self._phase(name, "bandwidth"):
+            for op in ("read", "write"):
+                self._bench(
+                    element, f"{op}_bandwidth", measure_bandwidth(self.ctx, name, op)
+                )
 
     def _latency_element(
         self,
@@ -679,33 +694,37 @@ class MT4G:
             "size",
             AttributeValue(api_total, "B", 1.0, Source.API, "cudaDeviceProp l2CacheSize"),
         )
-        fg = measure_fetch_granularity(self.ctx, kind, "L2")
+        with self._phase("L2", "fetch_granularity"):
+            fg = measure_fetch_granularity(self.ctx, kind, "L2")
         self._bench(el, "fetch_granularity", fg)
         if fg.conclusive:
             self._measured_fg["L2"] = int(fg.value)
         stride = self._fg("L2")
         l1_size = self._measured_sizes.get("L1", 256 * KiB)
-        segment = measure_cache_size(
-            self.ctx,
-            kind,
-            "L2",
-            stride,
-            lo=max(4 * l1_size, 16 * KiB),
-            hi_cap=2 * api_total,
-        )
+        with self._phase("L2", "size_sweep"):
+            segment = measure_cache_size(
+                self.ctx,
+                kind,
+                "L2",
+                stride,
+                lo=max(4 * l1_size, 16 * KiB),
+                hi_cap=2 * api_total,
+            )
         if segment.conclusive:
             self._measured_sizes["L2"] = int(segment.value)
-            segments = resolve_l2_segments(self.ctx, int(segment.value), api_total)
+            with self._phase("L2", "amount"):
+                segments = resolve_l2_segments(self.ctx, int(segment.value), api_total)
             self._bench(el, "amount", segments)
-            line = measure_cache_line_size(
-                self.ctx, kind, "L2", int(segment.value), stride
-            )
+            with self._phase("L2", "line_size"):
+                line = measure_cache_line_size(
+                    self.ctx, kind, "L2", int(segment.value), stride
+                )
             self._bench(el, "cache_line_size", line)
         else:
             el.set("amount", AttributeValue.unavailable("count", segment.note))
-        self._latency_element(el, kind, "L2")
-        self._bench(el, "read_bandwidth", measure_bandwidth(self.ctx, "L2", "read"))
-        self._bench(el, "write_bandwidth", measure_bandwidth(self.ctx, "L2", "write"))
+        with self._phase("L2", "latency"):
+            self._latency_element(el, kind, "L2")
+        self._bandwidth_element(el, "L2")
         el.set("shared_with", AttributeValue.not_applicable("elements"))
         return el
 
@@ -738,12 +757,7 @@ class MT4G:
             self.ctx, cold_kind, "DeviceMemory", fetch_granularity=256, cold=True
         )
         self._bench(el, "load_latency", m)
-        self._bench(
-            el, "read_bandwidth", measure_bandwidth(self.ctx, "DeviceMemory", "read")
-        )
-        self._bench(
-            el, "write_bandwidth", measure_bandwidth(self.ctx, "DeviceMemory", "write")
-        )
+        self._bandwidth_element(el, "DeviceMemory")
         return el
 
     # ------------------------------------------------------------------ #
@@ -762,11 +776,12 @@ class MT4G:
         if "sL1d" in self.targets:
             with self._phase("sL1d", "measure"):
                 memory["sL1d"] = self._amd_l1("sL1d", LoadKind.S_LOAD, amount=False)
-                sl1d_size = self._measured_sizes.get("sL1d", 16 * KiB)
+            sl1d_size = self._measured_sizes.get("sL1d", 16 * KiB)
+            with self._phase("sL1d", "sharing"):
                 sharing = measure_sl1d_sharing(
                     self.ctx, sl1d_size, self._fg("sL1d", 64)
                 )
-                self._bench(memory["sL1d"], "shared_with", sharing)
+            self._bench(memory["sL1d"], "shared_with", sharing)
         if "L2" in self.targets:
             with self._phase("L2", "measure"):
                 memory["L2"] = self._amd_llc("L2", hsa, kfd_lines, latency=True)
@@ -783,26 +798,33 @@ class MT4G:
 
     def _amd_l1(self, name: str, kind: LoadKind, amount: bool) -> MemoryElementReport:
         el = self._new_element(name)
-        fg = measure_fetch_granularity(self.ctx, kind, name)
+        with self._phase(name, "fetch_granularity"):
+            fg = measure_fetch_granularity(self.ctx, kind, name)
         self._bench(el, "fetch_granularity", fg)
         if fg.conclusive:
             self._measured_fg[name] = int(fg.value)
-        size = measure_cache_size(
-            self.ctx, kind, name, self._fg(name, 64), lo=1 * KiB, hi_cap=1 * MiB
-        )
+        with self._phase(name, "size_sweep"):
+            size = measure_cache_size(
+                self.ctx, kind, name, self._fg(name, 64), lo=1 * KiB, hi_cap=1 * MiB
+            )
         self._bench(el, "size", size)
         if size.conclusive:
             self._measured_sizes[name] = int(size.value)
-            line = measure_cache_line_size(
-                self.ctx, kind, name, int(size.value), self._fg(name, 64)
-            )
-            self._bench(el, "cache_line_size", line)
-            if amount:
-                amt = measure_amount(
+            with self._phase(name, "line_size"):
+                line = measure_cache_line_size(
                     self.ctx, kind, name, int(size.value), self._fg(name, 64)
                 )
+            self._bench(el, "cache_line_size", line)
+            if amount:
+                with self._phase(name, "amount"):
+                    amt = measure_amount(
+                        self.ctx, kind, name, int(size.value), self._fg(name, 64)
+                    )
                 self._bench(el, "amount", amt)
-        self._latency_element(el, kind, name, array_bytes=self._latency_array(name))
+        with self._phase(name, "latency"):
+            self._latency_element(
+                el, kind, name, array_bytes=self._latency_array(name)
+            )
         self._lowlevel_bandwidth_note(el)
         return el
 
@@ -835,11 +857,13 @@ class MT4G:
             )
         if latency:
             kind = LoadKind.FLAT_LOAD_GLC
-            fg = measure_fetch_granularity(self.ctx, kind, name)
+            with self._phase(name, "fetch_granularity"):
+                fg = measure_fetch_granularity(self.ctx, kind, name)
             self._bench(el, "fetch_granularity", fg)
             if fg.conclusive:
                 self._measured_fg[name] = int(fg.value)
-            self._latency_element(el, kind, name)
+            with self._phase(name, "latency"):
+                self._latency_element(el, kind, name)
         else:
             # Paper Section III-C: no load-latency / fetch-granularity
             # benchmark exists yet for the CDNA3 L3.
@@ -855,8 +879,7 @@ class MT4G:
                     "B", "no benchmark can isolate the CDNA3 L3 yet"
                 ),
             )
-        self._bench(el, "read_bandwidth", measure_bandwidth(self.ctx, name, "read"))
-        self._bench(el, "write_bandwidth", measure_bandwidth(self.ctx, name, "write"))
+        self._bandwidth_element(el, name)
         return el
 
     def _amd_lds(self, api_size: int) -> MemoryElementReport:
@@ -899,7 +922,9 @@ class MT4G:
         config = dataclasses.replace(
             self.ctx.config, n_samples=2 * self.ctx.config.n_samples
         )
-        return BenchmarkContext(device, config)
+        ctx = BenchmarkContext(device, config)
+        self._runner_stats.append(ctx.runner.stats)
+        return ctx
 
     def _remeasure_latency(
         self, ctx: BenchmarkContext, element: str

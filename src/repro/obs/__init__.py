@@ -1,13 +1,13 @@
-"""Observability plane: tracing, discovery profiling, structured logs.
+"""Observability plane: tracing and structured logs.
 
-Three off-by-default instruments over the discovery/serving stack:
+Two off-by-default instruments over the discovery/serving stack:
 
 * :mod:`repro.obs.trace` — W3C ``traceparent`` request tracing with a
   bounded in-memory ring of completed spans (served at ``/traces``),
   propagated across pool workers and ring peers so one cold proxied
-  request is one trace;
-* :mod:`repro.obs.profile` — per-element, per-phase discovery wall
-  profiler over ``MT4G.discover``/``PChaseRunner`` (``mt4g --profile``);
+  request is one trace.  Discovery phases are spans too;
+  :func:`repro.obs.profile.fold` turns them into the self-time table
+  ``mt4g --profile`` prints;
 * :mod:`repro.obs.accesslog` — structured per-request access log
   (``mt4g serve --log-format json|text``).
 
@@ -17,7 +17,6 @@ allocate nothing, and no instrument ever alters served report bytes.
 """
 
 from repro.obs.accesslog import AccessLog
-from repro.obs.profile import DiscoveryProfile
 from repro.obs.trace import (
     CURRENT,
     SpanContext,
@@ -31,7 +30,6 @@ from repro.obs.trace import (
 __all__ = [
     "AccessLog",
     "CURRENT",
-    "DiscoveryProfile",
     "SpanContext",
     "Tracer",
     "format_traceparent",

@@ -1,167 +1,70 @@
-"""Discovery phase profiler: per-element, per-phase wall attribution.
+"""Discovery profile: fold phase spans into a self-time table.
 
-``/metrics`` can say a discovery took 2.3 s; it cannot say where the
-time went.  This module attributes discovery wall-clock to phases —
-size sweeps, binary descent, latency/line/amount measurement,
-validation, escalation re-measurements — per memory element, together
-with the p-chase run and warm-reuse counts that explain the cost
-(``PChaseRunner.stats`` exposes only totals).
-
-Activation is process-global and opt-in (``mt4g --profile``, or the
-serve pool when tracing is on); when :data:`ACTIVE` is ``None`` the
-hooks in ``MT4G`` and ``PChaseRunner.latencies`` cost one attribute
-read and a ``None`` check — the ``faults.inject()`` contract.
-
-The rendered profile is run provenance, not topology content: it is
-attached to ``report.meta`` only *after* the cache entry is serialised
-(the ``meta["cache"]`` ordering) and therefore never lands in stored or
-served report bytes — the same rule as ``host_degraded``.
+Discovery phases (``MT4G._phase``) are ``discover.phase`` trace spans
+whose attrs name the element and phase and carry the p-chase runner's
+counter deltas over the span (runs, kernel seconds, warm kinds).  Span
+numbers are *totals* — a phase includes the phases nested in it — so the
+table reports self values: own minus the sum over direct child phases.
+The span the top-level phases hang from (``mt4g --profile``'s root, or a
+pool worker's ``worker.discover``) becomes the root row, holding the
+discovery time no phase claims; the rows therefore sum to the root's
+wall time by construction.
 """
 
 from __future__ import annotations
 
-import sys
-import time
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = ["ACTIVE", "DiscoveryProfile", "activate", "deactivate", "profiled"]
-
-#: The active profile, or None (off).  Hot paths read this attribute
-#: directly; mutate it only through activate()/deactivate().
-ACTIVE: "DiscoveryProfile | None" = None
-
-#: Warm-reuse classes mirrored from ``PChaseRunner.stats``.
-_WARM_KINDS = ("full_warms", "suffix_warms", "shrink_warms")
+__all__ = ["fold"]
 
 
-class DiscoveryProfile:
-    """Phase ledger for one discovery run.
+def fold(spans: list[dict]) -> dict[str, Any]:
+    """``{"root", "wall_s", "rows"}`` from one discovery's spans.
 
-    Phases nest (an escalation re-measurement runs inside validation);
-    wall time is attributed to the *innermost* open phase, matching how
-    a flame graph reads.  Single discovery runs are single-threaded, so
-    no lock — each pool worker activates its own instance.
+    Each row is ``{"element", "phase", "calls", "wall_s", <attr>...}``
+    with self values, one per (element, phase), largest ``wall_s``
+    first.  Non-phase spans (store reads, retries) stay inside their
+    enclosing row.  Raises ``ValueError`` unless the phases hang from
+    exactly one root span present in ``spans``.
     """
+    phases = {
+        s["span_id"]: s for s in spans if "phase" in (s.get("attrs") or {})
+    }
+    parents = {s["parent_id"] for s in phases.values()} - phases.keys()
+    roots = [s for s in spans if s["span_id"] in parents]
+    if len(parents) != 1 or len(roots) != 1:
+        raise ValueError(f"phase spans need one recorded root, found {len(roots)}")
+    (root,) = roots
 
-    def __init__(self, clock=time.perf_counter) -> None:
-        self._clock = clock
-        self._started = clock()
-        self._phases: dict[tuple[str, str], dict] = {}
-        self._current: dict | None = None
-        self.pchase_runs = 0
-        self.pchase_seconds = 0.0
+    def totals(span: dict) -> dict[str, float]:
+        values = {"wall_s": span["duration_ms"] / 1e3}
+        for k, v in (span.get("attrs") or {}).items():
+            if isinstance(v, (int, float)) and not isinstance(v, bool):
+                values[k] = v
+        return values
 
-    # -- phase attribution --------------------------------------------- #
+    own = {root["span_id"]: totals(root)}
+    own.update((sid, totals(s)) for sid, s in phases.items())
+    selves = {sid: dict(values) for sid, values in own.items()}
+    for sid, span in phases.items():
+        parent = selves[span["parent_id"]]
+        for k, v in own[sid].items():
+            if k in parent:
+                parent[k] -= v
 
-    def _entry(self, element: str, phase: str) -> dict:
-        key = (element, phase)
-        entry = self._phases.get(key)
-        if entry is None:
-            entry = self._phases[key] = {
-                "element": element,
-                "phase": phase,
-                "wall_seconds": 0.0,
-                "calls": 0,
-                "pchase_runs": 0,
-                "pchase_seconds": 0.0,
-                "warms": dict.fromkeys(_WARM_KINDS, 0),
-            }
-        return entry
-
-    @contextmanager
-    def phase(self, element: str, phase: str) -> Iterator[None]:
-        entry = self._entry(element, phase)
-        previous = self._current
-        self._current = entry
-        start = self._clock()
-        try:
-            yield
-        finally:
-            entry["wall_seconds"] += self._clock() - start
-            entry["calls"] += 1
-            self._current = previous
-
-    def record_run(self, seconds: float, warm_kind: str | None) -> None:
-        """One ``PChaseRunner.latencies`` call, attributed to the open
-        phase (``warm_kind`` is a ``_WARM_KINDS`` member or None)."""
-        self.pchase_runs += 1
-        self.pchase_seconds += seconds
-        entry = self._current
-        if entry is not None:
-            entry["pchase_runs"] += 1
-            entry["pchase_seconds"] += seconds
-            if warm_kind is not None:
-                entry["warms"][warm_kind] += 1
-
-    # -- output -------------------------------------------------------- #
-
-    def as_dict(self) -> dict[str, Any]:
-        phases = [
-            {
-                **entry,
-                "wall_seconds": round(entry["wall_seconds"], 6),
-                "pchase_seconds": round(entry["pchase_seconds"], 6),
-                "warms": dict(entry["warms"]),
-            }
-            for entry in self._phases.values()
-        ]
-        return {
-            "schema": "mt4g-repro-profile/1",
-            "wall_seconds": round(self._clock() - self._started, 6),
-            "pchase_runs": self.pchase_runs,
-            "pchase_seconds": round(self.pchase_seconds, 6),
-            "phases": phases,
-        }
-
-    def render(self) -> str:
-        """Human table (``mt4g --profile`` prints this to stderr)."""
-        data = self.as_dict()
-        lines = [
-            f"discovery profile: {data['wall_seconds']:.3f}s wall, "
-            f"{data['pchase_runs']} p-chase runs "
-            f"({data['pchase_seconds']:.3f}s)",
-            f"{'element':<18} {'phase':<22} {'wall_s':>8} {'runs':>6} "
-            f"{'full':>5} {'sufx':>5} {'shrk':>5}",
-        ]
-        ordered = sorted(
-            data["phases"], key=lambda p: p["wall_seconds"], reverse=True
-        )
-        for entry in ordered:
-            warms = entry["warms"]
-            lines.append(
-                f"{entry['element']:<18} {entry['phase']:<22} "
-                f"{entry['wall_seconds']:>8.3f} {entry['pchase_runs']:>6} "
-                f"{warms['full_warms']:>5} {warms['suffix_warms']:>5} "
-                f"{warms['shrink_warms']:>5}"
-            )
-        return "\n".join(lines)
-
-
-def activate(profile: DiscoveryProfile) -> DiscoveryProfile:
-    global ACTIVE
-    ACTIVE = profile
-    return profile
-
-
-def deactivate() -> None:
-    global ACTIVE
-    ACTIVE = None
-
-
-@contextmanager
-def profiled() -> Iterator[DiscoveryProfile]:
-    """Activate a fresh profile for a block, restoring the previous."""
-    global ACTIVE
-    previous = ACTIVE
-    profile = DiscoveryProfile()
-    ACTIVE = profile
-    try:
-        yield profile
-    finally:
-        ACTIVE = previous
-
-
-def print_profile(profile: DiscoveryProfile, stream=None) -> None:
-    """Render to stderr (stdout stays reserved for report bytes)."""
-    print(profile.render(), file=stream if stream is not None else sys.stderr)
+    rows: dict[tuple[str, str], dict[str, Any]] = {}
+    for sid, values in selves.items():
+        if sid == root["span_id"]:
+            key = (root["name"], "(self)")
+        else:
+            attrs = phases[sid]["attrs"]
+            key = (attrs["element"], attrs["phase"])
+        row = rows.setdefault(key, {"element": key[0], "phase": key[1], "calls": 0})
+        row["calls"] += 1
+        for k, v in values.items():
+            row[k] = row.get(k, 0) + v
+    return {
+        "root": root["name"],
+        "wall_s": own[root["span_id"]]["wall_s"],
+        "rows": sorted(rows.values(), key=lambda r: r["wall_s"], reverse=True),
+    }

@@ -520,8 +520,12 @@ def complete(ctx: SpanContext, name: str, start: float, **attrs: Any) -> None:
 
 
 @contextmanager
-def child(name: str, **attrs: Any) -> Iterator[SpanContext | None]:
-    """Run a block as a child span (no-op yielding None when off)."""
+def child(name: str, attrs: dict | None = None) -> Iterator[SpanContext | None]:
+    """Run a block as a child span (no-op yielding None when off).
+
+    ``attrs`` is read when the block exits, so the block may still add
+    closing values (counter deltas, outcomes) to it.
+    """
     ctx = CURRENT.get()
     if ctx is None:
         yield None
@@ -533,7 +537,7 @@ def child(name: str, **attrs: Any) -> Iterator[SpanContext | None]:
         yield sub
     finally:
         CURRENT.reset(token)
-        complete(sub, name, start, **attrs)
+        complete(sub, name, start, **(attrs or {}))
 
 
 def outbound_traceparent() -> str | None:

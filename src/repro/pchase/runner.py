@@ -42,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import profile as _profile
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
 from repro.gpusim.kernel import probe_hits, run_pchase_ex, warm
@@ -70,12 +69,17 @@ class PChaseRunner:
         self.config = config or PChaseConfig()
         self._buffers: dict[tuple[MemorySpace, int], tuple[int, int]] = {}
         self._warm_token: _WarmToken | None = None
-        #: Warm-state accounting per fresh run: ``full_warms`` executed a
-        #: real device flush + fresh warm, ``suffix_warms`` extended the
-        #: previous fixed point (growing probe), ``shrink_warms``
-        #: truncated it (binary-descent probe).  The discovery benchmark
-        #: reports these to show descent probes no longer flush.
+        #: Run accounting: ``runs`` counts every :meth:`latencies` call
+        #: and ``seconds`` the wall time spent inside the kernel.  Warm
+        #: state per fresh run: ``full_warms`` executed a real device
+        #: flush + fresh warm, ``suffix_warms`` extended the previous
+        #: fixed point (growing probe), ``shrink_warms`` truncated it
+        #: (binary-descent probe).  The discovery benchmark reports these
+        #: to show descent probes no longer flush; discovery phase spans
+        #: carry their deltas.
         self.stats = {
+            "runs": 0,
+            "seconds": 0.0,
             "fresh_runs": 0,
             "full_warms": 0,
             "suffix_warms": 0,
@@ -197,8 +201,8 @@ class PChaseRunner:
         )
         incremental_from = self._incremental_from(key, nbytes) if reusable else None
         flushes_before = self.device.flush_count
-        prof = _profile.ACTIVE  # None = profiling off: the only cost
-        run_start = perf_counter() if prof is not None else 0.0
+        stats = self.stats
+        run_start = perf_counter()
         lat, preserved = run_pchase_ex(
             self.device,
             kind,
@@ -214,19 +218,16 @@ class PChaseRunner:
             incremental_from=incremental_from,
             preserve_warm_state=reusable,
         )
-        warm_kind = None
+        stats["seconds"] += perf_counter() - run_start
+        stats["runs"] += 1
         if fresh:
-            self.stats["fresh_runs"] += 1
+            stats["fresh_runs"] += 1
             if self.device.flush_count != flushes_before:
-                self.stats["full_warms"] += 1
-                warm_kind = "full_warms"
+                stats["full_warms"] += 1
             elif incremental_from is not None:
-                warm_kind = (
+                stats[
                     "suffix_warms" if incremental_from <= nbytes else "shrink_warms"
-                )
-                self.stats[warm_kind] += 1
-        if prof is not None:
-            prof.record_run(perf_counter() - run_start, warm_kind)
+                ] += 1
         if preserved:
             self._warm_token = _WarmToken(key, nbytes, self.device.op_serial)
         else:

@@ -85,7 +85,10 @@ from repro.gpuspec.spec import Vendor
 from repro.pchase.config import PChaseConfig
 from repro.validate.fleet import WorkerOutcome, discover_one
 
-__all__ = ["DiscoveryJob", "JobQueue", "fetch_report_for_job"]
+__all__ = ["POOL_MODE", "DiscoveryJob", "JobQueue", "fetch_report_for_job"]
+
+#: Default worker-pool lifecycle: spawn and pre-warm at service start.
+POOL_MODE = "warm"
 
 
 def _warm_worker(cache_dir: str) -> int:
@@ -326,7 +329,7 @@ class JobQueue:
         peer_timeout: float = DEFAULT_PEER_TIMEOUT,
         proxy_only: bool = False,
         prune_bytes: int | None = None,
-        pool_mode: str = "lazy",
+        pool_mode: str = POOL_MODE,
         executor_factory=None,
         on_entry_landed=None,
     ) -> None:
@@ -615,10 +618,8 @@ class JobQueue:
         loop = asyncio.get_running_loop()
         # The worker pool is persistent and pre-warmed (PR 9), so trace
         # context rides as a *call argument* — mutating os.environ here
-        # could never reach an already-spawned worker process.  Workers
-        # also run the discovery profiler whenever they are traced: the
-        # per-phase profile comes back on the outcome and lands as a job
-        # span attribute, never in served bytes.
+        # could never reach an already-spawned worker process.  A traced
+        # worker's discovery phases come back as spans on the outcome.
         tp = job.trace_ctx.traceparent if job.trace_ctx is not None else None
         if job.proxied:
             # Not a discovery: ``discoveries_started`` stays untouched,
@@ -656,7 +657,7 @@ class JobQueue:
                 self.retry,
             ]
             if tp is not None:
-                call.extend((tp, True))
+                call.append(tp)
             future = loop.run_in_executor(self._ensure_executor(), *call)
         if self.deadline_seconds is not None:
             self._deadline_handles[job.id] = loop.call_later(
@@ -787,12 +788,6 @@ class JobQueue:
             }
             if job.error_kind:
                 attrs["error_kind"] = job.error_kind
-            profile = getattr(outcome, "profile", None) if outcome is not None else None
-            if profile is not None:
-                # The per-phase discovery profile rides on the job span
-                # (ISSUE: "attached to job spans") — it never enters the
-                # served report bytes.
-                attrs["profile"] = profile
             _trace.complete(job.trace_ctx, "job.run", start, **attrs)
         job.done.set()
         self._retire(job)

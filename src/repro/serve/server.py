@@ -48,6 +48,7 @@ import urllib.parse
 from concurrent.futures import Executor, ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
+from typing import Any
 
 from repro.cache import codec
 from repro.cache.keys import SCHEMA_VERSION
@@ -75,7 +76,7 @@ from repro.serve.handlers import (
     route_label,
 )
 from repro.serve.hotcache import DEFAULT_HOT_CACHE_BYTES, HotReportCache
-from repro.serve.jobs import JobQueue
+from repro.serve.jobs import POOL_MODE, JobQueue
 from repro.serve.metrics import ServiceMetrics
 
 __all__ = ["TopologyService", "run_service"]
@@ -93,6 +94,9 @@ KEEP_ALIVE_TIMEOUT_SECONDS = 60.0
 #: Requests served per connection before the server closes it — bounds
 #: how long one socket can monopolise a connection task.
 MAX_REQUESTS_PER_CONNECTION = 1000
+#: Seconds the ``/devices`` and ``/healthz`` catalog snapshot is reused
+#: before the store is re-walked (a landed discovery invalidates it).
+CATALOG_TTL_SECONDS = 2.0
 #: Threads serving ``GET /store/{key}`` local reads.  They are the
 #: service's own, so a peer's read never queues behind threads of the
 #: default pool that sit blocked in outbound peer fetches.
@@ -126,9 +130,9 @@ class TopologyService:
         prune_bytes: int | None = None,
         keep_alive_timeout: float = KEEP_ALIVE_TIMEOUT_SECONDS,
         max_requests_per_connection: int = MAX_REQUESTS_PER_CONNECTION,
-        hot_cache_bytes: int = 0,
-        catalog_ttl: float = 0.0,
-        pool_mode: str = "lazy",
+        hot_cache_bytes: int = DEFAULT_HOT_CACHE_BYTES,
+        catalog_ttl: float = CATALOG_TTL_SECONDS,
+        pool_mode: str = POOL_MODE,
         trace: bool = False,
         trace_max: int = 512,
         trace_slow_ms: float | None = None,
@@ -137,8 +141,7 @@ class TopologyService:
     ) -> None:
         self.store = store
         self.read_only = read_only
-        #: 0 disables keep-alive (the PR-5 Connection: close behaviour);
-        #: the ``mt4g serve`` entry point defaults it on.
+        #: 0 disables keep-alive (the PR-5 Connection: close behaviour).
         self.keep_alive_timeout = float(keep_alive_timeout)
         self.max_requests_per_connection = max(1, int(max_requests_per_connection))
         self.catalog = DeviceCatalog(store, ttl=catalog_ttl)
@@ -522,21 +525,12 @@ async def run_service(
     cache_dir: str | Path,
     host: str = "127.0.0.1",
     port: int = 8734,
-    read_only: bool = False,
-    cache_config: str = "PreferL1",
-    max_workers: int | None = None,
     quiet: bool = False,
     peers: "list[str] | None" = None,
     advertise: str | None = None,
     memory_limit: int = DEFAULT_MEMORY_BYTES,
     cache_limit: int | None = None,
-    keep_alive_timeout: float = KEEP_ALIVE_TIMEOUT_SECONDS,
-    hot_cache_bytes: int = DEFAULT_HOT_CACHE_BYTES,
-    catalog_ttl: float = 2.0,
-    pool_mode: str = "warm",
-    trace: bool = False,
-    trace_slow_ms: float | None = None,
-    log_format: str | None = None,
+    **service_kw: Any,
 ) -> None:
     """Run the service until cancelled (the ``mt4g serve`` entry point).
 
@@ -546,31 +540,15 @@ async def run_service(
     with the member list naming everyone else, and ``advertise`` is the
     URL *they* reach this instance under (default: the bound
     host:port).  ``cache_limit`` prunes the disk tier to that many
-    bytes after every completed discovery.
-
-    Unlike the embeddable :class:`TopologyService` (which defaults
-    every optimisation off for test determinism), the entry point runs
-    the full hot path by default: keep-alive connections, the
-    pre-rendered hot-report cache, a short-TTL catalog snapshot, and a
-    pre-warmed persistent discovery pool.
+    bytes after every completed discovery.  ``service_kw`` goes to
+    :class:`TopologyService` unchanged; its defaults are the production
+    hot path (keep-alive, hot-report cache, catalog TTL, pre-warmed
+    pool).
     """
     store = build_worker_cache(
         Path(cache_dir).expanduser(), memory_bytes=memory_limit
     )
-    service = TopologyService(
-        store,
-        read_only=read_only,
-        cache_config=cache_config,
-        max_workers=max_workers,
-        prune_bytes=cache_limit,
-        keep_alive_timeout=keep_alive_timeout,
-        hot_cache_bytes=hot_cache_bytes,
-        catalog_ttl=catalog_ttl,
-        pool_mode=pool_mode,
-        trace=trace,
-        trace_slow_ms=trace_slow_ms,
-        log_format=log_format,
-    )
+    service = TopologyService(store, prune_bytes=cache_limit, **service_kw)
     bound_host, bound_port = await service.start(host, port)
     if peers:
         # After bind, so a port-0 instance advertises its real port.
@@ -589,7 +567,7 @@ async def run_service(
         print(
             f"# mt4g serve listening on http://{bound_host}:{bound_port} "
             f"(store {service.store.root}"
-            f"{', read-only' if read_only else ''}{ring_note}, {keep_note}"
+            f"{', read-only' if service.read_only else ''}{ring_note}, {keep_note}"
             f"{trace_note})",
             file=sys.stderr,
             flush=True,

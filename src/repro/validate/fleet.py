@@ -35,7 +35,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -50,7 +49,6 @@ from repro.errors import ReproError
 from repro.faults.retry import DEFAULT_FLEET_RETRY, RetryPolicy
 from repro.gpusim.device import SimulatedGPU
 from repro.gpuspec.presets import available_presets, get_preset
-from repro.obs import profile as _profile
 from repro.obs import trace as _trace
 from repro.pchase.config import PChaseConfig
 from repro.units import format_bandwidth, format_size
@@ -311,13 +309,11 @@ class WorkerOutcome:
     error_kind: str = ""
     #: attempts consumed (1 = first try succeeded).
     attempts: int = 1
-    #: completed trace spans recorded in-worker (PR 10), already plain
-    #: dicts so they pickle across the pool boundary; ``None`` when the
-    #: submitting side did not pass a traceparent.
+    #: completed trace spans recorded in-worker (discovery phases
+    #: included), already plain dicts so they pickle across the pool
+    #: boundary; ``None`` when the submitting side did not pass a
+    #: traceparent.
     spans: Any = None
-    #: per-phase discovery profile (``DiscoveryProfile.as_dict()``) when
-    #: the worker ran with profiling on; never folded into the report.
-    profile: Any = None
 
     @property
     def ok(self) -> bool:
@@ -333,7 +329,6 @@ def _discover_one(
     cache_dir: str | None = None,
     retry: RetryPolicy | None = None,
     traceparent: str | None = None,
-    profile: bool = False,
 ) -> WorkerOutcome:
     """Worker body: one full discovery (+ validation) for one preset.
 
@@ -352,12 +347,10 @@ def _discover_one(
     because entries are immutable and land via atomic rename, and two
     workers racing on the same key write byte-identical payloads.
 
-    ``traceparent`` joins this worker to the submitting
-    request's trace: spans recorded here come back on
-    ``WorkerOutcome.spans`` — worker processes share no tracer ring with
-    the service.  ``profile`` additionally activates the discovery phase
-    profiler and returns its breakdown on ``WorkerOutcome.profile``.
-    Both default off.
+    ``traceparent`` (default off) joins this worker to the submitting
+    request's trace: spans recorded here — the discovery's phase spans
+    among them — come back on ``WorkerOutcome.spans``; worker processes
+    share no tracer ring with the service.
     """
     policy = retry if retry is not None else RetryPolicy(attempts=1)
     start = time.perf_counter()
@@ -388,8 +381,7 @@ def _discover_one(
             )
 
     with _trace.worker_trace(traceparent) as ctx:
-        with _profile.profiled() if profile else nullcontext() as prof:
-            run = policy.run(preset, attempt, on_failure=attempt_span)
+        run = policy.run(preset, attempt, on_failure=attempt_span)
         outcome = WorkerOutcome(
             preset,
             run.value,
@@ -400,9 +392,7 @@ def _discover_one(
             error_kind=run.kind,
             attempts=run.attempts,
         )
-        if prof is not None:
-            outcome.profile = prof.as_dict()
-        if ctx is not None:  # profile without a traceparent: no spans
+        if ctx is not None:
             _trace.complete(
                 ctx,
                 "worker.discover",

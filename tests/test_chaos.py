@@ -349,8 +349,11 @@ class TestServeChaos:
 
     def test_stale_last_known_good_is_served_and_marked(self, store, executor):
         async def scenario():
+            # Hot cache off: a pruned entry must miss all the way to the
+            # failing discovery for the last-good fallback to engage.
             service = make_service(
-                store, executor, retry=RetryPolicy(attempts=1), failure_ttl=15.0
+                store, executor, retry=RetryPolicy(attempts=1), failure_ttl=15.0,
+                hot_cache_bytes=0,
             )
             fresh = await get(service, f"/devices/{PRESET}/report")
             assert fresh.status == 200 and "X-MT4G-Stale" not in fresh.headers

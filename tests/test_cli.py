@@ -389,7 +389,7 @@ class TestServeCLI:
         defaults = build_serve_parser().parse_args([])
         # the entry point defaults the whole hot path ON
         assert defaults.keep_alive_timeout == 60.0
-        assert defaults.hot_cache_bytes is None  # None -> 64 MiB default
+        assert defaults.hot_cache_bytes == 64 << 20
         assert defaults.pool == "warm" and defaults.catalog_ttl == 2.0
         with pytest.raises(SystemExit):
             build_serve_parser().parse_args(["--pool", "tepid"])

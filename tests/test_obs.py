@@ -13,7 +13,8 @@ The contracts that make telemetry trustworthy:
 * the metrics counters are exact under thread contention, the latency
   histograms render in both JSON and Prometheus exposition, and label
   escaping round-trips arbitrary text;
-* profiles and traces never alter served report bytes.
+* discovery phases are spans whose folded self times sum to the wall
+  time, and profiles and traces never alter stored or served bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import io
 import json
 import re
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,11 +37,12 @@ from repro.cache.ring import HashRing
 from repro.cache.tiers import build_worker_cache
 from repro.core.output.json_out import to_json
 from repro.obs.accesslog import AccessLog
-from repro.obs.profile import DiscoveryProfile, profiled
+from repro.obs.profile import fold
 from repro.obs.trace import (
     CURRENT,
     SpanContext,
     Tracer,
+    complete,
     format_traceparent,
     new_span_id,
     new_trace_id,
@@ -410,65 +413,128 @@ class TestPrometheusLabelEscaping:
 # ---------------------------------------------------------------------- #
 
 
+def _span(span_id, parent_id, duration_ms, name="discover.phase", **attrs):
+    span = {
+        "trace_id": TRACE_ID,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "start_ms": 0.0,
+        "duration_ms": duration_ms,
+    }
+    if attrs:
+        span["attrs"] = attrs
+    return span
+
+
+def _traced_discovery(tool, validate=False):
+    """Run ``tool.discover`` under a local tracer; (report, spans)."""
+    root = format_traceparent(new_trace_id(), new_span_id())
+    with worker_trace(root) as ctx:
+        start = time.perf_counter()
+        report = tool.discover(validate=validate)
+        complete(ctx, "root", start)
+    return report, ctx.tracer.drain()
+
+
 class TestProfiler:
     def test_nested_phases_attribute_to_innermost(self):
-        ticks = iter(range(100))
-        prof = DiscoveryProfile(clock=lambda: float(next(ticks)))
-        with prof.phase("L1", "measure"):
-            with prof.phase("L1", "size_sweep"):
-                prof.record_run(0.5, "full_warms")
-        data = prof.as_dict()
-        by_key = {(p["element"], p["phase"]): p for p in data["phases"]}
-        inner = by_key[("L1", "size_sweep")]
-        assert inner["pchase_runs"] == 1
-        assert inner["warms"]["full_warms"] == 1
-        assert by_key[("L1", "measure")]["pchase_runs"] == 0
-        assert data["pchase_runs"] == 1
-        assert data["schema"] == "mt4g-repro-profile/1"
+        spans = [
+            _span("r" * 16, PARENT_ID, 100.0, name="root"),
+            _span("a" * 16, "r" * 16, 60.0, element="L1", phase="measure",
+                  runs=5, seconds=0.02, full_warms=1),
+            _span("b" * 16, "a" * 16, 40.0, element="L1", phase="size_sweep",
+                  runs=5, seconds=0.02, full_warms=1),
+            # a non-phase leaf (store read) stays inside its phase's row
+            _span("c" * 16, "b" * 16, 5.0, name="store.read", bytes=10),
+            _span("d" * 16, "r" * 16, 30.0, element="L2", phase="measure",
+                  runs=2, seconds=0.01, full_warms=0),
+        ]
+        table = fold(spans)
+        assert table["root"] == "root"
+        assert table["wall_s"] == pytest.approx(0.1)
+        rows = {(r["element"], r["phase"]): r for r in table["rows"]}
+        assert set(rows) == {
+            ("root", "(self)"), ("L1", "measure"), ("L1", "size_sweep"),
+            ("L2", "measure"),
+        }
+        inner, outer = rows[("L1", "size_sweep")], rows[("L1", "measure")]
+        # runs and warms land on the innermost phase...
+        assert inner["runs"] == 5 and inner["full_warms"] == 1
+        assert outer["runs"] == 0 and outer["full_warms"] == 0
+        # ...and parent rows exclude their children's time
+        assert inner["wall_s"] == pytest.approx(0.040)
+        assert outer["wall_s"] == pytest.approx(0.020)
+        assert rows[("root", "(self)")]["wall_s"] == pytest.approx(0.010)
+        assert "runs" not in rows[("root", "(self)")]
+        assert sum(r["wall_s"] for r in table["rows"]) == pytest.approx(0.1)
+        assert sum(r.get("runs", 0) for r in table["rows"]) == 7
+        # largest self time first
+        assert table["rows"][0]["element"] == "L1"
+        with pytest.raises(ValueError):
+            fold(spans[1:])  # the root span is missing
 
     def test_discover_under_profile_counts_phases_and_runs(self):
-        with profiled() as prof:
-            report = MT4G(SimulatedGPU.from_preset(PRESET, seed=0)).discover()
-        data = prof.as_dict()
-        assert data["pchase_runs"] > 0
-        elements = {p["element"] for p in data["phases"]}
-        assert "L1" in elements
-        # every p-chase run was attributed to some phase
-        assert sum(p["pchase_runs"] for p in data["phases"]) == data["pchase_runs"]
-        # the profile rode along on meta; dropping it (as the CLI does
-        # before printing) leaves bytes identical to an unprofiled run
-        assert "profile" in report.meta
-        report.meta.pop("profile")
-        bare = MT4G(SimulatedGPU.from_preset(PRESET, seed=0)).discover()
-        assert to_json(report) == to_json(bare)
+        for preset in (PRESET, "TestGPU-AMD"):
+            tool = MT4G(SimulatedGPU.from_preset(preset, seed=0))
+            report, spans = _traced_discovery(tool, validate=True)
+            table = fold(spans)
+            rows = table["rows"]
+            assert {r["phase"] for r in rows} >= {
+                "size_sweep", "line_size", "latency", "fetch_granularity",
+            }
+            assert sum(r["wall_s"] for r in rows) == pytest.approx(
+                table["wall_s"], rel=0.02
+            )
+            assert all(r["wall_s"] >= 0 and r.get("runs", 0) >= 0 for r in rows)
+            # every p-chase run of every runner (the pipeline's and the
+            # escalation contexts') lands in exactly one row
+            runs = sum(r.get("runs", 0) for r in rows)
+            assert runs > 0
+            assert runs == sum(stats["runs"] for stats in tool._runner_stats)
+            # phases never touch the noise stream: same bytes as untraced
+            bare = MT4G(SimulatedGPU.from_preset(preset, seed=0)).discover(
+                validate=True
+            )
+            assert to_json(report) == to_json(bare)
 
     def test_profile_never_lands_in_stored_entry(self, tmp_path):
         from repro.cache.store import DiscoveryCache
 
-        store = DiscoveryCache(tmp_path / "cache")
-        with profiled():
-            device = SimulatedGPU.from_preset(PRESET, seed=0)
-            report = MT4G(device, cache=store).discover()
-        assert "profile" in report.meta
+        plain_store = DiscoveryCache(tmp_path / "plain")
+        MT4G(SimulatedGPU.from_preset(PRESET, seed=0), cache=plain_store).discover()
+        store = DiscoveryCache(tmp_path / "traced")
+        report, _ = _traced_discovery(
+            MT4G(SimulatedGPU.from_preset(PRESET, seed=0), cache=store)
+        )
         key = report.meta["cache"]["key"]
-        stored = store.get(key)["report"]
-        assert "profile" not in stored.meta
-        # ...and a cache *hit* under profiling gets a fresh profile
-        # attached without mutating the stored bytes either.
-        with profiled():
-            device = SimulatedGPU.from_preset(PRESET, seed=0)
-            hit = MT4G(device, cache=store).discover()
+        assert store.get_blob(key) == plain_store.get_blob(key)
+        # a traced cache hit is one restore phase, and reads without
+        # touching the stored bytes
+        hit, spans = _traced_discovery(
+            MT4G(SimulatedGPU.from_preset(PRESET, seed=0), cache=store)
+        )
         assert hit.meta["cache"]["status"] == "hit"
-        assert "profile" in hit.meta
-        assert "profile" not in store.get(key)["report"].meta
+        rows = fold(spans)["rows"]
+        assert ("cache", "restore") in {(r["element"], r["phase"]) for r in rows}
+        assert sum(r.get("runs", 0) for r in rows) == 0
+        assert store.get_blob(key) == plain_store.get_blob(key)
 
-    def test_render_is_a_table(self):
-        prof = DiscoveryProfile()
-        with prof.phase("L1", "size_sweep"):
-            prof.record_run(0.01, "full_warms")
-        text = prof.render()
-        assert "discovery profile:" in text
-        assert "L1" in text and "size_sweep" in text
+    def test_render_is_a_table(self, capsys, tmp_path, monkeypatch):
+        from repro.core.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["--gpu", PRESET, "--no-cache", "-q", "--profile"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        head = next(i for i, l in enumerate(lines) if l.startswith("discovery profile:"))
+        wall = float(re.search(r"([\d.]+)s wall", lines[head]).group(1))
+        header = lines[head + 1].split()
+        assert header[:3] == ["element", "phase", "self_s"]
+        rows = [dict(zip(header, line.split())) for line in lines[head + 2 :]]
+        assert {("L1", "size_sweep"), ("mt4g.discover", "(self)")} <= {
+            (r["element"], r["phase"]) for r in rows
+        }
+        assert sum(float(r["self_s"]) for r in rows) == pytest.approx(wall, rel=0.02)
 
     def test_cli_profile_flag_keeps_stdout_identical(self, capsys, tmp_path, monkeypatch):
         from repro.core.cli import main
@@ -554,10 +620,23 @@ class TestServiceTracing:
         assert job["parent_id"] == root["span_id"]
         assert worker["parent_id"] == job["span_id"]
         assert by_name["worker.attempt"]["parent_id"] == worker["span_id"]
-        # the job span carries the worker's phase profile, never the body
-        assert job["attrs"]["profile"]["pchase_runs"] > 0
         assert job["attrs"]["outcome"] == "done"
-        assert b"profile" not in first.body
+        # the worker's discovery phases are spans of the same trace,
+        # hanging from worker.discover, and fold into its self-time table
+        phases = [s for s in payload["spans"] if s["name"] == "discover.phase"]
+        assert phases
+        top = [s for s in phases if s["parent_id"] == worker["span_id"]]
+        assert {("L1", "measure"), ("general", "api_query")} <= {
+            (s["attrs"]["element"], s["attrs"]["phase"]) for s in top
+        }
+        worker_spans = [
+            s for s in payload["spans"]
+            if s["name"] in ("discover.phase", "worker.discover")
+        ]
+        table = fold(worker_spans)
+        assert table["root"] == "worker.discover"
+        assert sum(r.get("runs", 0) for r in table["rows"]) > 0
+        assert "profile" not in job["attrs"]
 
     def test_coalesced_requests_record_their_own_span(self, tmp_path, executor):
         store = build_worker_cache(tmp_path / "a")

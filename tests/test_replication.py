@@ -83,8 +83,10 @@ class TestTwoInstances:
 
         async def scenario():
             a = TopologyService(store_a, executor=executor, max_workers=2)
+            # Hot cache off: the second read must reach the tier stack.
             b = TopologyService(
-                store_b, read_only=True, executor=executor, max_workers=2
+                store_b, read_only=True, executor=executor, max_workers=2,
+                hot_cache_bytes=0,
             )
             host_a, port_a = await a.start(port=0)
             host_b, port_b = await b.start(port=0)

@@ -78,7 +78,7 @@ def results():
     faults.deactivate()  # never inherit a stray plan
     out: dict[str, dict] = {}
 
-    baseline_result, baseline_wall = _run_fleet(parallel=False)
+    baseline_result, baseline_wall = _run_fleet(jobs=1)
     assert all(e.ok for e in baseline_result.entries)
     baseline = {e.preset: _content(e.report) for e in baseline_result.entries}
     out["baseline"] = {
@@ -97,7 +97,7 @@ def results():
         [FaultSpec("fleet.worker", "crash", label="*@0", times=None)], seed=SEED
     )
     with faults.injected(crash_all_first):
-        result, wall = _run_fleet(parallel=False)
+        result, wall = _run_fleet(jobs=1)
         out["crash_retry"] = _summarise(result, baseline, wall)
         out["crash_retry"]["faults_fired"] = faults.injected_counts()
 
@@ -120,13 +120,13 @@ def results():
     with tempfile.TemporaryDirectory() as tmp:
         store_root = Path(tmp) / "chaos-store"
         with faults.injected(store_faults) as active:
-            result, wall = _run_fleet(parallel=False, cache_dir=store_root)
+            result, wall = _run_fleet(jobs=1, cache_dir=store_root)
             summary = _summarise(result, baseline, wall)
             # the workers' own store instances took the degradation hits;
             # the plan's firing counters prove the faults actually landed
             summary["faults_fired"] = dict(active.fired)
         # a rerun against the damaged store must replay/heal, not break
-        rerun, rerun_wall = _run_fleet(parallel=False, cache_dir=store_root)
+        rerun, rerun_wall = _run_fleet(jobs=1, cache_dir=store_root)
         summary["rerun_byte_identical"] = all(
             e.ok and _content(e.report) == baseline[e.preset]
             for e in rerun.entries

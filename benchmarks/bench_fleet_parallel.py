@@ -44,7 +44,7 @@ def _reports_digest(result) -> str:
 @pytest.fixture(scope="module")
 def results():
     t0 = time.perf_counter()
-    sequential = discover_fleet(PRESETS, seed=SEED, validate=True, parallel=False)
+    sequential = discover_fleet(PRESETS, seed=SEED, validate=True, jobs=1)
     sequential_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()

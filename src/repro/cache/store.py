@@ -66,6 +66,17 @@ DEGRADATION_KINDS = (
 DEFAULT_PRUNE_BYTES = 2 << 30  # 2 GiB
 
 
+def counter_stats(counted: Any) -> dict[str, Any]:
+    """The counter quartet every store and tier keeps, as ``/metrics``
+    reports it (hits / misses / stores / per-kind degradations)."""
+    return {
+        "hits": counted.hits,
+        "misses": counted.misses,
+        "stores": counted.stores,
+        "degradations": dict(counted.degradations),
+    }
+
+
 class DiscoveryCache:
     """Content-addressed persistent cache of discovery results.
 
@@ -88,6 +99,10 @@ class DiscoveryCache:
         #: silent-degradation accounting, keyed by DEGRADATION_KINDS —
         #: the run never sees these failures, the operator always does.
         self.degradations: dict[str, int] = {k: 0 for k in DEGRADATION_KINDS}
+
+    def stats(self) -> dict[str, Any]:
+        """The ``GET /metrics`` store section."""
+        return counter_stats(self)
 
     # ------------------------------------------------------------------ #
     # key derivation (schema salt applied)                                #

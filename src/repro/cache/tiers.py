@@ -34,8 +34,8 @@ The tiers:
 Every tier keeps the same counter quartet the bare store does (hits /
 misses / stores / degradations), and the composed
 :class:`TieredCache` exposes both the aggregate view (drop-in for code
-that reads ``store.hits``) and the per-tier breakdown
-(:meth:`TieredCache.tier_stats`, folded into ``GET /metrics``).
+that reads ``store.hits``) and the per-tier breakdown (the ``tiers``
+key of :meth:`TieredCache.stats`, the ``GET /metrics`` store section).
 
 New chaos surface: ``tier.memory`` (labelled by key) and ``tier.peer``
 (labelled by peer URL) join the ``store.*`` injection sites, with the
@@ -45,6 +45,7 @@ degradation paths above are deterministically exercisable.
 
 from __future__ import annotations
 
+import threading
 import time
 from pathlib import Path
 from typing import Any, Iterator
@@ -57,7 +58,12 @@ from repro.cache import codec
 from repro.cache import keys as _keys
 from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
-from repro.cache.store import DEGRADATION_KINDS, DEFAULT_PRUNE_BYTES, DiscoveryCache
+from repro.cache.store import (
+    DEGRADATION_KINDS,
+    DEFAULT_PRUNE_BYTES,
+    DiscoveryCache,
+    counter_stats,
+)
 from repro.errors import TransientError
 from repro.faults.retry import RetryPolicy
 from repro.obs import trace as _trace
@@ -172,12 +178,7 @@ class CacheTier:
         raise NotImplementedError
 
     def stats(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "degradations": dict(self.degradations),
-        }
+        return counter_stats(self)
 
 
 class MemoryTier(CacheTier):
@@ -317,6 +318,13 @@ class PeerTier(CacheTier):
         self.timeout = float(timeout)
         self.version = int(version)
         self.breaker = faults.Breaker(breaker_threshold, breaker_cooldown)
+        #: saturation gauge: peer fetches in flight right now (reads run
+        #: on executor threads, so the count is locked).
+        self.inflight = 0
+        self._inflight_lock = threading.Lock()
+
+    def stats(self) -> dict[str, Any]:
+        return {**counter_stats(self), "inflight": self.inflight}
 
     def open_peers(self) -> list[str]:
         """Peers currently blocked by their breaker (for /metrics)."""
@@ -381,7 +389,13 @@ class PeerTier(CacheTier):
     def fetch(self, key: str) -> tuple[bytes, Any] | None:
         for node in self.candidates(key):
             if self.breaker.blocked_for(node) is None:
-                hit = self._fetch_from(node, key)
+                with self._inflight_lock:
+                    self.inflight += 1
+                try:
+                    hit = self._fetch_from(node, key)
+                finally:
+                    with self._inflight_lock:
+                        self.inflight -= 1
                 if hit is not None:
                     self.hits += 1
                     return hit
@@ -545,7 +559,7 @@ class TieredCache:
         """Full misses: every consulted tier came up empty.
 
         Per-tier miss counts (a memory miss that the disk then served)
-        live in :meth:`tier_stats`; this aggregate keeps the operator
+        live in :meth:`stats`' ``tiers``; this aggregate keeps the operator
         meaning the bare store had — "the stack could not answer".
         """
         return self._full_misses
@@ -563,9 +577,13 @@ class TieredCache:
                 merged[kind] = merged.get(kind, 0) + count
         return merged
 
-    def tier_stats(self) -> dict[str, dict[str, Any]]:
-        """Per-tier counters, in consultation order (for ``/metrics``)."""
-        return {tier.name: tier.stats() for tier in self.tiers}
+    def stats(self) -> dict[str, Any]:
+        """The aggregate quartet answers "did the stack carry the
+        traffic", ``tiers`` (in consultation order) "which tier did"."""
+        return {
+            **counter_stats(self),
+            "tiers": {tier.name: tier.stats() for tier in self.tiers},
+        }
 
     # ------------------------------------------------------------------ #
     # durable-store plumbing (catalog, pruning, scheduling sidecar)       #

@@ -448,9 +448,8 @@ def fleet_main(argv: list[str] | None = None) -> int:
         result = discover_fleet(
             presets,
             seed=args.seed,
-            jobs=args.jobs,
+            jobs=1 if args.sequential else args.jobs,
             validate=not args.no_validate,
-            parallel=not args.sequential,
             cache_dir=None
             if args.no_cache
             else Path(args.cache_dir).expanduser(),

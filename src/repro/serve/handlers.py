@@ -396,7 +396,7 @@ async def _load_report(
             if allow_stale:
                 stale = service.last_good(key)
                 if stale is not None:
-                    service.metrics.count_stale()
+                    service.metrics.count("stale_served")
                     return stale, True
             raise HTTPError(
                 503,

@@ -890,6 +890,30 @@ class JobQueue:
         """Jobs admitted but not yet finished (running + pending)."""
         return self._running + len(self._pending)
 
+    def stats(self) -> dict[str, Any]:
+        """The ``GET /metrics`` jobs section: single-flight, resilience,
+        sharding and pool counters, then the saturation gauges (jobs
+        holding a worker slot, and the slot count)."""
+        return {
+            "inflight": self.inflight,
+            "started": self.discoveries_started,
+            "completed": self.discoveries_completed,
+            "failed": self.discoveries_failed,
+            "coalesced": self.coalesced,
+            "retries": self.retries_total,
+            "deadlines_expired": self.deadlines_expired,
+            "breaker_opens": self.breaker_opens,
+            "fast_failures": self.fast_failures,
+            "open_breakers": len(self.open_breakers()),
+            "executor_broken": self.executor_broken,
+            "peer_fetches": self.peer_fetches,
+            "peer_fallbacks": self.peer_fallbacks,
+            "pool_respawns": self.pool_respawns,
+            "workers_warmed": self.workers_warmed,
+            "running": self._running,
+            "slots": self.max_workers,
+        }
+
     async def wait(self, job: DiscoveryJob) -> DiscoveryJob:
         """Block until ``job`` reaches a terminal state."""
         await job.done.wait()

@@ -3,10 +3,12 @@
 A long-lived query service needs to answer "is the cache carrying the
 traffic?" and "where does the time go?" without a profiler attached.
 :class:`ServiceMetrics` keeps the in-process counters the endpoint
-reports: per-route request/latency accounting and status histogram; the
-store's hit/miss/store counters and the job queue's single-flight
-counters are folded in at snapshot time (they live on those objects —
-the metrics module never owns a second copy that could drift).
+reports: per-route request/latency accounting and status histogram.
+Every other section is its owner's own ``stats()`` (store, job queue,
+hot cache, tracer), assembled at snapshot time — the metrics module
+never owns a second copy that could drift.  Both exposition formats
+come from that one snapshot: the JSON body directly, Prometheus text
+through the :data:`METRICS` table, which declares each family once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any
 
 from repro import faults
 
-__all__ = ["DURATION_BUCKETS", "ServiceMetrics", "to_prometheus"]
+__all__ = ["DURATION_BUCKETS", "METRICS", "ServiceMetrics", "to_prometheus"]
 
 #: Histogram bucket upper bounds (seconds) for per-route request
 #: latency.  Spans dict-lookup hot-cache hits (~sub-ms) through cold
@@ -98,25 +100,24 @@ class ServiceMetrics:
             bucket["seconds_max"] = max(bucket["seconds_max"], seconds)
             bucket["buckets"][slot] += 1
 
-    # Locked single-counter bumps for the transport path (previously
-    # direct ``metrics.connections[...] += 1`` style mutations).
-
-    def count_connection(self, event: str) -> None:
+    def count(self, name: str, label: str | None = None) -> None:
+        """One locked bump: ``count("bad_requests")`` bumps a scalar,
+        ``count("connections", "reused")`` one key of a labelled dict."""
         with self._lock:
-            self.connections[event] = self.connections.get(event, 0) + 1
-
-    def count_bad_request(self) -> None:
-        with self._lock:
-            self.bad_requests += 1
-
-    def count_stale(self) -> None:
-        with self._lock:
-            self.stale_served += 1
+            if label is None:
+                setattr(self, name, getattr(self, name) + 1)
+            else:
+                counts = getattr(self, name)
+                counts[label] = counts.get(label, 0) + 1
 
     def snapshot(
         self, store=None, jobs=None, hot_cache=None, tracer=None
     ) -> dict[str, Any]:
-        """The ``GET /metrics`` payload (JSON-ready)."""
+        """The ``GET /metrics`` payload (JSON-ready).
+
+        Each section beyond ``http`` is its owner's own ``stats()``;
+        absent owners leave their section (and its families) out.
+        """
         with self._lock:
             routes = {
                 route: {
@@ -140,43 +141,15 @@ class ServiceMetrics:
                     "routes": routes,
                 },
             }
-        if store is not None:
-            out["store"] = {
-                "hits": store.hits,
-                "misses": store.misses,
-                "stores": store.stores,
-                #: per-kind counts of I/O failures degraded to misses /
-                #: skipped bookkeeping (read_error, corrupt_entry,
-                #: write_error, lock_timeout, stats_corrupt).
-                "degradations": dict(store.degradations),
-            }
-            tier_stats = getattr(store, "tier_stats", None)
-            if callable(tier_stats):
-                # A tiered store: the aggregate above answers "did the
-                # stack carry the traffic", this answers "which tier".
-                out["store"]["tiers"] = tier_stats()
-        if jobs is not None:
-            out["jobs"] = {
-                "inflight": jobs.inflight,
-                "started": jobs.discoveries_started,
-                "completed": jobs.discoveries_completed,
-                "failed": jobs.discoveries_failed,
-                "coalesced": jobs.coalesced,
-                "retries": jobs.retries_total,
-                "deadlines_expired": jobs.deadlines_expired,
-                "breaker_opens": jobs.breaker_opens,
-                "fast_failures": jobs.fast_failures,
-                "open_breakers": len(jobs.open_breakers()),
-                "executor_broken": jobs.executor_broken,
-                "peer_fetches": jobs.peer_fetches,
-                "peer_fallbacks": jobs.peer_fallbacks,
-                "pool_respawns": jobs.pool_respawns,
-                "workers_warmed": jobs.workers_warmed,
-            }
-        if hot_cache is not None:
-            out["hot_cache"] = hot_cache.stats()
-        if tracer is not None:
-            out["trace"] = tracer.stats()
+        sections = (
+            ("store", store),
+            ("jobs", jobs),
+            ("hot_cache", hot_cache),
+            ("trace", tracer),
+        )
+        for section, owner in sections:
+            if owner is not None:
+                out[section] = owner.stats()
         out["resilience"] = {
             "stale_served": self.stale_served,
             #: faults the active plan fired in *this* process — {} in
@@ -207,174 +180,133 @@ def _cumulative(buckets: list[int]) -> dict[str, int]:
 # ---------------------------------------------------------------------- #
 
 
+#: Every exported family, declared once: ``(json_path, name, kind,
+#: labels)``.  ``json_path`` walks the snapshot; each ``"*"`` expands one
+#: dict level and binds its key to the next name in ``labels``.  A leaf
+#: that a literal row names is left out of any wildcard row that would
+#: also reach it (``write_errors`` is its own family, not an ``event``).
+#: Gauges are point-in-time values; everything else is a counter.  The
+#: one ``histogram`` row points at a route's dict and renders its
+#: ``_bucket``/``_sum``/``_count`` samples.
+METRICS: tuple[tuple[tuple[str, ...], str, str, tuple[str, ...]], ...] = (
+    (("uptime_seconds",), "mt4g_uptime_seconds", "gauge", ()),
+    (("http", "requests_total"), "mt4g_http_requests_total", "counter", ()),
+    (("http", "bad_requests"), "mt4g_http_bad_requests_total", "counter", ()),
+    (("http", "connections", "*"), "mt4g_http_connections_total", "counter", ("event",)),
+    (("http", "connections", "write_errors"), "mt4g_http_connection_write_errors_total", "counter", ()),
+    (("http", "by_status", "*"), "mt4g_http_responses_total", "counter", ("status",)),
+    (("http", "routes", "*", "count"), "mt4g_http_route_requests_total", "counter", ("route",)),
+    (("http", "routes", "*", "seconds_total"), "mt4g_http_route_seconds_total", "counter", ("route",)),
+    (("http", "routes", "*", "seconds_max"), "mt4g_http_route_seconds_max", "gauge", ("route",)),
+    (("http", "routes", "*"), "mt4g_http_request_duration_seconds", "histogram", ("route",)),
+    (("store", "hits"), "mt4g_store_hits_total", "counter", ()),
+    (("store", "misses"), "mt4g_store_misses_total", "counter", ()),
+    (("store", "stores"), "mt4g_store_stores_total", "counter", ()),
+    (("store", "degradations", "*"), "mt4g_store_degradations_total", "counter", ("kind",)),
+    (("store", "tiers", "*", "hits"), "mt4g_store_tier_hits_total", "counter", ("tier",)),
+    (("store", "tiers", "*", "misses"), "mt4g_store_tier_misses_total", "counter", ("tier",)),
+    (("store", "tiers", "*", "stores"), "mt4g_store_tier_stores_total", "counter", ("tier",)),
+    (("store", "tiers", "*", "degradations", "*"), "mt4g_store_tier_degradations_total", "counter", ("tier", "kind")),
+    (("store", "tiers", "peer", "inflight"), "mt4g_peer_fetches_inflight", "gauge", ()),
+    (("jobs", "inflight"), "mt4g_jobs_inflight", "gauge", ()),
+    (("jobs", "running"), "mt4g_jobs_running", "gauge", ()),
+    (("jobs", "slots"), "mt4g_jobs_slots", "gauge", ()),
+    (("jobs", "open_breakers"), "mt4g_jobs_open_breakers", "gauge", ()),
+    (("jobs", "executor_broken"), "mt4g_jobs_executor_broken", "gauge", ()),
+    (("jobs", "started"), "mt4g_jobs_started_total", "counter", ()),
+    (("jobs", "completed"), "mt4g_jobs_completed_total", "counter", ()),
+    (("jobs", "failed"), "mt4g_jobs_failed_total", "counter", ()),
+    (("jobs", "coalesced"), "mt4g_jobs_coalesced_total", "counter", ()),
+    (("jobs", "retries"), "mt4g_jobs_retries_total", "counter", ()),
+    (("jobs", "deadlines_expired"), "mt4g_jobs_deadlines_expired_total", "counter", ()),
+    (("jobs", "breaker_opens"), "mt4g_jobs_breaker_opens_total", "counter", ()),
+    (("jobs", "fast_failures"), "mt4g_jobs_fast_failures_total", "counter", ()),
+    (("jobs", "peer_fetches"), "mt4g_jobs_peer_fetches_total", "counter", ()),
+    (("jobs", "peer_fallbacks"), "mt4g_jobs_peer_fallbacks_total", "counter", ()),
+    (("jobs", "pool_respawns"), "mt4g_jobs_pool_respawns_total", "counter", ()),
+    (("jobs", "workers_warmed"), "mt4g_jobs_workers_warmed_total", "counter", ()),
+    (("hot_cache", "max_bytes"), "mt4g_hot_cache_max_bytes", "gauge", ()),
+    (("hot_cache", "bytes"), "mt4g_hot_cache_bytes", "gauge", ()),
+    (("hot_cache", "entries"), "mt4g_hot_cache_entries", "gauge", ()),
+    (("hot_cache", "hits"), "mt4g_hot_cache_hits_total", "counter", ()),
+    (("hot_cache", "misses"), "mt4g_hot_cache_misses_total", "counter", ()),
+    (("hot_cache", "stores"), "mt4g_hot_cache_stores_total", "counter", ()),
+    (("hot_cache", "evictions"), "mt4g_hot_cache_evictions_total", "counter", ()),
+    (("hot_cache", "invalidations"), "mt4g_hot_cache_invalidations_total", "counter", ()),
+    (("trace", "traces_held"), "mt4g_traces_held", "gauge", ()),
+    (("trace", "spans_recorded"), "mt4g_trace_spans_recorded_total", "counter", ()),
+    (("trace", "spans_dropped"), "mt4g_trace_spans_dropped_total", "counter", ()),
+    (("trace", "traces_evicted"), "mt4g_trace_traces_evicted_total", "counter", ()),
+    (("trace", "slow_traces"), "mt4g_trace_slow_traces_total", "counter", ()),
+    (("resilience", "stale_served"), "mt4g_stale_served_total", "counter", ()),
+    (("resilience", "faults_injected", "*"), "mt4g_faults_injected_total", "counter", ("site",)),
+)
+
+_LITERAL_PATHS = {path for path, *_ in METRICS if "*" not in path}
+
+
+def _leaves(node: Any, path: tuple[str, ...], at: tuple = ()):
+    """Yield ``(concrete_path, value)`` for every node ``path`` reaches."""
+    if not path:
+        yield at, node
+        return
+    if not isinstance(node, dict):
+        return
+    step, rest = path[0], path[1:]
+    if step == "*":
+        for key, child in node.items():
+            yield from _leaves(child, rest, at + (key,))
+    elif step in node:
+        yield from _leaves(node[step], rest, at + (step,))
+
+
 def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _labels(names: tuple[str, ...], values: tuple, **extra: str) -> str:
+    pairs = list(zip(names, values)) + list(extra.items())
+    if not pairs:
+        return ""
+    inner = ",".join(f'{k}="{_escape_label(str(v))}"' for k, v in pairs)
+    return f"{{{inner}}}"
+
+
+def _exposition(snapshot: dict[str, Any]):
+    """Yield ``(json_path, line)`` for every exposition line, in order.
+
+    ``json_path`` is the snapshot leaf the sample renders, ``None`` for
+    ``# TYPE`` lines and the histogram's derived ``_sum``/``_count``.
+    """
+    for path, name, kind, label_names in METRICS:
+        found = [
+            (at, value)
+            for at, value in _leaves(snapshot, path)
+            if "*" not in path or at not in _LITERAL_PATHS
+        ]
+        if not found:
+            continue
+        yield None, f"# TYPE {name} {kind}"
+        for at, value in found:
+            bound = tuple(key for key, step in zip(at, path) if step == "*")
+            if kind == "histogram":
+                for le, count in value["histogram"].items():
+                    labels = _labels(label_names, bound, le=le)
+                    yield at + ("histogram", le), f"{name}_bucket{labels} {count}"
+                labels = _labels(label_names, bound)
+                yield None, f"{name}_sum{labels} {value['seconds_total']}"
+                yield None, f"{name}_count{labels} {value['count']}"
+            else:
+                if isinstance(value, bool):
+                    value = int(value)
+                yield at, f"{name}{_labels(label_names, bound)} {value}"
 
 
 def to_prometheus(snapshot: dict[str, Any]) -> str:
     """Render a :meth:`ServiceMetrics.snapshot` dict as Prometheus text.
 
-    A pure function of the JSON snapshot (no second metric registry to
-    drift from the JSON endpoint): same counters, standard exposition —
-    ``mt4g_``-prefixed names, label-per-route/status/tier/kind, one
-    ``# TYPE`` line per family.  Gauges are the point-in-time values
-    (inflight, open breakers, uptime); everything else is a counter.
+    A pure function of the JSON snapshot, driven by :data:`METRICS`:
+    ``mt4g_``-prefixed names, one ``# TYPE`` line per family, families
+    whose section is absent left out.
     """
-    lines: list[str] = []
-
-    def family(name: str, kind: str, samples: "list[tuple[str, Any]]") -> None:
-        if not samples:
-            return
-        lines.append(f"# TYPE {name} {kind}")
-        for labels, value in samples:
-            if isinstance(value, bool):
-                value = int(value)
-            lines.append(f"{name}{labels} {value}")
-
-    def label(**kv: str) -> str:
-        inner = ",".join(f'{k}="{_escape_label(str(v))}"' for k, v in kv.items())
-        return f"{{{inner}}}"
-
-    family("mt4g_uptime_seconds", "gauge", [("", snapshot.get("uptime_seconds", 0))])
-    http = snapshot.get("http", {})
-    family(
-        "mt4g_http_requests_total", "counter", [("", http.get("requests_total", 0))]
-    )
-    family(
-        "mt4g_http_bad_requests_total", "counter", [("", http.get("bad_requests", 0))]
-    )
-    connections = http.get("connections", {})
-    family(
-        "mt4g_http_connections_total",
-        "counter",
-        [
-            (label(event=event), connections[event])
-            for event in ("accepted", "reused", "closed", "idle_reaped")
-            if event in connections
-        ],
-    )
-    family(
-        "mt4g_http_connection_write_errors_total",
-        "counter",
-        [("", connections.get("write_errors", 0))],
-    )
-    family(
-        "mt4g_http_responses_total",
-        "counter",
-        [(label(status=s), v) for s, v in http.get("by_status", {}).items()],
-    )
-    routes = http.get("routes", {})
-    family(
-        "mt4g_http_route_requests_total",
-        "counter",
-        [(label(route=r), b.get("count", 0)) for r, b in routes.items()],
-    )
-    family(
-        "mt4g_http_route_seconds_total",
-        "counter",
-        [(label(route=r), b.get("seconds_total", 0.0)) for r, b in routes.items()],
-    )
-    family(
-        "mt4g_http_route_seconds_max",
-        "gauge",
-        [(label(route=r), b.get("seconds_max", 0.0)) for r, b in routes.items()],
-    )
-    histogrammed = {r: b for r, b in routes.items() if b.get("histogram")}
-    if histogrammed:
-        name = "mt4g_http_request_duration_seconds"
-        lines.append(f"# TYPE {name} histogram")
-        for route, b in histogrammed.items():
-            for le, count in b["histogram"].items():
-                lines.append(f"{name}_bucket{label(route=route, le=le)} {count}")
-            lines.append(f"{name}_sum{label(route=route)} {b.get('seconds_total', 0.0)}")
-            lines.append(f"{name}_count{label(route=route)} {b.get('count', 0)}")
-
-    store = snapshot.get("store")
-    if store is not None:
-        family("mt4g_store_hits_total", "counter", [("", store.get("hits", 0))])
-        family("mt4g_store_misses_total", "counter", [("", store.get("misses", 0))])
-        family("mt4g_store_stores_total", "counter", [("", store.get("stores", 0))])
-        family(
-            "mt4g_store_degradations_total",
-            "counter",
-            [(label(kind=k), v) for k, v in store.get("degradations", {}).items()],
-        )
-        tiers = store.get("tiers", {})
-        for counter in ("hits", "misses", "stores"):
-            family(
-                f"mt4g_store_tier_{counter}_total",
-                "counter",
-                [(label(tier=t), s.get(counter, 0)) for t, s in tiers.items()],
-            )
-        family(
-            "mt4g_store_tier_degradations_total",
-            "counter",
-            [
-                (label(tier=t, kind=k), v)
-                for t, s in tiers.items()
-                for k, v in s.get("degradations", {}).items()
-            ],
-        )
-
-    jobs = snapshot.get("jobs")
-    if jobs is not None:
-        family("mt4g_jobs_inflight", "gauge", [("", jobs.get("inflight", 0))])
-        family("mt4g_jobs_open_breakers", "gauge", [("", jobs.get("open_breakers", 0))])
-        family(
-            "mt4g_jobs_executor_broken", "gauge", [("", jobs.get("executor_broken", 0))]
-        )
-        for counter in (
-            "started",
-            "completed",
-            "failed",
-            "coalesced",
-            "retries",
-            "deadlines_expired",
-            "breaker_opens",
-            "fast_failures",
-            "peer_fetches",
-            "peer_fallbacks",
-            "pool_respawns",
-            "workers_warmed",
-        ):
-            family(
-                f"mt4g_jobs_{counter}_total", "counter", [("", jobs.get(counter, 0))]
-            )
-
-    hot = snapshot.get("hot_cache")
-    if hot is not None:
-        family("mt4g_hot_cache_bytes", "gauge", [("", hot.get("bytes", 0))])
-        family("mt4g_hot_cache_entries", "gauge", [("", hot.get("entries", 0))])
-        for counter in ("hits", "misses", "stores", "evictions", "invalidations"):
-            family(
-                f"mt4g_hot_cache_{counter}_total",
-                "counter",
-                [("", hot.get(counter, 0))],
-            )
-
-    trace = snapshot.get("trace")
-    if trace is not None:
-        family("mt4g_traces_held", "gauge", [("", trace.get("traces_held", 0))])
-        for counter in (
-            "spans_recorded",
-            "spans_dropped",
-            "traces_evicted",
-            "slow_traces",
-        ):
-            family(
-                f"mt4g_trace_{counter}_total", "counter", [("", trace.get(counter, 0))]
-            )
-
-    resilience = snapshot.get("resilience", {})
-    family(
-        "mt4g_stale_served_total", "counter", [("", resilience.get("stale_served", 0))]
-    )
-    family(
-        "mt4g_faults_injected_total",
-        "counter",
-        [
-            (label(site=s), v)
-            for s, v in resilience.get("faults_injected", {}).items()
-        ],
-    )
-    return "\n".join(lines) + "\n"
+    return "\n".join(line for _, line in _exposition(snapshot)) + "\n"

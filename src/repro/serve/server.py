@@ -344,7 +344,7 @@ class TopologyService:
         """
         metrics = self.metrics
         log = self.access_log
-        metrics.count_connection("accepted")
+        metrics.count("connections", "accepted")
         served = 0
         try:
             while True:
@@ -360,7 +360,7 @@ class TopologyService:
                 except _PayloadTooLarge as exc:
                     # The body was never drained: the connection cannot
                     # be reused, and the client is told so explicitly.
-                    metrics.count_bad_request()
+                    metrics.count("bad_requests")
                     if log is not None:
                         log.event("bad_request", str(exc), status=413)
                     await self._write(writer, error_response(413, str(exc)), close=True)
@@ -369,9 +369,9 @@ class TopologyService:
                     if served:
                         # An idle keep-alive socket timing out is the
                         # normal end of a connection's life, not an error.
-                        metrics.count_connection("idle_reaped")
+                        metrics.count("connections", "idle_reaped")
                         return
-                    metrics.count_bad_request()
+                    metrics.count("bad_requests")
                     if log is not None:
                         log.event("bad_request", "read timed out", status=400)
                     await self._write(
@@ -382,7 +382,7 @@ class TopologyService:
                     # Unparseable request line / headers / truncated
                     # body: one 400 with Connection: close — after a
                     # framing error the stream is garbage by definition.
-                    metrics.count_bad_request()
+                    metrics.count("bad_requests")
                     if log is not None:
                         log.event(
                             "bad_request",
@@ -396,7 +396,7 @@ class TopologyService:
                 if request is None:  # clean EOF between requests
                     return
                 if served:
-                    metrics.count_connection("reused")
+                    metrics.count("connections", "reused")
                 served += 1
                 request_start = perf_counter()
                 response = await self.handle_request(request)
@@ -419,7 +419,7 @@ class TopologyService:
                 if not await self._write(writer, response, close=close) or close:
                     return
         finally:
-            metrics.count_connection("closed")
+            metrics.count("connections", "closed")
             writer.close()
             try:
                 await writer.wait_closed()
@@ -441,7 +441,7 @@ class TopologyService:
             await writer.drain()
             return True
         except (ConnectionError, OSError) as exc:
-            self.metrics.count_connection("write_errors")
+            self.metrics.count("connections", "write_errors")
             if self.access_log is not None:
                 self.access_log.event(
                     "write_error",

@@ -440,7 +440,6 @@ def discover_fleet(
     validate: bool = True,
     engine: str = "analytic",
     cache_config: str = "PreferL1",
-    parallel: bool = True,
     cache_dir: str | Path | None = None,
     retry: RetryPolicy | None = None,
     deadline_seconds: float | None = None,
@@ -449,9 +448,9 @@ def discover_fleet(
     """Discover many presets concurrently and compare the results.
 
     ``presets`` defaults to the ten paper machines; ``jobs`` defaults to
-    one worker per preset, capped by the CPU count.  ``parallel=False``
-    runs the same pipeline sequentially in-process (the baseline the
-    fleet benchmark measures against, and the fallback for environments
+    one worker per preset, capped by the CPU count.  ``jobs=1`` runs the
+    same pipeline sequentially in-process (the baseline the fleet
+    benchmark measures against, and the fallback for environments
     without working multiprocessing).  A preset whose discovery raises is
     recorded as an error entry; it never sinks the rest of the fleet.
 
@@ -510,7 +509,7 @@ def discover_fleet(
 
     start = time.perf_counter()
     by_name: dict[str, FleetEntry] = {}
-    if not parallel or jobs == 1:
+    if jobs == 1:
         for name in submission_order:
             t0 = time.perf_counter()
             try:
@@ -620,7 +619,7 @@ def discover_fleet(
 
     result = FleetResult(
         entries=[by_name[name] for name in names],  # stable input order
-        jobs=jobs if parallel else 1,
+        jobs=jobs,
         total_wall_seconds=time.perf_counter() - start,
         seed=seed,
     )

@@ -46,7 +46,7 @@ def _no_leaked_plan():
 @pytest.fixture(scope="module")
 def baseline():
     """The fault-free fleet every chaos run must reproduce byte-for-byte."""
-    result = discover_fleet(PRESETS, seed=0, parallel=False)
+    result = discover_fleet(PRESETS, seed=0, jobs=1)
     assert all(e.ok for e in result.entries)
     return {e.preset: content(e.report) for e in result.entries}
 
@@ -67,7 +67,7 @@ class TestFleetChaos:
         with faults.injected(
             plan(FaultSpec("fleet.worker", "crash", label="TestGPU-AMD@0"))
         ):
-            result = discover_fleet(PRESETS, seed=0, parallel=False)
+            result = discover_fleet(PRESETS, seed=0, jobs=1)
         hit = result.entry("TestGPU-AMD")
         assert hit.ok and hit.attempts == 2
         assert result.entry("TestGPU-AMD-L3").attempts == 1
@@ -91,7 +91,7 @@ class TestFleetChaos:
             plan(FaultSpec("fleet.worker", "permanent", label="TestGPU-AMD@*",
                            times=None))
         ):
-            result = discover_fleet(PRESETS, seed=0, parallel=False)
+            result = discover_fleet(PRESETS, seed=0, jobs=1)
         failed = result.entry("TestGPU-AMD")
         assert not failed.ok and failed.error_kind == "permanent"
         assert failed.attempts == 1  # retrying cannot help, so we did not
@@ -107,7 +107,7 @@ class TestFleetChaos:
             result = discover_fleet(
                 PRESETS,
                 seed=0,
-                parallel=False,
+                jobs=1,
                 retry=RetryPolicy(attempts=2, base_delay=0.001, max_delay=0.01),
             )
         failed = result.entry("TestGPU-AMD")
@@ -149,7 +149,7 @@ class TestFleetChaos:
             result = discover_fleet(
                 ["TestGPU-AMD"],
                 seed=0,
-                parallel=False,
+                jobs=1,
                 retry=RetryPolicy(attempts=50, base_delay=10.0, max_delay=10.0),
                 deadline_seconds=0.2,
             )
@@ -161,7 +161,7 @@ class TestFleetChaos:
         with faults.injected(
             plan(FaultSpec("fleet.worker", "crash", label="TestGPU-AMD@0"))
         ):
-            result = discover_fleet(PRESETS, seed=0, parallel=False)
+            result = discover_fleet(PRESETS, seed=0, jobs=1)
         row = next(
             r for r in result.comparison_matrix() if r["preset"] == "TestGPU-AMD"
         )
@@ -173,7 +173,7 @@ class TestFleetChaos:
     def test_no_faults_means_no_fault_accounting_noise(self, baseline):
         # With the plane inactive the new machinery must be invisible:
         # single attempts, zero retries, byte-identical reports.
-        result = discover_fleet(PRESETS, seed=0, parallel=False)
+        result = discover_fleet(PRESETS, seed=0, jobs=1)
         assert all(e.attempts == 1 and not e.recovered for e in result.entries)
         assert result.retries_total == 0
         assert all("attempts" not in r for r in result.comparison_matrix())

@@ -387,7 +387,7 @@ class TestFleetCache:
         concurrent = discover_fleet(
             FLEET_PRESETS, seed=0, jobs=2, validate=True, cache_dir=cache_dir
         )
-        uncached = discover_fleet(FLEET_PRESETS, seed=0, validate=True, parallel=False)
+        uncached = discover_fleet(FLEET_PRESETS, seed=0, validate=True, jobs=1)
         assert fleet_content(concurrent) == fleet_content(uncached)
         assert all(e.cache_status == "miss" for e in concurrent.entries)
 
@@ -402,11 +402,11 @@ class TestFleetCache:
     def test_cold_walls_recorded_hit_walls_not(self, tmp_path):
         cache_dir = tmp_path / "fleet-cache"
         store = DiscoveryCache(cache_dir)
-        discover_fleet(FLEET_PRESETS, seed=0, parallel=False, cache_dir=cache_dir)
+        discover_fleet(FLEET_PRESETS, seed=0, jobs=1, cache_dir=cache_dir)
         walls = store.recorded_walls()
         assert set(walls) == set(FLEET_PRESETS)
         assert all(w > 0 for w in walls.values())
-        discover_fleet(FLEET_PRESETS, seed=0, parallel=False, cache_dir=cache_dir)
+        discover_fleet(FLEET_PRESETS, seed=0, jobs=1, cache_dir=cache_dir)
         assert store.recorded_walls() == walls  # hits don't poison the LPT data
 
 

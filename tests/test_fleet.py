@@ -13,7 +13,7 @@ PRESETS = ("TestGPU-AMD", "TestGPU-AMD-L3")
 
 @pytest.fixture(scope="module")
 def sequential():
-    return discover_fleet(PRESETS, seed=0, parallel=False)
+    return discover_fleet(PRESETS, seed=0, jobs=1)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ class TestDiscoverFleet:
 
     def test_unknown_preset_fails_fast(self):
         with pytest.raises(ReproError):
-            discover_fleet(["NoSuchGPU"], parallel=False)
+            discover_fleet(["NoSuchGPU"], jobs=1)
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ReproError):
@@ -48,7 +48,7 @@ class TestDiscoverFleet:
             discover_fleet(["TestGPU-AMD", "TestGPU-AMD"])
 
     def test_unvalidated_fleet(self):
-        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, parallel=False)
+        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, jobs=1)
         assert result.verdicts() == {"TestGPU-AMD": "unvalidated"}
         assert not result.all_passed
 
@@ -60,7 +60,7 @@ class TestDiscoverFleet:
             raise RuntimeError(f"{preset} exploded")
 
         monkeypatch.setattr(fleet_mod, "_discover_one", boom)
-        result = discover_fleet(PRESETS, seed=0, parallel=False)
+        result = discover_fleet(PRESETS, seed=0, jobs=1)
         assert all(e.verdict == "error" for e in result.entries)
         assert "exploded" in result.entry("TestGPU-AMD").error
         assert result.entry("TestGPU-AMD").error_kind == "infrastructure"
@@ -108,7 +108,7 @@ class TestFleetResult:
         json.dumps(d, default=str)
 
     def test_error_entry_rendering(self):
-        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, parallel=False)
+        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, jobs=1)
         result.entries.append(
             FleetEntry("BrokenGPU", 0, None, 0.1, error="sim crashed")
         )
@@ -121,13 +121,13 @@ class TestFleetResult:
     def test_empty_error_entry_still_renders_text(self):
         # an entry built with an empty error string (ok is False either
         # way) must not print a blank "error: " cell
-        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, parallel=False)
+        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, jobs=1)
         result.entries.append(FleetEntry("BrokenGPU", 0, None, 0.1, error=""))
         assert "error: unknown error" in result.to_markdown()
 
     def test_zero_values_render_as_values_not_missing(self):
         # a legitimately-zero attribute is a value, not a missing cell
-        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, parallel=False)
+        result = discover_fleet(["TestGPU-AMD"], seed=0, validate=False, jobs=1)
         report = result.entry("TestGPU-AMD").report
         report.memory["vL1"].get("size").value = 0
         report.memory["DeviceMemory"].get("load_latency").value = 0.0
@@ -171,7 +171,7 @@ class TestErrorFallback:
             raise RuntimeError()  # deliberately message-less
 
         monkeypatch.setattr(fleet_mod, "_discover_one", boom)
-        result = discover_fleet(["TestGPU-AMD"], seed=0, parallel=False)
+        result = discover_fleet(["TestGPU-AMD"], seed=0, jobs=1)
         assert result.entry("TestGPU-AMD").error == "RuntimeError"
         assert "error[infrastructure]: RuntimeError" in result.to_markdown()
 

@@ -83,7 +83,7 @@ def _attr(value, unit="B", confidence=1.0, source=Source.BENCHMARK):
 
 @pytest.fixture(scope="module")
 def hopper_fleet():
-    return discover_fleet(HOPPER_PAIR, seed=0, parallel=False)
+    return discover_fleet(HOPPER_PAIR, seed=0, jobs=1)
 
 
 class TestJudgedFleet:
@@ -124,7 +124,7 @@ class TestJudgedFleet:
 
     def test_singleton_groups_skip(self):
         result = discover_fleet(
-            ("TestGPU-NV", "TestGPU-AMD"), seed=0, parallel=False
+            ("TestGPU-NV", "TestGPU-AMD"), seed=0, jobs=1
         )
         v = result.validation
         # different vendors: two singleton groups, nothing to compare
@@ -137,7 +137,7 @@ class TestJudgedFleet:
         # both synthetic AMD presets resolve to CDNA2 through the tool's
         # gfx lookup table, so they form one judged group
         result = discover_fleet(
-            ("TestGPU-AMD", "TestGPU-AMD-L3"), seed=0, parallel=False
+            ("TestGPU-AMD", "TestGPU-AMD-L3"), seed=0, jobs=1
         )
         v = result.validation
         assert v.groups == {"AMD/CDNA2": ("TestGPU-AMD", "TestGPU-AMD-L3")}
@@ -145,7 +145,7 @@ class TestJudgedFleet:
 
     def test_unvalidated_fleet_has_no_judgement(self):
         result = discover_fleet(
-            ("TestGPU-NV",), seed=0, validate=False, parallel=False
+            ("TestGPU-NV",), seed=0, validate=False, jobs=1
         )
         assert result.validation is None
         assert "fleet_validation" not in result.as_dict()

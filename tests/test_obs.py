@@ -289,8 +289,9 @@ class TestMetrics:
         def hammer():
             for _ in range(1000):
                 metrics.observe("GET /x", 200, 0.003)
-                metrics.count_connection("reused")
-                metrics.count_bad_request()
+                metrics.count("connections", "reused")
+                metrics.count("bad_requests")
+                metrics.count("stale_served")
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:
@@ -302,6 +303,7 @@ class TestMetrics:
         assert snap["http"]["routes"]["GET /x"]["count"] == 8000
         assert snap["http"]["connections"]["reused"] == 8000
         assert snap["http"]["bad_requests"] == 8000
+        assert snap["resilience"]["stale_served"] == 8000
 
     def test_histogram_buckets_are_cumulative(self):
         metrics = ServiceMetrics()

@@ -112,7 +112,7 @@ class TestTwoInstances:
         assert b.jobs.discoveries_started == 0
         assert b.jobs.peer_fetches == 0  # a tier fetch, not a proxy job
         # ...the peer tier pulled it, and promotion landed it locally.
-        tiers = store_b.tier_stats()
+        tiers = store_b.stats()["tiers"]
         assert tiers["peer"]["hits"] == 1
         assert store_b.store.entry_count() == 1
         # The second read never left the instance (memory tier hit).
@@ -294,7 +294,7 @@ class TestStoreRoute:
         )
         response = asyncio.run(get(service, f"/store/{'ab' * 32}"))
         assert response.status == 404
-        assert store.tier_stats()["peer"]["misses"] == 0  # never consulted
+        assert store.stats()["tiers"]["peer"]["misses"] == 0  # never consulted
 
 
 # ---------------------------------------------------------------------- #

@@ -207,20 +207,20 @@ class TestTieredCache:
     def test_write_through_lands_everywhere_and_memory_serves(self, tmp_path):
         cache = stack(tmp_path)
         assert cache.put(KEY, {"x": 1})
-        stats = cache.tier_stats()
+        stats = cache.stats()["tiers"]
         assert stats["memory"]["stores"] == 1 and stats["disk"]["stores"] == 1
         assert cache.get(KEY) == {"x": 1}
-        stats = cache.tier_stats()
+        stats = cache.stats()["tiers"]
         assert stats["memory"]["hits"] == 1 and stats["disk"]["hits"] == 0
 
     def test_disk_hit_promotes_into_memory(self, tmp_path):
         stack(tmp_path).put(KEY, {"x": 1})
         fresh = stack(tmp_path)  # new process: cold memory, warm disk
         assert fresh.get(KEY) == {"x": 1}
-        stats = fresh.tier_stats()
+        stats = fresh.stats()["tiers"]
         assert stats["memory"]["misses"] == 1 and stats["disk"]["hits"] == 1
         assert fresh.get(KEY) == {"x": 1}
-        assert fresh.tier_stats()["memory"]["hits"] == 1  # promoted
+        assert fresh.stats()["tiers"]["memory"]["hits"] == 1  # promoted
 
     def test_promoted_blob_is_the_disk_blob_byte_for_byte(self, tmp_path):
         cache = stack(tmp_path)
@@ -235,13 +235,13 @@ class TestTieredCache:
         cache.put(KEY, {"x": 1})
         with faults.injected(plan(FaultSpec("tier.memory", "corrupt", label=KEY))):
             assert cache.get(KEY) == {"x": 1}  # disk carried the read
-            stats = cache.tier_stats()
+            stats = cache.stats()["tiers"]
             assert stats["memory"]["degradations"]["corrupt_entry"] == 1
             assert stats["disk"]["hits"] == 1
             assert cache.degradations["corrupt_entry"] == 1  # aggregate view
             # promotion re-landed the blob: memory serves again
             assert cache.get(KEY) == {"x": 1}
-            assert cache.tier_stats()["memory"]["hits"] == 1
+            assert cache.stats()["tiers"]["memory"]["hits"] == 1
         assert cache.misses == 0  # never a full miss
 
     def test_corrupt_disk_entry_is_a_counted_full_miss(self, tmp_path):
@@ -251,7 +251,7 @@ class TestTieredCache:
         blob_path.write_bytes(b"rotted")
         fresh = stack(tmp_path)  # cold memory, rotted disk, no peers
         assert fresh.get(KEY) is None
-        assert fresh.tier_stats()["disk"]["degradations"]["corrupt_entry"] == 1
+        assert fresh.stats()["tiers"]["disk"]["degradations"]["corrupt_entry"] == 1
         assert fresh.misses == 1
 
     def test_peer_false_skips_the_peer_tier(self, tmp_path):
@@ -274,11 +274,11 @@ class TestTieredCache:
     def test_put_blob_refuses_a_forged_blob_before_any_tier(self, tmp_path):
         cache = stack(tmp_path)
         assert not cache.put_blob(KEY, wrap(OTHER, {"x": 1}))  # misaddressed
-        stats = cache.tier_stats()
+        stats = cache.stats()["tiers"]
         assert stats["memory"]["stores"] == 0 and stats["disk"]["stores"] == 0
         assert cache.degradations["corrupt_entry"] == 1
         assert cache.put_blob(KEY, wrap(KEY, {"x": 1}))
-        assert cache.tier_stats()["memory"]["stores"] == 1
+        assert cache.stats()["tiers"]["memory"]["stores"] == 1
 
     def test_disk_tier_is_mandatory(self):
         with pytest.raises(ValueError, match="DiskTier"):

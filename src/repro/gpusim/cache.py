@@ -29,7 +29,9 @@ p-chase passes, some over 50 MB L2 footprints):
 * :meth:`chase_cyclic` computes the hit/miss vector of the *timed* pass
   of a p-chase analytically from per-set occupancy (line counts vs.
   associativity, per-sector valid masks) — zero per-load Python — and
-  applies the exact end state for the sampled prefix;
+  applies the exact end state for the sampled prefix; a warmed pass that
+  leaves the state alone is answered from the deferred warm descriptor
+  (no rows materialised);
 * :meth:`pass_monotone` is the batch equivalent of a monotone
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
@@ -210,6 +212,21 @@ class SimCache:
         if v is not None and v[0] and len(v[1]) == 1:
             return v[1][0]
         return None
+
+    def holds_fixed_point(self, base: int, nbytes: int, stride: int) -> bool:
+        """True when the state is the deferred warm fixed point of this ring.
+
+        The ring is ``nbytes // stride`` loads of ``stride`` from ``base``;
+        the proof is the descriptor alone (flush + one warm of exactly
+        this ring, nothing materialised since), so it costs O(1).
+        """
+        ring = self._fixed_point_ring()
+        return (
+            ring is not None
+            and ring[0] == base
+            and ring[2] == stride
+            and ring[1] // ring[2] == nbytes // stride
+        )
 
     def extend_fixed_point(self, base: int, nbytes: int, stride: int) -> bool:
         """Extend a deferred warm ring in place (incremental sweeps).
@@ -836,6 +853,11 @@ class SimCache:
         cache at the warm fixed point — used by incremental sweeps, where
         the next delta warm re-establishes the fixed point invariant.
 
+        A warmed, stride-certified pass that leaves the state alone
+        (``update_state=False``, or only full wraps — the identity on the
+        fixed point) is answered from the deferred descriptor
+        (:meth:`holds_fixed_point`) without materialising rows.
+
         Equivalence with the exact loop (hits, end state, statistics) is
         pinned by property tests.
         """
@@ -845,27 +867,16 @@ class SimCache:
             return None
         if stride is None and ring > 1 and not (np.diff(addrs) >= 0).all():
             return None
-        if self._virtual is not None:
-            v = self._fixed_point_ring()
-            matches = (
-                warmed
-                and v is not None
-                and v[0] == int(addrs[0])
-                and v[1] // v[2] == ring
-                and int(addrs[-1]) == v[0] + (ring - 1) * v[2]
-                and (stride is None or stride == v[2])
-            )
-            if matches and not update_state:
-                # The deferred ring *is* the warmed fixed point: answer the
-                # chase from the descriptor without touching any rows.
-                stride = v[2]
-            else:
-                self._materialize()
+        n = int(n_samples)
+        wraps, rem = divmod(n, ring)
+        keeps_state = warmed and stride is not None and not (update_state and rem)
+        if self._virtual is not None and not (
+            keeps_state and self.holds_fixed_point(int(addrs[0]), ring * stride, stride)
+        ):
+            self._materialize()
         if not warmed and self._valid_sets != 0:
             return None
         ws = self.ways
-        n = int(n_samples)
-        wraps, rem = divmod(n, ring)
         pattern_len = ring if wraps >= 1 else rem
         sub = addrs[:pattern_len]
         lines, bits = self._addr_parts(sub)

@@ -152,18 +152,42 @@ def _walk_many(
     then re-declare the ring's deferred fixed point: the next fresh run
     flushes + re-warms in the real tool anyway, so starting it from the
     declared fixed point is exactly equivalent (the incremental-sweep
-    invariant).  On unknown prior state (``warmed=None``) a filtered or
-    fallback level still forfeits preservation.
+    invariant).  On unknown prior state (``warmed=None``) a cache that
+    provably still holds this ring's deferred fixed point
+    (:meth:`SimCache.holds_fixed_point` — a protocol probe right after its
+    own warm) is answered by the warmed analytic chase, from the
+    descriptor alone when the pass is whole wraps; every other level
+    takes the filtered walker, and preservation is never claimed.
     """
     n = int(n_samples)
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     first_hits: np.ndarray | None = None
-    preserved = preserve_warm_state
-    ring_nbytes = len(addrs) * stride if stride is not None else 0
+    preserved = preserve_warm_state and warmed is not None
+    ring = len(addrs)
+    ring_nbytes = ring * stride if stride is not None else 0
     restorable = (
-        preserve_warm_state and warmed is True and stride is not None and len(addrs) > 0
+        preserve_warm_state and warmed is True and stride is not None and ring > 0
     )
+    fixed_point = (
+        (int(addrs[0]), ring_nbytes, stride)
+        if warmed is None and stride is not None and ring > 0
+        else None
+    )
+
+    def chase(cache) -> np.ndarray | None:
+        """The analytic answer for a cache seeing the whole pass, if any."""
+        if warmed is not None:
+            return cache.chase_cyclic(
+                addrs,
+                n,
+                warmed=warmed,
+                stride=stride,
+                update_state=not preserve_warm_state,
+            )
+        if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
+            return cache.chase_cyclic(addrs, n, warmed=True, stride=stride)
+        return None
 
     def filtered(cache, mask: np.ndarray) -> np.ndarray | None:
         h = _pass_filtered(cache, addrs, n, mask)
@@ -176,15 +200,7 @@ def _walk_many(
         return h
 
     for level_idx, (cache, level_lat) in enumerate(path.levels):
-        hits = None
-        if pending.all() and warmed is not None:
-            hits = cache.chase_cyclic(
-                addrs,
-                n,
-                warmed=warmed,
-                stride=stride,
-                update_state=not preserve_warm_state,
-            )
+        hits = chase(cache) if pending.all() else None
         if hits is None:
             if not pending.any():
                 hits = np.zeros(n, dtype=bool)
@@ -198,18 +214,8 @@ def _walk_many(
         pending &= ~hits
     full = np.ones(n, dtype=bool)
     for cache in path.side_effects:
-        h = None
-        if warmed is not None:
-            h = cache.chase_cyclic(
-                addrs,
-                n,
-                warmed=warmed,
-                stride=stride,
-                update_state=not preserve_warm_state,
-            )
-        if h is None:
-            if filtered(cache, full) is None:
-                return None, None, False
+        if chase(cache) is None and filtered(cache, full) is None:
+            return None, None, False
     return lat, first_hits, preserved
 
 
@@ -250,6 +256,7 @@ def probe_hits(
     addrs: np.ndarray,
     sm: int = 0,
     core: int = 0,
+    stride: int | None = None,
     engine: str = "analytic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timed probe pass: per-load (first-level hit?, observed latency).
@@ -259,10 +266,17 @@ def probe_hits(
     The observed latencies include measurement noise, exactly what a real
     evaluation would have to threshold.
 
-    The analytic engine batches the whole pass through
-    :meth:`SimCache.pass_monotone`: a probe immediately precedes its own
-    load, so the probe outcome *is* the first-level hit outcome of the
-    walk.  Non-monotone address sequences fall back to the per-load loop.
+    The analytic engine batches the pass level by level.  ``stride`` is a
+    uniform-stride hint (the same one :func:`warm` takes): with it, a
+    level whose cache still holds the deferred warm fixed point of
+    exactly this ring — the usual protocol round, warm A then probe A
+    with B warmed elsewhere — is answered from the descriptor by
+    :meth:`SimCache.chase_cyclic` without materialising any rows.  Every
+    other level replays the loads it sees through
+    :meth:`SimCache.pass_monotone` on whatever state the cache is in; a
+    probe immediately precedes its own load, so the probe outcome *is*
+    the first-level hit outcome of the walk.  Non-monotone address
+    sequences fall back to the per-load loop.
     """
     path = device.resolve_path(kind, sm, core)
     n = len(addrs)
@@ -279,7 +293,7 @@ def probe_hits(
                 np.asarray(addrs, dtype=np.int64),
                 n,
                 warmed=None,
-                stride=None,
+                stride=stride,
                 preserve_warm_state=False,
             )
             if lat is not None:

@@ -298,5 +298,11 @@ class PChaseRunner:
         n = min(n_samples or self.config.n_samples, count)
         addrs = base + np.arange(n, dtype=np.int64) * stride
         return probe_hits(
-            self.device, kind, addrs, sm=sm, core=core, engine=self.config.engine
+            self.device,
+            kind,
+            addrs,
+            sm=sm,
+            core=core,
+            stride=stride,
+            engine=self.config.engine,
         )

@@ -9,7 +9,9 @@ vector, same end state (snapshot), same statistics counters.  These
 tests pin that equivalence over randomized cache geometries, strides,
 ring sizes, sample counts (including multi-wrap chases), warm/cold
 starts and post-flush generations, plus the automatic exact fallback on
-non-monotone sequences.
+non-monotone sequences.  A protocol probe answered from the deferred
+warm descriptor must be indistinguishable from one that materialises
+the rows and replays the ring.
 """
 
 import numpy as np
@@ -18,6 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpusim.cache import SimCache
+from repro.gpusim.device import LoadPath, SimulatedGPU
+from repro.gpusim.isa import LoadKind
+from repro.gpusim.kernel import _walk_many, probe_hits, warm
 
 
 def strided_ring(nbytes: int, stride: int, base: int = 0) -> np.ndarray:
@@ -361,3 +366,127 @@ def test_chase_multi_wrap_exactness(stride):
     ref = chase_reference(exact, addrs, 7 * len(addrs) + 3)
     assert (hits == ref).all()
     assert cache.snapshot() == exact.snapshot()
+
+
+class TestProbeFromDescriptor:
+    """A protocol probe answered from the deferred warm fixed point.
+
+    ``probe_hits(..., stride=)`` lets a cache that still holds exactly the
+    probed ring's deferred fixed point answer from the descriptor
+    (:meth:`SimCache.chase_cyclic`) instead of materialising its rows and
+    replaying the ring through :meth:`SimCache.pass_monotone`.  The two
+    routes must be indistinguishable: hits, noisy latencies, simulated
+    time, statistics counters and the end state.
+    """
+
+    KIND = LoadKind.S_LOAD
+
+    @staticmethod
+    def device(l1: SimCache, l2: SimCache) -> SimulatedGPU:
+        """A device whose probe path is ``l1`` then ``l2`` then memory."""
+        dev = SimulatedGPU.from_preset("TestGPU-AMD", seed=11)
+        path = LoadPath(TestProbeFromDescriptor.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
+        dev.resolve_path = lambda kind, sm=0, core=0: path
+        return dev
+
+    def probe(self, geom, warms, probe_addrs, stride_hint, prepare=None):
+        """Warm the listed rings, then probe; returns everything observable."""
+        size, line, fg, ways = geom
+        l1 = SimCache(size, line, fg, ways)
+        l2 = SimCache(4 * size, line, fg, 2 * ways)
+        dev = self.device(l1, l2)
+        dev.flush_caches()
+        for ring, stride in warms:
+            warm(dev, self.KIND, ring, stride=stride)
+        if prepare is not None:
+            prepare(l1)
+        ring, stride = warms[0]
+        warm_ring = (int(ring[0]), len(ring) * stride, stride)
+        held_before = l1.holds_fixed_point(*warm_ring)
+        hits, lat = probe_hits(dev, self.KIND, probe_addrs, stride=stride_hint)
+        held_after = l1.holds_fixed_point(*warm_ring)
+        snaps = (l1.snapshot(), l2.snapshot())  # materialises: stats catch up
+        return {
+            # Only the descriptor-answered probe leaves the warm ring deferred.
+            "fired": held_before and held_after,
+            "hits": hits,
+            "lat": lat,
+            "elapsed": dev.elapsed_seconds(),
+            "loads": dev.total_loads,
+            "stats": (stats(l1), stats(l2)),
+            "snapshots": snaps,
+            "next_draw": dev.noise.rng.random(),
+        }
+
+    def assert_same(self, fast, slow):
+        assert np.array_equal(fast["hits"], slow["hits"])
+        assert np.array_equal(fast["lat"], slow["lat"])
+        for key in ("elapsed", "loads", "stats", "snapshots", "next_draw"):
+            assert fast[key] == slow[key], key
+
+    @settings(max_examples=120, deadline=None)
+    @given(geometry_and_ring())
+    def test_fast_path_matches_materialised_path(self, params):
+        """Fits and thrashes, strides below and above the line size."""
+        size, line, fg, ways, stride, addrs = params
+        geom = (size, line, fg, ways)
+        fast = self.probe(geom, [(addrs, stride)], addrs, stride)
+        slow = self.probe(geom, [(addrs, stride)], addrs, None)
+        assert fast["fired"]
+        assert not slow["fired"]
+        self.assert_same(fast, slow)
+
+    def test_fast_path_leaves_rows_deferred(self):
+        l1 = SimCache(2048, 64, 32, 2)
+        l2 = SimCache(8192, 64, 32, 4)
+        dev = self.device(l1, l2)
+        addrs = strided_ring(1536, 32, base=4096)
+        dev.flush_caches()
+        warm(dev, self.KIND, addrs, stride=32)
+        hits, _ = probe_hits(dev, self.KIND, addrs, stride=32)
+        assert hits.all()  # the ring fits: every probe hits the first level
+        assert l1.holds_fixed_point(4096, 1536, 32)
+        assert l1._valid_sets == 0  # no row was materialised
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry_and_ring(),
+        st.sampled_from(["prefix", "base", "stride", "two_rings", "materialised"]),
+    )
+    def test_fast_path_does_not_fire_without_proof(self, params, case):
+        size, line, fg, ways, stride, addrs = params
+        geom = (size, line, fg, ways)
+        warms = [(addrs, stride)]
+        probe_addrs = addrs
+        prepare = None
+        if case == "prefix":
+            if len(addrs) < 2:
+                return
+            probe_addrs = addrs[: len(addrs) - 1]
+        elif case == "base":
+            probe_addrs = addrs + stride
+        elif case == "stride":
+            wide = strided_ring(len(addrs) * 2 * stride, 2 * stride, int(addrs[0]))
+            warms = [(wide, 2 * stride)]
+        elif case == "two_rings":
+            warms = [(addrs, stride), (addrs + 64 * size, stride)]
+        else:
+            prepare = SimCache.resident_lines  # forces materialisation
+        hinted = self.probe(geom, warms, probe_addrs, stride, prepare)
+        unhinted = self.probe(geom, warms, probe_addrs, None, prepare)
+        assert not hinted["fired"]
+        self.assert_same(hinted, unhinted)
+
+    def test_partial_wrap_does_not_fire(self):
+        """``n % ring != 0``: the cut prefix would move the state."""
+        l1 = SimCache(2048, 64, 32, 2)
+        l2 = SimCache(8192, 64, 32, 4)
+        addrs = strided_ring(1536, 32)
+        l1.warm_fixed_point(0, 1536, 32)
+        l2.warm_fixed_point(0, 1536, 32)
+        path = LoadPath(self.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
+        _walk_many(path, addrs, len(addrs) + 3, None, 32, False)
+        assert not l1.holds_fixed_point(0, 1536, 32)
+        l1.warm_fixed_point(0, 1536, 32)
+        l1.chase_cyclic(addrs, len(addrs) + 3, warmed=True, stride=32)
+        assert not l1.holds_fixed_point(0, 1536, 32)

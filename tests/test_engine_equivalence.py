@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro import MT4G, SimulatedGPU
+from repro.core.benchmarks.base import BenchmarkContext
+from repro.core.benchmarks.sharing import measure_sl1d_sharing
 from repro.gpusim.isa import LoadKind
 from repro.gpusim.kernel import pchase_addresses, probe_hits, run_pchase, warm
 from repro.pchase import PChaseConfig, PChaseRunner
@@ -92,10 +94,31 @@ class TestRunPchaseEquivalence:
         ) * 0.99
 
 
+# (B as large as A, SM that warms B, probe stride hint); ids read e.g.
+# "True-sm1-stride32" and omit the SM-0 and no-hint defaults.
+PROBE_CASES = [
+    pytest.param(
+        shared,
+        b_sm,
+        hint,
+        id="-".join(
+            [str(shared)] + [f"sm{b_sm}"] * bool(b_sm) + [f"stride{hint}"] * bool(hint)
+        ),
+    )
+    for shared in (True, False)
+    for b_sm in (0, 1)
+    for hint in (None, 32)
+]
+
+
 class TestProbeEquivalence:
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_probe_hits_identical(self, shared):
-        """Warm-A / warm-B / probe-A protocol rounds match per engine."""
+    @pytest.mark.parametrize("shared,b_sm,hint", PROBE_CASES)
+    def test_probe_hits_identical(self, shared, b_sm, hint):
+        """Warm-A / warm-B / probe-A protocol rounds match per engine.
+
+        With B warmed from another SM, A's L1 still holds A's deferred
+        fixed point, so a ``stride`` hint answers the probe from it.
+        """
         results = {}
         for engine in ("analytic", "exact"):
             device = fresh()
@@ -105,14 +128,48 @@ class TestProbeEquivalence:
             addrs_b = pchase_addresses(b, 6 * 1024 if shared else 512, 32)
             device.flush_caches()
             warm(device, LoadKind.LD_GLOBAL_CA, addrs_a, stride=32, engine=engine)
-            warm(device, LoadKind.LD_GLOBAL_CA, addrs_b, stride=32, engine=engine)
-            hits, lat = probe_hits(
-                device, LoadKind.LD_GLOBAL_CA, addrs_a, engine=engine
+            warm(
+                device,
+                LoadKind.LD_GLOBAL_CA,
+                addrs_b,
+                sm=b_sm,
+                stride=32,
+                engine=engine,
             )
-            results[engine] = (hits, lat, device.elapsed_seconds())
+            hits, lat = probe_hits(
+                device, LoadKind.LD_GLOBAL_CA, addrs_a, stride=hint, engine=engine
+            )
+            results[engine] = (
+                hits,
+                lat,
+                device.elapsed_seconds(),
+                device.total_loads,
+                device.noise.rng.random(),
+            )
         assert np.array_equal(results["analytic"][0], results["exact"][0])
         assert np.array_equal(results["analytic"][1], results["exact"][1])
-        assert results["analytic"][2] == results["exact"][2]
+        assert results["analytic"][2:] == results["exact"][2:]
+
+    @pytest.mark.parametrize("preset,max_cus", [("TestGPU-AMD", None), ("MI210", 12)])
+    def test_sl1d_sharing_identical(self, preset, max_cus):
+        """The all-pairs sL1d protocol: same partners, time, loads and RNG."""
+        results = {}
+        for engine in ("analytic", "exact"):
+            device = SimulatedGPU.from_preset(preset, seed=5)
+            ctx = BenchmarkContext(device, PChaseConfig(engine=engine))
+            sl1d = device.spec.cache("sL1d")
+            m = measure_sl1d_sharing(
+                ctx, sl1d.size, sl1d.fetch_granularity, max_cus=max_cus
+            )
+            results[engine] = (
+                m.value,
+                m.detail,
+                device.elapsed_seconds(),
+                device.total_loads,
+                device.noise.rng.random(),
+            )
+        assert results["analytic"] == results["exact"]
+        assert any(results["analytic"][0].values())  # some CUs do share
 
 
 class TestRunnerEquivalence:

@@ -25,13 +25,16 @@ p-chase passes, some over 50 MB L2 footprints):
 * :meth:`warm_cyclic` installs the *end state* of a full cyclic pass
   analytically — for uniform strided rings the grouping is a pure
   counting pass (no ``argsort``), merges onto a non-empty cache are a
-  handful of vectorised row operations;
+  handful of vectorised row operations; only sets holding a line inside
+  the generation's resident [min, max] tag bound are replayed per line;
 * :meth:`chase_cyclic` computes the hit/miss vector of the *timed* pass
   of a p-chase analytically from per-set occupancy (line counts vs.
   associativity, per-sector valid masks) — zero per-load Python — and
-  applies the exact end state for the sampled prefix; a warmed pass that
-  leaves the state alone is answered from the deferred warm descriptor
-  (no rows materialised);
+  applies the exact end state for the sampled prefix; it reads only
+  the first ``min(ring, n_samples)`` addresses (the ring length is
+  passed separately, so callers need not build the whole ring), and a
+  warmed pass that leaves the state alone is answered from the deferred
+  warm descriptor (no rows materialised);
 * :meth:`pass_monotone` is the batch equivalent of a monotone
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
@@ -109,8 +112,9 @@ class SimCache:
         "_gen",
         "_set_gen",
         "_valid_sets",
+        "_line_min",
         "_line_max",
-        "_line_max_gen",
+        "_line_gen",
         "_virtual",
         "hits",
         "sector_misses",
@@ -146,11 +150,14 @@ class SimCache:
         self._gen = 1
         self._set_gen = np.zeros(self.num_sets, dtype=np.int64)
         self._valid_sets = 0
-        # Largest line tag installed in the current generation: lets a
-        # merge prove "no incoming line can match resident content"
-        # (suffix-extension warms share at most the boundary line) in O(1).
+        # Smallest and largest line tags installed in the current
+        # generation: every resident line lies in [min, max], so a merge
+        # proves "this incoming line cannot match resident content" in
+        # O(1) for lines outside it (suffix-extension warms share at most
+        # the boundary line; a ring below every resident line shares none).
+        self._line_min = 0
         self._line_max = -1
-        self._line_max_gen = 0
+        self._line_gen = 0
         # Deferred warm state: (starts_from_flush, [(base, nbytes, stride)]).
         # While set, the logical state is the current rows (after a flush,
         # when the flag is set) warmed with the listed rings in order, but
@@ -275,16 +282,23 @@ class SimCache:
             addrs = base + np.arange(nbytes // stride, dtype=np.int64) * stride
             self.warm_cyclic(addrs, stride=stride)
 
-    def _note_lines(self, line_max: int) -> None:
-        """Track the largest line tag installed this generation."""
-        if self._line_max_gen != self._gen:
+    def _note_lines(self, line_min: int, line_max: int) -> None:
+        """Widen this generation's [min, max] bound by installed lines."""
+        if self._line_gen != self._gen:
+            self._line_min = int(line_min)
             self._line_max = int(line_max)
-            self._line_max_gen = self._gen
-        elif line_max > self._line_max:
+            self._line_gen = self._gen
+            return
+        if line_min < self._line_min:
+            self._line_min = int(line_min)
+        if line_max > self._line_max:
             self._line_max = int(line_max)
 
-    def _current_line_max(self) -> int:
-        return self._line_max if self._line_max_gen == self._gen else -1
+    def _line_bounds(self) -> tuple[int, int]:
+        """[min, max] of every line installed this generation ((0, -1): none)."""
+        if self._line_gen == self._gen:
+            return self._line_min, self._line_max
+        return 0, -1
 
     # ------------------------------------------------------------------ #
     # exact per-access simulation                                         #
@@ -334,7 +348,7 @@ class SimCache:
         tags[ways - 1] = line
         masks[ways - 1] = sector_bit
         self.line_misses += 1
-        self._note_lines(line)
+        self._note_lines(line, line)
         return False
 
     def access_many(self, addrs: np.ndarray) -> np.ndarray:
@@ -506,21 +520,29 @@ class SimCache:
         return ent["rank"][:n]
 
     def _ring_set_counts(
-        self, addrs: np.ndarray, stride: int | None, query_lines: np.ndarray
+        self,
+        addrs: np.ndarray,
+        ring: int,
+        stride: int | None,
+        query_lines: np.ndarray,
     ) -> np.ndarray:
         """Ring-wide per-set line counts, looked up for ``query_lines``.
 
-        For uniform strides at or below the line size the counts follow
-        from arithmetic (O(len(query_lines))); otherwise one O(len(ring))
-        counting pass is made.
+        ``addrs`` may be a prefix of the ``ring``-load ring (``stride``
+        given).  For uniform strides at or below the line size the counts
+        follow from arithmetic (O(len(query_lines))); otherwise the whole
+        ring is built if need be and one O(ring) counting pass is made.
         """
         line = self.line_size
         sets_total = self.num_sets
+        a0 = int(addrs[0])
         if stride is not None and 0 < stride <= line:
-            l0 = int(addrs[0]) // line
-            m = int(addrs[-1]) // line - l0 + 1
+            l0 = a0 // line
+            m = (a0 + (ring - 1) * stride) // line - l0 + 1
             offs = (query_lines - l0) % sets_total
             return m // sets_total + (offs < m % sets_total)
+        if addrs.size < ring:
+            addrs = a0 + np.arange(ring, dtype=np.int64) * stride
         lines = addrs // line
         if stride is not None and stride >= line:
             # Every address is a distinct line — no run detection needed.
@@ -560,7 +582,7 @@ class SimCache:
         self._valid_sets += int(touched.size)
         self._tags[kept_sets, kept_ways] = uniq_lines[keep]
         self._masks[kept_sets, kept_ways] = line_masks[keep]
-        self._note_lines(int(uniq_lines[-1]))
+        self._note_lines(int(uniq_lines[0]), int(uniq_lines[-1]))
 
     def _incoming_rows(
         self,
@@ -629,7 +651,9 @@ class SimCache:
             for w, (tag, mask) in enumerate(row):
                 row_t[pad + w] = tag
                 row_m[pad + w] = mask
-            self._note_lines(max(line for line, _ in events))
+            self._note_lines(
+                min(line for line, _ in events), max(line for line, _ in events)
+            )
 
     def _merge_rows(
         self,
@@ -662,7 +686,7 @@ class SimCache:
             self._masks[touched] = inc_masks
             self._set_gen[touched] = self._gen
             self._valid_sets += int(stale.sum())
-            self._note_lines(int(inc_tags.max()))
+            self._note_lines(int(inc_tags.min()), int(inc_tags.max()))
             return None
         old_tags, old_masks, stale = self._gather_rows(touched)
         surv = old_tags != -1
@@ -695,7 +719,7 @@ class SimCache:
             self._masks[touched[part]] = cat_masks
         self._set_gen[touched] = self._gen
         self._valid_sets += int(stale.sum())
-        self._note_lines(int(inc_tags.max()))
+        self._note_lines(int(inc_tags[valid_inc].min()), int(inc_tags.max()))
         return evictions
 
     def _merge_rows_small(
@@ -730,7 +754,10 @@ class SimCache:
             for w, (tag, mask) in enumerate(merged):
                 row_t[pad + w] = tag
                 row_m[pad + w] = mask
-            self._note_lines(merged[-1][0])
+            if incoming:
+                self._note_lines(
+                    min(tag for tag, _ in incoming), max(tag for tag, _ in incoming)
+                )
 
     def _promote_rows(
         self,
@@ -789,12 +816,14 @@ class SimCache:
         if self._valid_sets == 0:
             self._fresh_install(uniq, masks, sets, from_end, touched)
         else:
-            # A pass line at or below the largest resident tag may re-access
-            # a resident line; whether it hits depends on the evictions the
-            # pass itself performed earlier in that set, so those few sets
-            # are replayed exactly.  Lines above the bound are provably
-            # absent — their sets take the vectorised pure-insert path.
-            cand_line = uniq <= self._current_line_max()
+            # A pass line inside the resident [min, max] tag bound may
+            # re-access a resident line; whether it hits depends on the
+            # evictions the pass itself performed earlier in that set, so
+            # those few sets are replayed exactly.  Lines outside the bound
+            # are provably absent — their sets take the vectorised
+            # pure-insert path.
+            lo, hi = self._line_bounds()
+            cand_line = (uniq >= lo) & (uniq <= hi)
             if cand_line.any():
                 in_cand_set = np.zeros(self.num_sets, dtype=bool)
                 in_cand_set[sets[cand_line]] = True
@@ -827,12 +856,17 @@ class SimCache:
         warmed: bool = True,
         stride: int | None = None,
         update_state: bool = True,
+        ring: int | None = None,
     ) -> np.ndarray | None:
         """Analytic timed pass of a cyclic monotone p-chase.
 
         Computes the hit/miss vector of the first ``n_samples`` loads of
-        the cyclic walk ``addrs[i % len(addrs)]`` directly from per-set
-        occupancy, with zero per-load Python:
+        the cyclic walk ``addrs[i % ring]`` directly from per-set
+        occupancy, with zero per-load Python.  ``ring`` is the ring
+        length; ``None`` means ``len(addrs)``.  Only the first
+        ``min(ring, n_samples)`` addresses are ever read, so with
+        ``stride`` given ``addrs`` may hold just that sampled prefix (a
+        p-chase stores only its first N latencies, Section IV-A):
 
         * a set holding ``k <= ways`` ring lines serves every access from
           the warmed state (pure hits);
@@ -862,7 +896,7 @@ class SimCache:
         pinned by property tests.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
-        ring = int(addrs.size)
+        ring = int(addrs.size) if ring is None else int(ring)
         if ring == 0 or n_samples <= 0:
             return None
         if stride is None and ring > 1 and not (np.diff(addrs) >= 0).all():
@@ -894,7 +928,7 @@ class SimCache:
         dup[0] = False
         np.equal(sec_key[1:], sec_key[:-1], out=dup[1:])
 
-        counts = self._ring_set_counts(addrs, stride, uniq)
+        counts = self._ring_set_counts(addrs, ring, stride, uniq)
         thrash_line = counts > ws
         thrash = thrash_line[run_ids]
         steady = ~thrash | dup
@@ -929,10 +963,9 @@ class SimCache:
 
         if update_state:
             if not warmed:
-                base_seq = addrs if wraps >= 1 else sub
-                if base_seq.size:
-                    u, m, s, fe, t = self._ring_structure(base_seq, stride)
-                    self._fresh_install(u, m, s, fe, t)
+                # With a wrap the sampled prefix is the whole ring.
+                u, m, s, fe, t = self._ring_structure(sub, stride)
+                self._fresh_install(u, m, s, fe, t)
                 if wraps >= 1 and rem:
                     self._apply_warm_prefix(
                         sub, rem, lines, bits, run_first, run_ids, uniq, counts

@@ -78,8 +78,17 @@ class KernelLaunch:
         return self.blocks * self.threads_per_block
 
 
-def pchase_addresses(base: int, nbytes: int, stride: int) -> np.ndarray:
-    """Addresses of one pass through a strided p-chase ring."""
+def pchase_addresses(
+    base: int, nbytes: int, stride: int, limit: int | None = None
+) -> np.ndarray:
+    """Addresses of one pass through a strided p-chase ring.
+
+    The ring is ``nbytes // stride`` loads of ``stride`` bytes from
+    ``base``.  ``limit`` keeps only the first ``limit`` addresses — all a
+    timed pass of ``limit`` samples reads, since the pattern repeats
+    (Section IV-A).  The ring length is then not ``len(result)``; callers
+    carry it separately as ``nbytes // stride``.
+    """
     if stride <= 0:
         raise SimulationError("stride must be positive")
     if nbytes < stride:
@@ -87,6 +96,8 @@ def pchase_addresses(base: int, nbytes: int, stride: int) -> np.ndarray:
             f"array of {nbytes} B cannot hold a single {stride} B element"
         )
     count = nbytes // stride
+    if limit is not None:
+        count = min(count, limit)
     return base + np.arange(count, dtype=np.int64) * stride
 
 
@@ -110,9 +121,11 @@ def _pass_filtered(
 
     The pending positions of each ring revolution form a monotone
     subsequence, which :meth:`SimCache.pass_monotone` replays exactly on
-    whatever state the cache is in.  Returns a full-length hit vector
-    (False at non-pending positions), or ``None`` if a segment cannot be
-    replayed in batch.
+    whatever state the cache is in.  ``addrs`` may be the sampled prefix
+    of a longer ring: a ring longer than ``n_samples`` is never wrapped,
+    so its first ``n_samples`` addresses are the whole walk.  Returns a
+    full-length hit vector (False at non-pending positions), or ``None``
+    if a segment cannot be replayed in batch.
     """
     ring = len(addrs)
     out = np.zeros(n_samples, dtype=bool)
@@ -135,10 +148,13 @@ def _walk_many(
     warmed: bool | None,
     stride: int | None,
     preserve_warm_state: bool,
+    ring: int | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
     """Batch timed pass over a cyclic ring: per-load latency vector.
 
-    Combines the per-level analytic hit vectors into one latency vector:
+    ``ring`` is the ring length when ``addrs`` holds only the sampled
+    prefix (its first ``min(ring, n_samples)`` addresses; needs
+    ``stride``); ``None`` means ``addrs`` is the whole ring.  Combines the per-level analytic hit vectors into one latency vector:
     a load observes the latency of the first level it hits, and levels
     below a hit are not accessed (the ``pending`` cascade).  ``warmed``
     mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
@@ -164,7 +180,7 @@ def _walk_many(
     pending = np.ones(n, dtype=bool)
     first_hits: np.ndarray | None = None
     preserved = preserve_warm_state and warmed is not None
-    ring = len(addrs)
+    ring = len(addrs) if ring is None else int(ring)
     ring_nbytes = ring * stride if stride is not None else 0
     restorable = (
         preserve_warm_state and warmed is True and stride is not None and ring > 0
@@ -184,9 +200,12 @@ def _walk_many(
                 warmed=warmed,
                 stride=stride,
                 update_state=not preserve_warm_state,
+                ring=ring,
             )
         if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
-            return cache.chase_cyclic(addrs, n, warmed=True, stride=stride)
+            return cache.chase_cyclic(
+                addrs, n, warmed=True, stride=stride, ring=ring
+            )
         return None
 
     def filtered(cache, mask: np.ndarray) -> np.ndarray | None:
@@ -227,27 +246,34 @@ def warm(
     core: int = 0,
     stride: int | None = None,
     engine: str = "analytic",
+    ring: int | None = None,
 ) -> None:
     """One untimed pass: populate every cache on the path (Section IV-A).
 
     With the analytic engine and a uniform-stride ring the warm is
     deferred per cache (:meth:`SimCache.warm_cyclic_lazy`): protocols warm
     caches on the whole path but typically probe only the first level, and
-    the next flush discards the untouched warms for free.
+    the next flush discards the untouched warms for free.  The deferred
+    warm needs only ``addrs[0]`` and the ring length, so ``addrs`` may be
+    a prefix when ``ring`` (with ``stride``) gives the true length; the
+    whole ring is built only for a warm that replays it.
     """
     path = device.resolve_path(kind, sm, core)
-    lazy = engine == "analytic" and stride is not None and len(addrs) > 0
+    n_ring = len(addrs) if ring is None else int(ring)
+    lazy = engine == "analytic" and stride is not None and n_ring > 0
+    if not lazy and len(addrs) < n_ring:
+        addrs = pchase_addresses(int(addrs[0]), n_ring * stride, stride)
     caches = [c for c, _ in path.levels] + list(path.side_effects)
     for cache in caches:
         if lazy:
-            cache.warm_cyclic_lazy(int(addrs[0]), len(addrs) * stride, stride)
+            cache.warm_cyclic_lazy(int(addrs[0]), n_ring * stride, stride)
         else:
             cache.warm_cyclic(addrs, stride=stride)
     first_latency = path.levels[0][1] if path.levels else path.terminal_latency
     # Protocol warms are charged at first-level hit latency irrespective
     # of cache state (the run_pchase cold-warm miss surcharge relies on
     # knowing a flush preceded; this standalone warm cannot know that).
-    device.account_loads(len(addrs), len(addrs) * first_latency)
+    device.account_loads(n_ring, n_ring * first_latency)
 
 
 def probe_hits(
@@ -374,6 +400,12 @@ def run_pchase_ex(
     ``preserve_warm_state`` asks the analytic timed pass to leave the
     caches at the warm fixed point so the *next* sweep size can extend it.
 
+    Only the sampled addresses are generated: the timed pass reads at
+    most the first ``min(ring, n_samples)`` of them, and the ring length
+    ``nbytes // stride`` travels separately.  The whole ring is built
+    only for a warm that replays it load by load (the exact engine, or a
+    warm onto unflushed state).
+
     Returns ``(latencies, preserved)``; ``preserved`` is True only when
     the fixed point was actually kept (analytic pass, no fallback).
     """
@@ -403,8 +435,8 @@ def run_pchase_ex(
         device.account_loads(n_samples, float(base_lat.sum()))
         return device.noise.perturb(base_lat), False
 
-    addrs = pchase_addresses(base, nbytes, stride)
-    n_ring = len(addrs)
+    addrs = pchase_addresses(base, nbytes, stride, limit=n_samples)
+    n_ring = nbytes // stride
     caches = [c for c, _ in path.levels] + list(path.side_effects)
     if warmup_passes > 0:
         # One executed pass stands in for all requested passes: a repeated
@@ -434,8 +466,9 @@ def run_pchase_ex(
         else:
             # Exact engine, or a warm onto unknown (unflushed) state:
             # incremental reuse never applies here.
+            ring_addrs = pchase_addresses(base, nbytes, stride)
             for cache in caches:
-                cache.warm_cyclic(addrs, stride=stride)
+                cache.warm_cyclic(ring_addrs, stride=stride)
 
     base_lat = None
     preserved = False
@@ -445,7 +478,7 @@ def run_pchase_ex(
         else:
             warmed = None  # unknown prior state: arbitrary-state batch walk
         base_lat, _, preserved = _walk_many(
-            path, addrs, n_samples, warmed, stride, preserve_warm_state
+            path, addrs, n_samples, warmed, stride, preserve_warm_state, n_ring
         )
     if base_lat is None:
         base_lat = np.empty(n_samples, dtype=np.float64)

@@ -269,15 +269,18 @@ class PChaseRunner:
     ) -> None:
         """Untimed warm pass over a buffer (protocol building block)."""
         base = self.buffer(kind, nbytes, slot)
-        addrs = base + np.arange(nbytes // stride, dtype=np.int64) * stride
+        count = nbytes // stride
+        # The first address and the ring length describe the ring; the
+        # kernel builds the rest only for a warm that replays every load.
         warm(
             self.device,
             kind,
-            addrs,
+            base + np.arange(min(count, 1), dtype=np.int64) * stride,
             sm=sm,
             core=core,
             stride=stride,
             engine=self.config.engine,
+            ring=count,
         )
 
     def probe(

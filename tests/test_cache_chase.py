@@ -11,7 +11,10 @@ ring sizes, sample counts (including multi-wrap chases), warm/cold
 starts and post-flush generations, plus the automatic exact fallback on
 non-monotone sequences.  A protocol probe answered from the deferred
 warm descriptor must be indistinguishable from one that materialises
-the rows and replays the ring.
+the rows and replays the ring, a timed pass handed only the sampled
+prefix of its ring must be indistinguishable from one handed the whole
+ring, and a warm that skips the per-set replay for lines outside the
+resident [min, max] tag bound must still land on the exact end state.
 """
 
 import numpy as np
@@ -490,3 +493,171 @@ class TestProbeFromDescriptor:
         l1.warm_fixed_point(0, 1536, 32)
         l1.chase_cyclic(addrs, len(addrs) + 3, warmed=True, stride=32)
         assert not l1.holds_fixed_point(0, 1536, 32)
+
+
+def samples_for(ring: int):
+    """Sample counts below the ring length (a prefix) and above it (wraps)."""
+    return st.integers(min_value=1, max_value=min(3 * ring, 2000))
+
+
+class TestSampledPrefix:
+    """A timed pass handed only the addresses it samples.
+
+    ``run_pchase_ex`` builds the first ``min(ring, n)`` addresses and
+    passes the ring length separately; ``_walk_many`` — and through it
+    :meth:`SimCache.chase_cyclic` and the filtered walker — must behave
+    exactly as when handed the whole ring, in every cache state a timed
+    pass can start from.
+    """
+
+    KIND = LoadKind.S_LOAD
+
+    def run(self, geom, addrs, stride, n, state, update_state, prefix):
+        size, line, fg, ways = geom
+        l1 = SimCache(size, line, fg, ways)
+        l2 = SimCache(4 * size, line, fg, 2 * ways)
+        dev = TestProbeFromDescriptor.device(l1, l2)
+        dev.flush_caches()
+        base, nbytes = int(addrs[0]), len(addrs) * stride
+        for cache in (l1, l2):
+            if state in ("fixed_point", "unknown_descriptor"):
+                cache.warm_fixed_point(base, nbytes, stride)
+            elif state == "unknown":
+                # Foreign lines overlapping the ring's start, then one
+                # unflushed warm of the ring: a mixed arbitrary state.
+                cache.warm_cyclic(strided_ring(2 * size, line, max(0, base - size)))
+                cache.warm_cyclic(addrs, stride=stride)
+        warmed = {"fixed_point": True, "cold": False}.get(state)
+        ring = len(addrs)
+        lat, first, preserved = _walk_many(
+            dev.resolve_path(self.KIND),
+            addrs[: min(ring, n)] if prefix else addrs,
+            n,
+            warmed,
+            stride,
+            not update_state,
+            ring if prefix else None,
+        )
+        noisy = None
+        if lat is not None:
+            dev.account_loads(n, float(lat.sum()))
+            noisy = dev.noise.perturb(lat)
+        return {
+            "lat": lat,
+            "first": first,
+            "noisy": noisy,
+            "preserved": preserved,
+            "stats": (stats(l1), stats(l2)),
+            "snapshots": (l1.snapshot(), l2.snapshot()),
+            "elapsed": dev.elapsed_seconds(),
+            "next_draw": dev.noise.rng.random(),
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry_and_ring(),
+        st.data(),
+        st.sampled_from(["fixed_point", "cold", "unknown", "unknown_descriptor"]),
+        st.booleans(),
+    )
+    def test_prefix_matches_whole_ring(self, params, data, state, update_state):
+        """Rings shorter and longer than n; strides below, at, above a line."""
+        size, line, fg, ways, stride, addrs = params
+        n = data.draw(samples_for(len(addrs)))
+        geom = (size, line, fg, ways)
+        got = self.run(geom, addrs, stride, n, state, update_state, prefix=True)
+        ref = self.run(geom, addrs, stride, n, state, update_state, prefix=False)
+        for key in ("lat", "first", "noisy"):
+            assert (got[key] is None) == (ref[key] is None), key
+            if ref[key] is not None:
+                assert np.array_equal(got[key], ref[key]), key
+        for key in ("preserved", "stats", "snapshots", "elapsed", "next_draw"):
+            assert got[key] == ref[key], key
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry_and_ring(), st.data(), st.booleans())
+    def test_chase_cyclic_prefix_matches_whole_ring(self, params, data, warmed):
+        size, line, fg, ways, stride, addrs = params
+        ring = len(addrs)
+        n = data.draw(samples_for(ring))
+        caches = [SimCache(size, line, fg, ways) for _ in range(2)]
+        hits = []
+        for cache, arg, ring_arg in zip(caches, (addrs[: min(ring, n)], addrs), (ring, None)):
+            if warmed:
+                cache.warm_cyclic(addrs, stride=stride)
+            hits.append(
+                cache.chase_cyclic(arg, n, warmed=warmed, stride=stride, ring=ring_arg)
+            )
+        assert np.array_equal(hits[0], hits[1])
+        assert stats(caches[0]) == stats(caches[1])
+        assert caches[0].snapshot() == caches[1].snapshot()
+
+
+class ReplayAll(SimCache):
+    """A cache that assumes any line may be resident: every set replays."""
+
+    def _line_bounds(self) -> tuple[int, int]:
+        return 0, 1 << 62
+
+
+class TestLineBound:
+    """``warm_cyclic`` skips the replay for lines outside [min, max].
+
+    Every resident line lies inside the generation's tag bound, so a ring
+    wholly below, wholly above, or straddling the resident lines must
+    reach the exact :meth:`SimCache.access` end state, and the same
+    counters as a warm that replays every set.  Re-warming a ring placed
+    below the first one catches a bound whose minimum never moves.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry_and_ring(),
+        st.lists(
+            st.sampled_from(["below", "above", "straddle", "again"]),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=64),
+    )
+    def test_warm_matches_exact_loop(self, params, placements, gap):
+        size, line, fg, ways, stride, ring = params
+        extent = len(ring) * stride
+        gap *= 4
+        ring = ring + 40 * size + 4 * gap  # room for four rings below
+        caches = [SimCache(size, line, fg, ways), ReplayAll(size, line, fg, ways)]
+        exact = SimCache(size, line, fg, ways)
+        lo, hi = int(ring[0]), int(ring[-1])
+        prev = ring
+        for placement in ["first"] + placements:
+            if placement == "below":
+                addrs = ring - int(ring[0]) + lo - extent - gap
+            elif placement == "above":
+                addrs = ring - int(ring[0]) + hi + stride + gap
+            elif placement == "straddle":
+                addrs = ring - int(ring[0]) + (lo + hi) // 2 // 4 * 4
+            elif placement == "again":
+                addrs = prev
+            else:
+                addrs = ring
+            for cache in caches:
+                cache.warm_cyclic(addrs, stride=stride)
+            exact.access_many(addrs)
+            lo, hi = min(lo, int(addrs[0])), max(hi, int(addrs[-1]))
+            prev = addrs
+        assert caches[0].snapshot() == exact.snapshot()
+        assert caches[0].snapshot() == caches[1].snapshot()
+        assert stats(caches[0]) == stats(caches[1])
+
+    def test_ring_below_resident_lines_is_not_replayed(self, monkeypatch):
+        replayed = []
+        monkeypatch.setattr(
+            SimCache, "_replay_merge", lambda self, lines, *_: replayed.append(lines)
+        )
+        cache = SimCache(2048, 64, 32, 2)
+        cache.warm_cyclic(strided_ring(1024, 32, base=1 << 20), stride=32)
+        cache.warm_cyclic(strided_ring(1024, 32, base=4096), stride=32)
+        assert replayed == []
+        # Control: a ring straddling the resident lines does replay.
+        cache.warm_cyclic(strided_ring(1 << 20, 32, base=4096), stride=32)
+        assert replayed

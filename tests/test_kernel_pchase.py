@@ -1,5 +1,7 @@
 """Tests for the kernel engine and the host-side p-chase runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.gpusim.kernel import (
     pchase_addresses,
     probe_hits,
     run_pchase,
+    run_pchase_ex,
     run_stream_kernel,
     warm,
 )
@@ -34,6 +37,33 @@ class TestAddressGeneration:
     def test_bad_stride(self):
         with pytest.raises(SimulationError):
             pchase_addresses(0, 256, 0)
+
+    def test_limit_keeps_the_sampled_prefix(self):
+        assert pchase_addresses(1000, 256, 64, limit=2).tolist() == [1000, 1064]
+        assert pchase_addresses(1000, 256, 64, limit=9).tolist() == [
+            1000, 1064, 1128, 1192,
+        ]
+
+    def test_fresh_runs_build_only_sampled_addresses(self):
+        """A fresh analytic p-chase allocates O(n_samples), not O(ring).
+
+        Four A100 L2 rings of 32-44 MiB at stride 32 are 1-1.4 M loads
+        each; a whole-ring address array would be 8-11.5 MB.
+        """
+        dev = SimulatedGPU.from_preset("A100", seed=0)
+        kind = LoadKind.LD_GLOBAL_CG
+        base = dev.alloc(kind, 44 << 20)
+        dev.resolve_path(kind)  # instantiates the L2 model (5 MB of rows)
+        tracemalloc.start()
+        try:
+            for mib in (32, 36, 40, 44):
+                run_pchase_ex(
+                    dev, kind, base, mib << 20, 32, flush=True, preserve_warm_state=True
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRunPchase:

@@ -38,9 +38,11 @@ __all__ = [
 ]
 
 #: Salt mixed into every key.  Bump when the *payload* schema changes
-#: (report model, measurement dataclass, stored sidecar state) so stale
-#: entries become unreachable instead of unpicklable surprises.
-SCHEMA_VERSION = 1
+#: (report model, measurement dataclass, stored sidecar state) or when
+#: the same inputs now measure different report bytes, so stale entries
+#: become unreachable instead of unpicklable surprises or old answers.
+#: 2: the ConstL1 latency probes 10 % inside the measured size.
+SCHEMA_VERSION = 2
 
 
 def _tool_version() -> str:

@@ -647,7 +647,12 @@ class MT4G:
         if size15.conclusive:
             self._measured_sizes["ConstL1.5"] = int(size15.value)
 
-        self._latency_element(cl1, kind, "ConstL1", array_bytes=cl1_size)
+        # Like every other cache, probe 10 % inside the measured size: an
+        # overestimate by one sweep stride would otherwise thrash the ring
+        # and read the next level's latency.
+        self._latency_element(
+            cl1, kind, "ConstL1", array_bytes=self._latency_array("ConstL1") or cl1_size
+        )
         self._latency_element(
             cl15, kind, "ConstL1.5", array_bytes=min(8 * cl1_size, _CONST_BANK)
         )
@@ -942,11 +947,10 @@ class MT4G:
             )
         stride = self._fg(element)
         if element == "ConstL1":
-            # The pipeline probes with a ring of exactly the measured
-            # size; if that size is one sweep-stride too large (a routine
-            # overestimate, cf. Table III's 2.1 KiB), the ring thrashes
-            # and the latency reads high.  The re-measurement keeps the
-            # same 10 % in-cache margin the generic caches use.
+            # The same 10 % in-cache margin as the pipeline's
+            # ``_latency_array`` (a size one sweep stride too large, cf.
+            # Table III's 2.1 KiB, would thrash the ring); an inconclusive
+            # size falls back to the nominal 2 KiB, also margined.
             measured = self._measured_sizes.get("ConstL1", 2 * KiB)
             array = max(stride, int(measured * 0.9) // stride * stride)
         elif element == "ConstL1.5":

@@ -325,28 +325,37 @@ def _report_key(
         raise HTTPError(404, str(exc)) from None
 
 
-def _off_loop(fn, *args, executor=None):
-    """``run_in_executor`` that carries the active span context along.
+def _off_loop(service: "TopologyService", fn, *args, pool: str = "default"):
+    """``run_in_executor`` that counts busy threads and carries the span
+    context along.
 
+    Every off-loop call a handler makes goes through here, on the loop's
+    default pool or (``pool="store_reads"``) the service's own
+    ``store_reads`` pool.  While ``fn`` runs, the pool's
+    ``busy_threads`` gauge counts it, so a pool whose every thread is
+    blocked shows in ``/metrics`` instead of stalling silently.  (The
+    job queue's fire-and-forget sidecar writes also use the default
+    pool and are not counted.)
     ``loop.run_in_executor`` does not copy contextvars into the worker
-    thread, so without this the store/tier spans recorded under an
-    off-loop read would silently detach from their request trace.  With
-    tracing off this is exactly the plain call (one ``None`` check).
-    ``executor`` None is the loop's default pool.
+    thread, so without the hand-over the store/tier spans recorded
+    under an off-loop read would silently detach from their request
+    trace.
     """
-    loop = asyncio.get_running_loop()
+    executor = service.store_reads if pool == "store_reads" else None
+    metrics = service.metrics
     ctx = CURRENT.get()
-    if ctx is None:
-        return loop.run_in_executor(executor, fn, *args)
 
     def call():
-        token = CURRENT.set(ctx)
+        metrics.count("busy_threads", pool)
+        token = None if ctx is None else CURRENT.set(ctx)
         try:
             return fn(*args)
         finally:
-            CURRENT.reset(token)
+            if token is not None:
+                CURRENT.reset(token)
+            metrics.count("busy_threads", pool, -1)
 
-    return loop.run_in_executor(executor, call)
+    return asyncio.get_running_loop().run_in_executor(executor, call)
 
 
 async def _load_report(
@@ -377,7 +386,7 @@ async def _load_report(
     # store.get unpickles a whole report from disk (and, on a tiered
     # store, may fall through memory → disk → peer fetch) — off the loop
     # thread so a slow disk or peer never stalls every other connection.
-    payload = await _off_loop(service.store.get, key)
+    payload = await _off_loop(service, service.store.get, key)
     if payload is None:
         if service.read_only and not service.can_proxy(key):
             # A replica with no peer to lean on: the structured 404 the
@@ -403,7 +412,7 @@ async def _load_report(
                 f"discovery failed for {preset}: {job.error}",
                 retry_after=job.retry_after or service.jobs.breaker.failure_ttl,
             )
-        payload = await _off_loop(service.store.get, key)
+        payload = await _off_loop(service, service.store.get, key)
         if payload is None:
             raise HTTPError(
                 500,
@@ -429,9 +438,7 @@ async def handle_healthz(service: "TopologyService") -> HTTPResponse:
     # because liveness probes are the highest-frequency caller; the
     # catalog's short-TTL snapshot means repeated polls don't re-walk
     # the cache directory at all.
-    entries = await asyncio.get_running_loop().run_in_executor(
-        None, service.catalog.entry_count
-    )
+    entries = await _off_loop(service, service.catalog.entry_count)
     # "degraded" is still a 200 — the service is alive and serving what
     # it can; the reasons tell an operator (or orchestrator) why some
     # keys are currently failing fast.
@@ -534,7 +541,7 @@ async def handle_trace(
     if not local_only and service.ring is not None:
         peers = [n for n in service.ring.nodes if n != service.ring.self_node]
         fetched = await asyncio.gather(
-            *(_off_loop(_peer_trace_spans, node, trace_id) for node in peers)
+            *(_off_loop(service, _peer_trace_spans, node, trace_id) for node in peers)
         )
         seen = {span.get("span_id") for span in spans}
         for extra in fetched:
@@ -580,7 +587,7 @@ async def handle_store(
     if not _STORE_KEY.match(key):
         raise HTTPError(400, f"not a content-addressed store key: {key!r}")
     read_local = service.store.get_blob
-    blob = await _off_loop(read_local, key, False, executor=service.store_reads)
+    blob = await _off_loop(service, read_local, key, False, pool="store_reads")
     if blob is None and _bool_param(request, "discover"):
         if service.read_only:
             raise HTTPError(
@@ -610,7 +617,7 @@ async def handle_store(
                 f"discovery failed for {preset}: {job.error}",
                 retry_after=job.retry_after or service.jobs.breaker.failure_ttl,
             )
-        blob = await _off_loop(read_local, key, False, executor=service.store_reads)
+        blob = await _off_loop(service, read_local, key, False, pool="store_reads")
     if blob is None:
         raise HTTPError(
             404,
@@ -630,9 +637,7 @@ async def handle_devices(
     try:
         # Catalog enumeration unpickles every store entry (O(store)
         # disk work) — run it off the event loop.
-        entries = await asyncio.get_running_loop().run_in_executor(
-            None, lambda: service.catalog.entries(**filters)
-        )
+        entries = await _off_loop(service, lambda: service.catalog.entries(**filters))
     except ValueError as exc:
         raise HTTPError(400, str(exc)) from None
     return json_response(
@@ -713,7 +718,7 @@ async def handle_compare(
         result.validate()  # the PR-3 cross-device judge
         return result
 
-    result = await asyncio.get_running_loop().run_in_executor(None, build_and_judge)
+    result = await _off_loop(service, build_and_judge)
     if fmt == "markdown":
         return HTTPResponse(
             body=result.to_markdown().encode("utf-8"),
@@ -816,9 +821,7 @@ async def handle_fleet_graph(
             f"unknown grouping {group!r}; supported: {', '.join(FLEET_GROUPINGS)}",
         )
     # Catalog enumeration unpickles every store entry — off the loop.
-    entries = await asyncio.get_running_loop().run_in_executor(
-        None, service.catalog.entries
-    )
+    entries = await _off_loop(service, service.catalog.entries)
     return _graph_response(build_fleet_graph(entries, group=group), fmt)
 
 

@@ -79,6 +79,9 @@ class ServiceMetrics:
             "idle_reaped": 0,
             "write_errors": 0,
         }
+        #: executor threads running an off-loop call right now, per pool:
+        #: the service's ``store_reads`` pool and the loop's default one.
+        self.busy_threads = {"store_reads": 0, "default": 0}
 
     def observe(self, route: str, status: int, seconds: float) -> None:
         """Record one handled request against its route template."""
@@ -100,15 +103,16 @@ class ServiceMetrics:
             bucket["seconds_max"] = max(bucket["seconds_max"], seconds)
             bucket["buckets"][slot] += 1
 
-    def count(self, name: str, label: str | None = None) -> None:
+    def count(self, name: str, label: str | None = None, delta: int = 1) -> None:
         """One locked bump: ``count("bad_requests")`` bumps a scalar,
-        ``count("connections", "reused")`` one key of a labelled dict."""
+        ``count("connections", "reused")`` one key of a labelled dict;
+        a gauge bumps by ``delta`` -1 on the way down."""
         with self._lock:
             if label is None:
-                setattr(self, name, getattr(self, name) + 1)
+                setattr(self, name, getattr(self, name) + delta)
             else:
                 counts = getattr(self, name)
-                counts[label] = counts.get(label, 0) + 1
+                counts[label] = counts.get(label, 0) + delta
 
     def snapshot(
         self, store=None, jobs=None, hot_cache=None, tracer=None
@@ -140,6 +144,7 @@ class ServiceMetrics:
                     },
                     "routes": routes,
                 },
+                "busy_threads": dict(self.busy_threads),
             }
         sections = (
             ("store", store),
@@ -208,6 +213,8 @@ METRICS: tuple[tuple[tuple[str, ...], str, str, tuple[str, ...]], ...] = (
     (("store", "tiers", "*", "stores"), "mt4g_store_tier_stores_total", "counter", ("tier",)),
     (("store", "tiers", "*", "degradations", "*"), "mt4g_store_tier_degradations_total", "counter", ("tier", "kind")),
     (("store", "tiers", "peer", "inflight"), "mt4g_peer_fetches_inflight", "gauge", ()),
+    (("busy_threads", "store_reads"), "mt4g_store_reads_busy_threads", "gauge", ()),
+    (("busy_threads", "default"), "mt4g_default_executor_busy_threads", "gauge", ()),
     (("jobs", "inflight"), "mt4g_jobs_inflight", "gauge", ()),
     (("jobs", "running"), "mt4g_jobs_running", "gauge", ()),
     (("jobs", "slots"), "mt4g_jobs_slots", "gauge", ()),

@@ -10,11 +10,14 @@ every family name must be greppable as one literal in the module.
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,18 +28,25 @@ from repro.cache.tiers import DiskTier, MemoryTier, PeerTier, TieredCache
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.trace import Tracer
 from repro.serve import metrics as metrics_module
-from repro.serve.handlers import json_response
+from repro.serve.handlers import _off_loop, json_response
 from repro.serve.hotcache import HotReportCache
 from repro.serve.jobs import JobQueue
 from repro.serve.metrics import ServiceMetrics, _exposition, to_prometheus
 
 #: JSON keys and Prometheus families added after the golden capture.
-ADDED_KEYS = (("jobs", "running"), ("jobs", "slots"), ("store", "tiers", "peer", "inflight"))
+ADDED_KEYS = (
+    ("jobs", "running"),
+    ("jobs", "slots"),
+    ("store", "tiers", "peer", "inflight"),
+    ("busy_threads",),
+)
 ADDED_FAMILIES = {
     "mt4g_jobs_running",
     "mt4g_jobs_slots",
     "mt4g_peer_fetches_inflight",
     "mt4g_hot_cache_max_bytes",
+    "mt4g_store_reads_busy_threads",
+    "mt4g_default_executor_busy_threads",
 }
 
 
@@ -145,6 +155,8 @@ class TestGoldenExposition:
         assert kept == GOLDEN_PROMETHEUS
         assert "mt4g_hot_cache_max_bytes 4096\n" in added
         assert "mt4g_jobs_slots 2\n" in added
+        assert "mt4g_store_reads_busy_threads 0\n" in added
+        assert "mt4g_default_executor_busy_threads 0\n" in added
 
     def test_every_numeric_leaf_is_exactly_one_sample(self, snapshot):
         text = to_prometheus(snapshot)
@@ -227,6 +239,72 @@ class TestPeerInflightGauge:
         finally:
             sys.setswitchinterval(interval)
         assert tier.stats()["inflight"] == 0
+
+
+class TestBusyThreadGauges:
+    """``_off_loop`` counts the threads running a call, per pool."""
+
+    @staticmethod
+    def service(workers: int = 2) -> SimpleNamespace:
+        return SimpleNamespace(
+            metrics=ServiceMetrics(), store_reads=ThreadPoolExecutor(workers)
+        )
+
+    def test_counts_the_running_call_and_drops_back_after_an_error(self):
+        svc = self.service()
+        seen = []
+
+        def boom():
+            seen.append(dict(svc.metrics.busy_threads))
+            raise OSError("disk vanished")
+
+        async def main():
+            for pool in ("default", "store_reads"):
+                with pytest.raises(OSError):
+                    await _off_loop(svc, boom, pool=pool)
+
+        try:
+            asyncio.run(main())
+        finally:
+            svc.store_reads.shutdown()
+        assert seen == [
+            {"store_reads": 0, "default": 1},
+            {"store_reads": 1, "default": 0},
+        ]
+        assert svc.metrics.busy_threads == {"store_reads": 0, "default": 0}
+        assert svc.metrics.snapshot()["busy_threads"] == {"store_reads": 0, "default": 0}
+
+    def test_returns_to_zero_after_concurrent_churn(self):
+        svc = self.service(workers=2)
+        peak = {"store_reads": 0, "default": 0}
+        lock = threading.Lock()
+
+        def work(i: int, pool: str) -> int:
+            with lock:
+                peak[pool] = max(peak[pool], svc.metrics.busy_threads[pool])
+            if i % 7 == 0:
+                raise ValueError(i)
+            return i
+
+        async def main():
+            calls = [
+                _off_loop(svc, work, i, pool, pool=pool)
+                for i in range(200)
+                for pool in ("default", "store_reads")
+            ]
+            return await asyncio.gather(*calls, return_exceptions=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+            svc.store_reads.shutdown()
+        assert sum(isinstance(r, ValueError) for r in results) == 2 * 29
+        assert svc.metrics.busy_threads == {"store_reads": 0, "default": 0}
+        assert 1 <= peak["store_reads"] <= 2  # never above the pool's threads
+        assert peak["default"] >= 1
 
 
 #: ``json_response(snapshot).body`` for the golden state, rendered by

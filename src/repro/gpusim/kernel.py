@@ -154,7 +154,9 @@ def _walk_many(
 
     ``ring`` is the ring length when ``addrs`` holds only the sampled
     prefix (its first ``min(ring, n_samples)`` addresses; needs
-    ``stride``); ``None`` means ``addrs`` is the whole ring.  Combines the per-level analytic hit vectors into one latency vector:
+    ``stride``); ``None`` means ``addrs`` is the whole ring.
+
+    Combines the per-level analytic hit vectors into one latency vector:
     a load observes the latency of the first level it hits, and levels
     below a hit are not accessed (the ``pending`` cascade).  ``warmed``
     mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
@@ -203,9 +205,7 @@ def _walk_many(
                 ring=ring,
             )
         if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
-            return cache.chase_cyclic(
-                addrs, n, warmed=True, stride=stride, ring=ring
-            )
+            return cache.chase_cyclic(addrs, n, warmed=True, stride=stride, ring=ring)
         return None
 
     def filtered(cache, mask: np.ndarray) -> np.ndarray | None:

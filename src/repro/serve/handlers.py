@@ -336,6 +336,7 @@ def _off_loop(service: "TopologyService", fn, *args, pool: str = "default"):
     blocked shows in ``/metrics`` instead of stalling silently.  (The
     job queue's fire-and-forget sidecar writes also use the default
     pool and are not counted.)
+
     ``loop.run_in_executor`` does not copy contextvars into the worker
     thread, so without the hand-over the store/tier spans recorded
     under an off-loop read would silently detach from their request

@@ -34,7 +34,10 @@ p-chase passes, some over 50 MB L2 footprints):
   the first ``min(ring, n_samples)`` addresses (the ring length is
   passed separately, so callers need not build the whole ring), and a
   warmed pass that leaves the state alone is answered from the deferred
-  warm descriptor (no rows materialised);
+  warm descriptor (no rows materialised); when that pass walks a ring of
+  at most ``num_sets * ways`` lines at a stride within the line size, no
+  set is over-subscribed and the answer is closed form — every load
+  hits (the capacity cliff) — with no per-load or per-set work at all;
 * :meth:`pass_monotone` is the batch equivalent of a monotone
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
@@ -555,6 +558,18 @@ class SimCache:
         counts_per_set = np.bincount(uniq % sets_total, minlength=sets_total)
         return counts_per_set[query_lines % sets_total]
 
+    def _ring_fits(self, a0: int, ring: int, stride: int) -> bool:
+        """True when a ``stride <= line_size`` ring over-subscribes no set.
+
+        Such a ring touches every line between its first and last address,
+        and consecutive lines cycle through the sets, so no set holds more
+        than ``ceil(m / num_sets)`` of its ``m`` lines: at most ``ways``
+        exactly when ``m <= num_sets * ways`` (the capacity cliff).
+        """
+        line = self.line_size
+        m = (a0 + (ring - 1) * stride) // line - a0 // line + 1
+        return m <= self.num_sets * self.ways
+
     # ------------------------------------------------------------------ #
     # vectorised row transforms                                           #
     # ------------------------------------------------------------------ #
@@ -890,7 +905,11 @@ class SimCache:
         A warmed, stride-certified pass that leaves the state alone
         (``update_state=False``, or only full wraps — the identity on the
         fixed point) is answered from the deferred descriptor
-        (:meth:`holds_fixed_point`) without materialising rows.
+        (:meth:`holds_fixed_point`) without materialising rows.  If its
+        stride is at most the line size and the ring spans at most
+        ``num_sets * ways`` lines (:meth:`_ring_fits`), every load hits:
+        the pass returns all-True in O(1), adding ``n_samples`` hits and
+        nothing else to the counters.
 
         Equivalence with the exact loop (hits, end state, statistics) is
         pinned by property tests.
@@ -910,6 +929,14 @@ class SimCache:
             self._materialize()
         if not warmed and self._valid_sets != 0:
             return None
+        if (
+            keeps_state
+            and 0 < stride <= self.line_size
+            and self._ring_fits(int(addrs[0]), ring, stride)
+        ):
+            # No set is over-subscribed: every load hits the fixed point.
+            self.hits += n
+            return np.ones(n, dtype=bool)
         ws = self.ways
         pattern_len = ring if wraps >= 1 else rem
         sub = addrs[:pattern_len]

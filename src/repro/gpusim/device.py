@@ -88,6 +88,8 @@ class SimulatedGPU:
         self._gpu_caches: dict[tuple[str, int], SimCache] = {}
         self._cu_group_caches: dict[int, SimCache] = {}
         self._l2_fetch_granularity_override: int | None = None
+        # Resolved load paths by (kind, sm, core); see resolve_path.
+        self._paths: dict[tuple[LoadKind, int, int], LoadPath] = {}
         self.total_loads = 0
         # Monotone counter bumped by every accounted kernel operation and
         # every flush: lets drivers prove "nothing touched the caches in
@@ -199,6 +201,7 @@ class SimulatedGPU:
         stale = [k for k in self._gpu_caches if k[0] == l2.effective_physical_id]
         for key in stale:
             del self._gpu_caches[key]
+        self._paths.clear()
 
     def l2_segment_of_sm(self, sm: int) -> int:
         """Which L2 segment an SM is wired to (paper footnote 13)."""
@@ -257,10 +260,25 @@ class SimulatedGPU:
     # ------------------------------------------------------------------ #
 
     def resolve_path(self, kind: LoadKind, sm: int = 0, core: int = 0) -> LoadPath:
-        """Resolve which caches a load of ``kind`` traverses from (sm, core)."""
+        """Resolve which caches a load of ``kind`` traverses from (sm, core).
+
+        A path is built once per (kind, sm, core) and reused: the cache
+        instances behind it only change when :meth:`set_limit` rebuilds
+        the L2, which drops every stored path.  The P6000 constant path
+        is never stored — its cross-talk coin is drawn on every resolve.
+        """
+        key = (kind, sm, core)
+        path = self._paths.get(key)
+        if path is not None:
+            return path
         if self.vendor is Vendor.NVIDIA:
-            return self._resolve_nvidia(kind, sm, core)
-        return self._resolve_amd(kind, sm, core)
+            path = self._resolve_nvidia(kind, sm, core)
+        else:
+            path = self._resolve_amd(kind, sm, core)
+        flaky = kind is LoadKind.LD_CONST and Quirk.FLAKY_L1_CONST_SHARING in self.spec.quirks
+        if not (flaky or path.side_effects):
+            self._paths[key] = path
+        return path
 
     def _lvl(self, name: str, sm: int, core: int) -> tuple[SimCache, float]:
         spec = self.spec.cache(name)

@@ -13,8 +13,10 @@ non-monotone sequences.  A protocol probe answered from the deferred
 warm descriptor must be indistinguishable from one that materialises
 the rows and replays the ring, a timed pass handed only the sampled
 prefix of its ring must be indistinguishable from one handed the whole
-ring, and a warm that skips the per-set replay for lines outside the
-resident [min, max] tag bound must still land on the exact end state.
+ring, a warm that skips the per-set replay for lines outside the
+resident [min, max] tag bound must still land on the exact end state,
+and a warmed pass over a ring that fits the cache, answered in closed
+form, must be indistinguishable from the general per-set analysis.
 """
 
 import numpy as np
@@ -661,3 +663,96 @@ class TestLineBound:
         # Control: a ring straddling the resident lines does replay.
         cache.warm_cyclic(strided_ring(1 << 20, 32, base=4096), stride=32)
         assert replayed
+
+
+class GeneralPath(SimCache):
+    """A cache whose timed pass never takes the fitting-ring closed form."""
+
+    def _ring_fits(self, a0: int, ring: int, stride: int) -> bool:
+        return False
+
+
+@st.composite
+def fitting_edge_ring(draw):
+    """A geometry and a ring spanning ``num_sets*ways + {-1, 0, 1}`` lines.
+
+    Strides lie below the fetch granularity, at it, between it and the
+    line size, and at the line size: the closed form's whole domain.
+    """
+    line = draw(st.sampled_from([32, 64, 128]))
+    fg = line // draw(st.sampled_from([1, 2, 4]))
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    stride = draw(st.sampled_from([max(4, fg // 2), fg, (fg + line) // 8 * 4, line]))
+    lines = max(1, sets * ways + draw(st.sampled_from([-1, 0, 1])))
+    a0 = 4 * draw(st.integers(min_value=0, max_value=4 * line))
+    # The last address must fall in line a0 // line + lines - 1.
+    last_line = a0 // line + lines - 1
+    lo = max(0, -(-(last_line * line - a0) // stride))
+    hi = ((last_line + 1) * line - 1 - a0) // stride
+    ring = 1 + draw(st.integers(min_value=lo, max_value=hi))
+    return (sets * ways * line, line, fg, ways), stride, a0, ring, lines
+
+
+class TestFittingRing:
+    """A warmed pass over a ring of at most ``num_sets*ways`` lines hits
+    on every load (the capacity cliff), answered without the per-set
+    analysis: hits, counters and end state equal the general path's."""
+
+    @staticmethod
+    def run(cls, geom, stride, a0, ring, n, state, update_state):
+        cache = cls(*geom)
+        addrs = a0 + np.arange(min(ring, n), dtype=np.int64) * stride
+        if state == "descriptor":
+            cache.warm_fixed_point(a0, ring * stride, stride)
+        elif state == "materialised":
+            cache.warm_cyclic(a0 + np.arange(ring, dtype=np.int64) * stride, stride=stride)
+        hits = cache.chase_cyclic(
+            addrs, n, warmed=state != "cold", stride=stride,
+            update_state=update_state, ring=ring,
+        )
+        counted = stats(cache)
+        return hits, counted, cache.snapshot(), stats(cache)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fitting_edge_ring(),
+        st.sampled_from(["descriptor", "materialised", "cold"]),
+        st.sampled_from(["off", "full_wraps", "partial"]),
+        st.data(),
+    )
+    def test_matches_general_path(self, params, state, mode, data):
+        geom, stride, a0, ring, lines = params
+        if mode == "full_wraps":
+            n = ring * data.draw(st.integers(min_value=1, max_value=3))
+        else:
+            n = data.draw(st.integers(min_value=1, max_value=3 * ring))
+        args = (geom, stride, a0, ring, n, state, mode != "off")
+        fast = self.run(SimCache, *args)
+        slow = self.run(GeneralPath, *args)
+        assert np.array_equal(fast[0], slow[0])
+        for got, want in zip(fast[1:], slow[1:]):
+            assert got == want
+        sets, ways = geom[0] // (geom[1] * geom[3]), geom[3]
+        if state != "cold" and lines <= sets * ways:
+            assert fast[0].all()
+
+    def test_fitting_ring_skips_the_set_counts(self, monkeypatch):
+        counted = []
+        original = SimCache._ring_set_counts
+
+        def spy(self, *args):
+            counted.append(args[1])
+            return original(self, *args)
+
+        monkeypatch.setattr(SimCache, "_ring_set_counts", spy)
+        geom = (2048, 64, 32, 2)  # 16 sets x 2 ways = 32 lines
+        for state in ("descriptor", "materialised"):
+            for update_state, n in ((False, 100), (True, 128), (True, 6 * 64)):
+                self.run(SimCache, geom, 32, 0, 64, n, state, update_state)
+        assert counted == []
+        # Controls: one line more, a stride above the line, a cut wrap.
+        self.run(SimCache, geom, 32, 0, 66, 100, "descriptor", False)
+        self.run(SimCache, geom, 128, 0, 16, 100, "descriptor", False)
+        self.run(SimCache, geom, 32, 0, 64, 100, "descriptor", True)
+        assert counted == [66, 16, 64]

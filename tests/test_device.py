@@ -83,6 +83,43 @@ class TestPathResolutionAMD:
             amd.resolve_path(LoadKind.LD_GLOBAL_CA)
 
 
+class TestPathMemo:
+    """``resolve_path`` builds each (kind, sm, core) path once."""
+
+    def test_repeat_resolve_returns_the_same_path(self, nv, amd):
+        assert nv.resolve_path(LoadKind.LD_GLOBAL_CA) is nv.resolve_path(LoadKind.LD_GLOBAL_CA)
+        assert amd.resolve_path(LoadKind.S_LOAD, 3) is amd.resolve_path(LoadKind.S_LOAD, 3)
+        assert amd.resolve_path(LoadKind.S_LOAD, 3) is not amd.resolve_path(LoadKind.S_LOAD, 2)
+
+    def test_fetch_granularity_limit_rebuilds_the_l2_in_the_path(self, nv):
+        before = nv.resolve_path(LoadKind.LD_GLOBAL_CG)
+        old_l2 = before.levels[0][0]
+        nv.set_limit("l2_fetch_granularity", 64)
+        after = nv.resolve_path(LoadKind.LD_GLOBAL_CG)
+        assert after.levels[0][0] is nv.l2_cache_for_sm(0)
+        assert after.levels[0][0] is not old_l2
+        assert after.levels[0][0].fetch_granularity == 64
+        assert nv.resolve_path(LoadKind.LD_GLOBAL_CA).levels[1][0] is nv.l2_cache_for_sm(0)
+
+    def test_p6000_constant_path_draws_its_coin_on_every_resolve(self):
+        dev = SimulatedGPU.from_preset("P6000", seed=5)
+        twin = SimulatedGPU.from_preset("P6000", seed=5)
+        n = 25
+        sides = [bool(dev.resolve_path(LoadKind.LD_CONST).side_effects) for _ in range(n)]
+        draws = [twin._quirk_rng.random() for _ in range(n)]
+        assert sides == [d < 0.5 for d in draws]
+        assert True in sides and False in sides
+        # Exactly n draws: the next one is the twin's (n + 1)-th.
+        assert dev._quirk_rng.random() == twin._quirk_rng.random()
+
+    def test_out_of_range_sm_raises_and_is_not_stored(self, nv, amd):
+        for dev, kind in ((nv, LoadKind.LD_GLOBAL_CA), (amd, LoadKind.FLAT_LOAD)):
+            for _ in range(2):
+                with pytest.raises(SimulationError):
+                    dev.resolve_path(kind, sm=99)
+            assert (kind, 99, 0) not in dev._paths
+
+
 class TestSegmentsAndGroups:
     def test_l2_segment_mapping(self, nv2seg):
         segs = {nv2seg.l2_segment_of_sm(sm) for sm in range(2)}

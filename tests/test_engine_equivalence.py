@@ -150,7 +150,9 @@ class TestProbeEquivalence:
         assert np.array_equal(results["analytic"][1], results["exact"][1])
         assert results["analytic"][2:] == results["exact"][2:]
 
-    @pytest.mark.parametrize("preset,max_cus", [("TestGPU-AMD", None), ("MI210", 12)])
+    @pytest.mark.parametrize(
+        "preset,max_cus", [("TestGPU-AMD", None), ("MI210", 12), ("MI100", 12)]
+    )
     def test_sl1d_sharing_identical(self, preset, max_cus):
         """The all-pairs sL1d protocol: same partners, time, loads and RNG."""
         results = {}

@@ -27,6 +27,11 @@ miss + re-measure, and a cache failure of any kind never sinks a run.
 A ``stats.json`` sidecar records per-preset discovery walls, which
 :func:`repro.validate.fleet.discover_fleet` feeds into its cost-aware
 (longest-processing-time-first) scheduling.
+
+Long-lived readers (``mt4g serve``, fleet and proxy workers) read
+through :class:`~repro.cache.tiers.TieredCache`: a byte-bounded memory
+LRU of entry blobs over the disk store, with the ring's peers below
+disk once an instance joins a ring.
 """
 
 from repro.cache.costs import estimate_discovery_cost, schedule_order
@@ -41,19 +46,11 @@ from repro.cache.keys import (
 )
 from repro.cache.ring import HashRing, normalize_node
 from repro.cache.store import DiscoveryCache
-from repro.cache.tiers import (
-    DiskTier,
-    MemoryTier,
-    PeerTier,
-    TieredCache,
-    build_worker_cache,
-)
+from repro.cache.tiers import PeerTier, TieredCache, build_worker_cache
 
 __all__ = [
     "DiscoveryCache",
-    "DiskTier",
     "HashRing",
-    "MemoryTier",
     "PeerTier",
     "SCHEMA_VERSION",
     "TieredCache",
@@ -68,6 +65,3 @@ __all__ = [
     "schedule_order",
     "spec_fingerprint",
 ]
-
-# (Tier composition and ring routing live in repro.cache.tiers /
-# repro.cache.ring; re-exported above so callers get one import site.)

@@ -233,18 +233,22 @@ class DiscoveryCache:
             return False
         return self._write_blob(key, blob)
 
-    def put_blob(self, key: str, blob: bytes) -> bool:
+    def put_blob(self, key: str, blob: bytes, checked: bool = False) -> bool:
         """Land a wrapped entry blob fetched from a peer (atomic).
 
         Unlike :meth:`put` the bytes came over a network, so they are
         validated against the address *before* landing: a truncated or
         forged blob counts as a corrupt entry and never reaches disk.
+        ``checked=True`` skips that decode for bytes the caller encoded
+        itself or has already decoded (the tier stack's writes and
+        promotions).
         """
-        try:
-            codec.decode(key, blob, self.version)
-        except Exception:
-            self.degradations["corrupt_entry"] += 1
-            return False
+        if not checked:
+            try:
+                codec.decode(key, blob, self.version)
+            except Exception:
+                self.degradations["corrupt_entry"] += 1
+                return False
         return self._write_blob(key, blob)
 
     def _write_blob(self, key: str, blob: bytes) -> bool:

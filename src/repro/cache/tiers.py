@@ -1,46 +1,32 @@
 """The tier stack: per-process memory → local disk → remote peers.
 
-One :class:`~repro.cache.store.DiscoveryCache` directory is both the
-store and the scale ceiling; this module turns it into one tier of a
-stack.  Reads fall through the tiers in order and **promote** on the way
-back (a disk hit lands in memory, a peer hit lands in memory *and*
-disk), so every tier self-heals from the tiers below it; writes land in
-every tier at once (the peer tier refuses them: peers pull).
+:class:`TieredCache` puts a byte-bounded in-process LRU of entry blobs
+(:data:`MEMORY_TIER_BYTES`) in front of one
+:class:`~repro.cache.store.DiscoveryCache` and, once the instance joins
+a ring, a :class:`PeerTier` behind it: an HTTP client over the other
+instances' ``GET /store/{key}`` route, routed by the consistent-hash
+ring (:mod:`repro.cache.ring`).  Reads fall through in that order and
+**promote** on the way back (a disk hit lands in memory, a peer hit
+lands in memory *and* disk), so every tier self-heals from the tiers
+below it; writes land in memory and on disk (peers pull, nothing is
+pushed).
 
 What moves between tiers is the store's *wrapped entry blob* — the exact
-bytes :mod:`repro.cache.codec` encodes and the disk tier writes,
+bytes :mod:`repro.cache.codec` encodes and the disk store writes,
 embedding the key and schema salt — never a re-serialisation.  That is
 what keeps the standing invariant cheap to maintain: a report served
-out of memory, off disk, or fetched
-from a peer is byte-identical to a fresh ``mt4g --no-cache -j``, because
-at no point does any tier re-encode the payload.
+out of memory, off disk, or fetched from a peer is byte-identical to a
+fresh ``mt4g --no-cache -j``, because no tier re-encodes the payload.
 
-The tiers:
+Every tier keeps the counter quartet the bare store does (hits / misses
+/ stores / degradations); :meth:`TieredCache.stats` reports the
+aggregate (drop-in for code that reads ``store.hits``) plus the per-tier
+breakdown under ``tiers`` (the ``GET /metrics`` store section).
 
-* :class:`MemoryTier` — bounded-bytes in-process LRU over pre-pickled
-  blobs.  Unpickles per get (callers can mutate their copy freely) and
-  validates the embedded address, so a corrupted slot degrades to a miss
-  exactly like a corrupted file does;
-* :class:`DiskTier` — the existing :class:`DiscoveryCache`, unchanged:
-  atomic-rename writes, corruption-degrades-to-miss, ``store.*`` fault
-  sites, the stats sidecar;
-* :class:`PeerTier` — an HTTP client over other instances'
-  ``GET /store/{key}`` route, routed by the consistent-hash ring
-  (:mod:`repro.cache.ring`), with a bounded
-  :class:`~repro.faults.retry.RetryPolicy`, a fetch timeout, and a
-  per-peer :class:`~repro.faults.Breaker` so one dead replica cannot
-  stall every read.
-
-Every tier keeps the same counter quartet the bare store does (hits /
-misses / stores / degradations), and the composed
-:class:`TieredCache` exposes both the aggregate view (drop-in for code
-that reads ``store.hits``) and the per-tier breakdown (the ``tiers``
-key of :meth:`TieredCache.stats`, the ``GET /metrics`` store section).
-
-New chaos surface: ``tier.memory`` (labelled by key) and ``tier.peer``
+Chaos surface: ``tier.memory`` (labelled by key) and ``tier.peer``
 (labelled by peer URL) join the ``store.*`` injection sites, with the
 passive ``corrupt`` kind corrupting the blob in flight so the
-degradation paths above are deterministically exercisable.
+degradation paths are deterministically exercisable.
 """
 
 from __future__ import annotations
@@ -48,7 +34,8 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from types import SimpleNamespace
+from typing import Any
 from urllib import error as _urlerror
 from urllib import request as _urlrequest
 from urllib.parse import quote
@@ -58,34 +45,27 @@ from repro.cache import codec
 from repro.cache import keys as _keys
 from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
-from repro.cache.store import (
-    DEGRADATION_KINDS,
-    DEFAULT_PRUNE_BYTES,
-    DiscoveryCache,
-    counter_stats,
-)
+from repro.cache.store import DEGRADATION_KINDS, DiscoveryCache, counter_stats
 from repro.errors import TransientError
 from repro.faults.retry import RetryPolicy
 from repro.obs import trace as _trace
 
 __all__ = [
-    "DEFAULT_MEMORY_BYTES",
     "DEFAULT_PEER_RETRY",
     "DEFAULT_PEER_TIMEOUT",
-    "CacheTier",
-    "DiskTier",
-    "MemoryTier",
+    "MEMORY_TIER_BYTES",
     "PeerTier",
     "TieredCache",
     "build_worker_cache",
     "peer_fetch",
 ]
 
-#: Default memory-tier budget.  Reports pickle to ~100-200 KiB, so this
-#: holds on the order of a thousand hot reports — plenty for 14 presets
-#: times a realistic seed spread — without mattering next to the model
-#: weights of anything else on the host.
-DEFAULT_MEMORY_BYTES = 256 << 20  # 256 MiB
+#: Memory-tier budget.  Report entries pickle to 14-35 KiB (seed 0:
+#: TestGPU-AMD 14 KiB, MI210 17 KiB, A100 29 KiB, TestGPU-NV 33 KiB), so
+#: this holds several thousand hot reports — plenty for 14 presets times
+#: a realistic seed spread — without mattering next to anything else on
+#: the host.
+MEMORY_TIER_BYTES = 256 << 20  # 256 MiB
 
 #: Per-request timeout for a peer fetch.  A peer serving from its own
 #: memory or disk answers in milliseconds; anything slower is a peer in
@@ -154,140 +134,7 @@ def peer_fetch(
         return int(exc.code), body
 
 
-class CacheTier:
-    """One level of the stack: named, counted, blob-in/blob-out.
-
-    The internal contract is deliberately narrow — :meth:`fetch` returns
-    the validated ``(blob, payload)`` pair or ``None``, :meth:`put_blob`
-    lands pre-wrapped bytes — because the blob is the unit of promotion
-    and replication; only :class:`TieredCache` deals in payloads.
-    """
-
-    name = "tier"
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.degradations: dict[str, int] = {k: 0 for k in DEGRADATION_KINDS}
-
-    def fetch(self, key: str) -> tuple[bytes, Any] | None:
-        raise NotImplementedError
-
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        raise NotImplementedError
-
-    def stats(self) -> dict[str, Any]:
-        return counter_stats(self)
-
-
-class MemoryTier(CacheTier):
-    """Byte-bounded in-process LRU over pre-pickled entry blobs.
-
-    >>> tier = MemoryTier(max_bytes=1 << 20)
-    >>> blob = codec.encode("a" * 64, {"x": 1}, _keys.SCHEMA_VERSION)
-    >>> tier.put_blob("a" * 64, blob)
-    True
-    >>> tier.fetch("a" * 64)[1]
-    {'x': 1}
-    """
-
-    name = "memory"
-
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MEMORY_BYTES,
-        version: int = _keys.SCHEMA_VERSION,
-    ) -> None:
-        super().__init__()
-        self.max_bytes = int(max_bytes)
-        self.version = int(version)
-        self._blobs = LRU(max_bytes=self.max_bytes)
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    @property
-    def current_bytes(self) -> int:
-        return self._blobs.bytes
-
-    def fetch(self, key: str) -> tuple[bytes, Any] | None:
-        blob = self._blobs.get(key)
-        if blob is None:
-            self.misses += 1
-            return None
-        try:
-            fired = faults.inject("tier.memory", key)
-        except (OSError, TypeError):
-            self.misses += 1
-            self.degradations["read_error"] += 1
-            return None
-        if fired is not None and fired.kind == "corrupt":
-            # Bit-rot in the resident blob: truncate what validation
-            # sees, so the slot degrades to a miss and gets evicted.
-            blob = blob[: len(blob) // 2]
-        try:
-            payload = codec.decode(key, blob, self.version)
-        except Exception:
-            self._blobs.pop(key)  # self-heal: the next get falls through
-            self.misses += 1
-            self.degradations["corrupt_entry"] += 1
-            return None
-        self.hits += 1
-        return blob, payload
-
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        """Land ``blob``; evict LRU entries until the budget holds.
-
-        Blobs are trusted here (they come from our own :meth:`put`
-        pickling or from an already-validated lower-tier fetch); the
-        validation cost is paid on the read path, where corruption must
-        degrade anyway.
-        """
-        if not self._blobs.put(key, blob):
-            return False
-        self.stores += 1
-        return True
-
-
-class DiskTier(CacheTier):
-    """The existing on-disk store, wearing the tier interface.
-
-    Counters are *views onto the store's own* — code that reads
-    ``store.hits`` on the inner :class:`DiscoveryCache` and code that
-    reads this tier's stats see the same numbers.
-    """
-
-    name = "disk"
-
-    def __init__(self, store: DiscoveryCache) -> None:
-        self.store = store
-
-    # The store already counts; expose its counters instead of shadowing.
-    @property
-    def hits(self) -> int:  # type: ignore[override]
-        return self.store.hits
-
-    @property
-    def misses(self) -> int:  # type: ignore[override]
-        return self.store.misses
-
-    @property
-    def stores(self) -> int:  # type: ignore[override]
-        return self.store.stores
-
-    @property
-    def degradations(self) -> dict[str, int]:  # type: ignore[override]
-        return self.store.degradations
-
-    def fetch(self, key: str) -> tuple[bytes, Any] | None:
-        return self.store._read_validated(key)
-
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        return self.store.put_blob(key, blob)
-
-
-class PeerTier(CacheTier):
+class PeerTier:
     """Remote tier: fetch a miss from the instances that should have it.
 
     Candidates come from the ring in the key's preference order with
@@ -299,9 +146,11 @@ class PeerTier(CacheTier):
     report) so a dead peer costs one timeout per cooldown, not one per
     read.  An HTTP 404 is an authoritative miss from that candidate —
     no breaker penalty — and the next candidate is tried.
-    """
 
-    name = "peer"
+    Replication is read-driven by design: the fetching side lands what
+    it fetched (promotion), so the write path needs no remote I/O, no
+    push-side retries, and no remote failure mode.
+    """
 
     def __init__(
         self,
@@ -312,7 +161,11 @@ class PeerTier(CacheTier):
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
     ) -> None:
-        super().__init__()
+        self.hits = 0
+        self.misses = 0
+        #: always 0: peers pull, this instance never pushes.
+        self.stores = 0
+        self.degradations: dict[str, int] = {k: 0 for k in DEGRADATION_KINDS}
         self.ring = ring
         self.retry = retry
         self.timeout = float(timeout)
@@ -402,111 +255,136 @@ class PeerTier(CacheTier):
         self.misses += 1
         return None
 
-    def put_blob(self, key: str, blob: bytes) -> bool:
-        """Peers pull; this instance never pushes.  Always a no-op.
-
-        Replication is read-driven by design: the fetching side lands
-        what it fetched (promotion), so the write path needs no remote
-        I/O, no push-side retries, and no remote failure mode.
-        """
-        return False
-
 
 class TieredCache:
-    """The composed stack — a drop-in for :class:`DiscoveryCache`.
+    """Memory over disk over ring peers — a drop-in for :class:`DiscoveryCache`.
 
-    Reads (:meth:`get` / :meth:`get_blob`) consult tiers in order and
-    promote the winning blob into every tier *above* the hit, so the
-    expensive tiers self-heal the cheap ones; ``peer=False`` restricts
-    the read to local tiers (what the ``/store/{key}`` route uses to
-    stay loop-free).  Writes land in every tier that takes them.
+    Reads (:meth:`get` / :meth:`get_blob`) try memory, then disk, then
+    the peers, and promote the winning blob into every tier *above* the
+    hit, so the expensive tiers self-heal the cheap ones; ``peer=False``
+    restricts the read to the local tiers (what the ``/store/{key}``
+    route uses to stay loop-free).  Writes land in memory and on disk.
 
     Everything else a :class:`DiscoveryCache` owner relies on — key
     derivation, catalog enumeration, pruning, the wall-time sidecar,
-    ``root`` / ``version`` — delegates to the disk tier, which is
-    therefore mandatory.
+    ``root`` / ``version`` — is the disk store's own.
+
+    >>> cache = TieredCache(DiscoveryCache("/tmp/mt4g-cache-doctest"))
+    >>> cache.put("a" * 64, {"x": 1})
+    True
+    >>> cache.get("a" * 64)
+    {'x': 1}
+    >>> cache.stats()["tiers"]["memory"]["hits"]
+    1
     """
 
-    def __init__(self, tiers: "list[CacheTier] | tuple[CacheTier, ...]") -> None:
-        self.tiers: list[CacheTier] = list(tiers)
-        disks = [t for t in self.tiers if isinstance(t, DiskTier)]
-        if not disks:
-            raise ValueError("a TieredCache needs a DiskTier (the durable anchor)")
-        self._disk = disks[0]
+    def __init__(self, store: DiscoveryCache, peers: PeerTier | None = None) -> None:
+        self.store = store
+        self.peers = peers
+        self._blobs = LRU(max_bytes=MEMORY_TIER_BYTES)
+        #: the memory tier's counter quartet (``stats()["tiers"]["memory"]``).
+        self.memory = SimpleNamespace(
+            hits=0, misses=0, stores=0, degradations={k: 0 for k in DEGRADATION_KINDS}
+        )
         self._full_misses = 0
 
-    # ------------------------------------------------------------------ #
-    # composition                                                         #
-    # ------------------------------------------------------------------ #
+    def attach_peers(self, peers: PeerTier) -> None:
+        """Put ``peers`` below disk (the server does this once it binds
+        and finally knows its own advertise URL)."""
+        self.peers = peers
 
-    def add_tier(self, tier: CacheTier) -> None:
-        """Append a tier (used to attach the peer tier after the server
-        binds, when the instance finally knows its own advertise URL)."""
-        self.tiers.append(tier)
-
-    @property
-    def store(self) -> DiscoveryCache:
-        """The durable disk store (also handy for tests)."""
-        return self._disk.store
-
-    @property
-    def root(self) -> Path:
-        return self._disk.store.root
-
-    @property
-    def version(self) -> int:
-        return self._disk.store.version
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names this class does not define: the disk
+        # store's key derivation, catalog enumeration, pruning, wall-time
+        # sidecar and root/version (keys must not depend on tiering).
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.store, name)
 
     # ------------------------------------------------------------------ #
-    # key derivation (delegated: keys must not depend on tiering)         #
+    # reads: memory → disk → peers, promote on the way back               #
     # ------------------------------------------------------------------ #
 
-    def report_key(self, device, config, targets, extensions, validate) -> str:
-        return self._disk.store.report_key(device, config, targets, extensions, validate)
+    def _memory_fetch(self, key: str) -> tuple[bytes, Any] | None:
+        """Decode the resident blob afresh on every get, so callers can
+        mutate their copy; a slot that fails its address check degrades
+        to a miss and is evicted, exactly like a corrupted file."""
+        memory = self.memory
+        blob = self._blobs.get(key)
+        if blob is None:
+            memory.misses += 1
+            return None
+        try:
+            fired = faults.inject("tier.memory", key)
+        except (OSError, TypeError):
+            memory.misses += 1
+            memory.degradations["read_error"] += 1
+            return None
+        if fired is not None and fired.kind == "corrupt":
+            # Bit-rot in the resident blob: truncate what validation
+            # sees, so the slot degrades to a miss and gets evicted.
+            blob = blob[: len(blob) // 2]
+        try:
+            payload = codec.decode(key, blob, self.store.version)
+        except Exception:
+            self._blobs.pop(key)  # self-heal: the next get falls through
+            memory.misses += 1
+            memory.degradations["corrupt_entry"] += 1
+            return None
+        memory.hits += 1
+        return blob, payload
 
-    def measurement_key(
-        self, device, config, element, attribute, seed_offset, context=None
-    ) -> str:
-        return self._disk.store.measurement_key(
-            device, config, element, attribute, seed_offset, context
-        )
+    def _memory_land(self, key: str, blob: bytes) -> bool:
+        """Land a trusted blob (our own encoding or an already-validated
+        fetch); the LRU evicts past the budget and refuses oversize."""
+        if not self._blobs.put(key, blob):
+            return False
+        self.memory.stores += 1
+        return True
 
-    # ------------------------------------------------------------------ #
-    # reads: fall through, promote on the way back                        #
-    # ------------------------------------------------------------------ #
+    def _disk_land(self, key: str, blob: bytes) -> bool:
+        return self.store.put_blob(key, blob, checked=True)
+
+    @staticmethod
+    def _read(ctx, tier: str, fetch, key: str) -> tuple[bytes, Any] | None:
+        start = time.perf_counter() if ctx is not None else 0.0
+        got = fetch(key)
+        if ctx is not None:
+            _trace.record(
+                ctx,
+                "tier.read",
+                start,
+                tier=tier,
+                outcome="hit" if got is not None else "miss",
+                key=key[:12],
+            )
+        return got
+
+    @staticmethod
+    def _promote(ctx, tier: str, land, key: str, blob: bytes) -> None:
+        start = time.perf_counter() if ctx is not None else 0.0
+        land(key, blob)
+        if ctx is not None:
+            _trace.record(ctx, "tier.promote", start, tier=tier, key=key[:12])
 
     def _fetch(self, key: str, peer: bool) -> tuple[bytes, Any] | None:
         ctx = _trace.CURRENT.get()  # None = tracing off (the usual case)
-        consulted: list[CacheTier] = []
-        for tier in self.tiers:
-            if not peer and tier.name == "peer":
-                continue
-            start = time.perf_counter() if ctx is not None else 0.0
-            got = tier.fetch(key)
-            if ctx is not None:
-                _trace.record(
-                    ctx,
-                    "tier.read",
-                    start,
-                    tier=tier.name,
-                    outcome="hit" if got is not None else "miss",
-                    key=key[:12],
-                )
+        got = self._read(ctx, "memory", self._memory_fetch, key)
+        if got is not None:
+            return got
+        # _read_validated, not store.get: store.get is a public read of
+        # its own, and a profiler wrapping both (perfbench's store.get
+        # layer) would count this one read twice.
+        got = self._read(ctx, "disk", self.store._read_validated, key)
+        if got is not None:
+            self._promote(ctx, "memory", self._memory_land, key, got[0])
+            return got
+        if peer and self.peers is not None:
+            got = self._read(ctx, "peer", self.peers.fetch, key)
             if got is not None:
-                blob = got[0]
-                for upper in consulted:
-                    promote_start = time.perf_counter() if ctx is not None else 0.0
-                    upper.put_blob(key, blob)
-                    if ctx is not None:
-                        _trace.record(
-                            ctx,
-                            "tier.promote",
-                            promote_start,
-                            tier=upper.name,
-                            key=key[:12],
-                        )
+                self._promote(ctx, "memory", self._memory_land, key, got[0])
+                self._promote(ctx, "disk", self._disk_land, key, got[0])
                 return got
-            consulted.append(tier)
         self._full_misses += 1
         return None
 
@@ -519,14 +397,14 @@ class TieredCache:
         return None if got is None else got[0]
 
     # ------------------------------------------------------------------ #
-    # writes: every tier                                                  #
+    # writes: memory and disk                                             #
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, payload: Any) -> bool:
         try:
-            blob = codec.encode(key, payload, self.version)
+            blob = codec.encode(key, payload, self.store.version)
         except Exception:
-            self._disk.store.degradations["write_error"] += 1
+            self.store.degradations["write_error"] += 1
             return False
         return self._land(key, blob)
 
@@ -534,25 +412,31 @@ class TieredCache:
         """Land a blob fetched from a peer, checked once before any tier
         sees it: a forged or truncated blob counts as a corrupt entry."""
         try:
-            codec.decode(key, blob, self.version)
+            codec.decode(key, blob, self.store.version)
         except Exception:
-            self._disk.store.degradations["corrupt_entry"] += 1
+            self.store.degradations["corrupt_entry"] += 1
             return False
         return self._land(key, blob)
 
     def _land(self, key: str, blob: bytes) -> bool:
-        landed = False
-        for tier in self.tiers:
-            landed = tier.put_blob(key, blob) or landed
-        return landed
+        """True when the blob landed in either local tier."""
+        in_memory = self._memory_land(key, blob)
+        return self._disk_land(key, blob) or in_memory
 
     # ------------------------------------------------------------------ #
     # aggregate accounting (drop-in for DiscoveryCache counters)          #
     # ------------------------------------------------------------------ #
 
+    def _counted(self) -> list[Any]:
+        """Each tier's counters, in consultation order."""
+        tiers = [self.memory, self.store]
+        if self.peers is not None:
+            tiers.append(self.peers)
+        return tiers
+
     @property
     def hits(self) -> int:
-        return sum(t.hits for t in self.tiers)
+        return sum(t.hits for t in self._counted())
 
     @property
     def misses(self) -> int:
@@ -567,12 +451,12 @@ class TieredCache:
     @property
     def stores(self) -> int:
         """Durable stores: entries landed on disk (memory is ephemeral)."""
-        return self._disk.stores
+        return self.store.stores
 
     @property
     def degradations(self) -> dict[str, int]:
         merged = {k: 0 for k in DEGRADATION_KINDS}
-        for tier in self.tiers:
+        for tier in self._counted():
             for kind, count in tier.degradations.items():
                 merged[kind] = merged.get(kind, 0) + count
         return merged
@@ -580,47 +464,21 @@ class TieredCache:
     def stats(self) -> dict[str, Any]:
         """The aggregate quartet answers "did the stack carry the
         traffic", ``tiers`` (in consultation order) "which tier did"."""
-        return {
-            **counter_stats(self),
-            "tiers": {tier.name: tier.stats() for tier in self.tiers},
-        }
-
-    # ------------------------------------------------------------------ #
-    # durable-store plumbing (catalog, pruning, scheduling sidecar)       #
-    # ------------------------------------------------------------------ #
-
-    def entries(self) -> Iterator[tuple[str, Any]]:
-        return self._disk.store.entries()
-
-    def entry_count(self) -> int:
-        return self._disk.store.entry_count()
-
-    def prune(self, max_bytes: int = DEFAULT_PRUNE_BYTES) -> int:
-        return self._disk.store.prune(max_bytes)
-
-    def record_wall(self, label: str, seconds: float) -> None:
-        self._disk.store.record_wall(label, seconds)
-
-    def recorded_walls(self) -> dict[str, float]:
-        return self._disk.store.recorded_walls()
+        tiers = {"memory": counter_stats(self.memory), "disk": self.store.stats()}
+        if self.peers is not None:
+            tiers["peer"] = self.peers.stats()
+        return {**counter_stats(self), "tiers": tiers}
 
 
-def build_worker_cache(
-    cache_dir: str | Path | None,
-    memory_bytes: int = DEFAULT_MEMORY_BYTES,
-) -> TieredCache | None:
+def build_worker_cache(cache_dir: str | Path | None) -> TieredCache | None:
     """The standard local stack: memory LRU over the disk store.
 
     What fleet workers and the serving layer use when handed a cache
     directory; ``None`` in means ``None`` out (caching disabled).  The
-    peer tier is attached separately by the server once it knows its
-    ring (:meth:`TieredCache.add_tier`) — worker processes never talk
-    to peers directly.
+    server attaches the peers once it knows its ring
+    (:meth:`TieredCache.attach_peers`) — worker processes never talk to
+    peers directly.
     """
     if cache_dir is None:
         return None
-    tiers: list[CacheTier] = []
-    if memory_bytes > 0:
-        tiers.append(MemoryTier(max_bytes=memory_bytes))
-    tiers.append(DiskTier(DiscoveryCache(cache_dir)))
-    return TieredCache(tiers)
+    return TieredCache(DiscoveryCache(cache_dir))

@@ -672,14 +672,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "(default: http://<bound host>:<bound port>)",
     )
     parser.add_argument(
-        "--memory-limit",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="in-process memory-tier budget in front of the disk store "
-        "(0 disables the memory tier; default: 256 MiB)",
-    )
-    parser.add_argument(
         "--cache-limit",
         type=int,
         default=None,
@@ -763,7 +755,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     import asyncio
 
     from repro.cache.ring import normalize_node
-    from repro.cache.tiers import DEFAULT_MEMORY_BYTES
     from repro.serve.server import run_service
 
     parser = build_serve_parser()
@@ -788,9 +779,6 @@ def serve_main(argv: list[str] | None = None) -> int:
                 quiet=args.quiet,
                 peers=peers or None,
                 advertise=args.advertise,
-                memory_limit=DEFAULT_MEMORY_BYTES
-                if args.memory_limit is None
-                else args.memory_limit,
                 cache_limit=resolve_cache_limit(args),
                 keep_alive_timeout=args.keep_alive_timeout,
                 hot_cache_bytes=args.hot_cache_bytes,

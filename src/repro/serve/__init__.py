@@ -29,8 +29,9 @@ DiscoveryCache` plus the fleet machinery into that long-lived service:
   tier on a tiered store, plus connection-lifecycle and hot-cache
   counters; JSON and Prometheus text exposition.
 
-Instances serve the stack of :mod:`repro.cache.tiers` (memory LRU →
-disk → ring peers): ``mt4g serve --peers`` shards the keyspace, and
+Instances serve through one :class:`~repro.cache.tiers.TieredCache`
+(memory LRU → disk → ring peers, the peers attached once the instance
+joins a ring): ``mt4g serve --peers`` shards the keyspace, and
 read-only ``--no-discover`` replicas pull misses from the owning
 writable peer over ``GET /store/{key}`` instead of 404ing.
 

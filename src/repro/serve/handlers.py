@@ -24,8 +24,8 @@ The endpoint surface (responses are keep-alive-framed — bounded
   is attached — served bytes are content, not run history.  A warm
   request is served from the :class:`~repro.serve.hotcache.
   HotReportCache` — the pre-rendered response bytes per (report key,
-  format), no unpickle and no re-render — when the service enables it;
-  byte-identity holds either way because keys are content-addressed;
+  format), no unpickle and no re-render; byte-identity holds because
+  keys are content-addressed;
 * ``GET /compare?presets=a,b,…`` — the fleet comparison matrix plus the
   fleet judge's cross-device verdict over cached reports;
 * ``GET /diff/{a}/{b}`` — the structural drift diff of two reports;
@@ -657,20 +657,19 @@ async def handle_report(
     seed = _seed_param(request, "seed")
     validate = _bool_param(request, "validate")
     hot = service.hot_cache
-    key = _report_key(service, preset, seed, validate) if hot is not None else None
-    if hot is not None:
-        cached = hot.get(key, f"report:{fmt}")
-        if cached is not None:
-            # The warm path: pre-rendered bytes, no store read, no
-            # renderer — byte-identical by content-addressing.
-            body, content_type = cached
-            return HTTPResponse(body=body, content_type=content_type)
+    key = _report_key(service, preset, seed, validate)
+    cached = hot.get(key, f"report:{fmt}")
+    if cached is not None:
+        # The warm path: pre-rendered bytes, no store read, no
+        # renderer — byte-identical by content-addressing.
+        body, content_type = cached
+        return HTTPResponse(body=body, content_type=content_type)
     report, stale = await _load_report(
         service, preset, seed, validate, allow_stale=True, key=key
     )
     render, content_type = _REPORT_FORMATS[fmt]
     body = render(report).encode("utf-8")
-    if hot is not None and not stale:
+    if not stale:
         # Stale fallbacks are never cached: staleness must be
         # re-evaluated (and re-marked) on every request.
         hot.put(key, f"report:{fmt}", body, content_type)
@@ -797,16 +796,14 @@ async def handle_graph(
     seed = _seed_param(request, "seed")
     validate = _bool_param(request, "validate")
     hot = service.hot_cache
-    key = _report_key(service, preset, seed, validate) if hot is not None else None
-    if hot is not None:
-        cached = hot.get(key, f"graph:{fmt}")
-        if cached is not None:
-            body, content_type = cached
-            return HTTPResponse(body=body, content_type=content_type)
+    key = _report_key(service, preset, seed, validate)
+    cached = hot.get(key, f"graph:{fmt}")
+    if cached is not None:
+        body, content_type = cached
+        return HTTPResponse(body=body, content_type=content_type)
     report, _ = await _load_report(service, preset, seed, validate, key=key)
     response = _graph_response(build_graph(report), fmt)
-    if hot is not None:
-        hot.put(key, f"graph:{fmt}", response.body, response.content_type)
+    hot.put(key, f"graph:{fmt}", response.body, response.content_type)
     return response
 
 

@@ -56,7 +56,6 @@ from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
 from repro.cache.store import DiscoveryCache
 from repro.cache.tiers import (
-    DEFAULT_MEMORY_BYTES,
     DEFAULT_PEER_RETRY,
     DEFAULT_PEER_TIMEOUT,
     PeerTier,
@@ -177,10 +176,8 @@ class TopologyService:
             AccessLog(log_format, stream=log_stream) if log_format else None
         )
         #: pre-rendered response bytes per (report key, format) — the
-        #: warm read path; None when disabled (``hot_cache_bytes=0``).
-        self.hot_cache: HotReportCache | None = (
-            HotReportCache(hot_cache_bytes) if hot_cache_bytes > 0 else None
-        )
+        #: warm read path (a budget of 0 refuses every render).
+        self.hot_cache = HotReportCache(hot_cache_bytes)
         #: consistent-hash membership; None until attach_ring() (post-
         #: bind, because the advertise URL may need the ephemeral port).
         self.ring: HashRing | None = None
@@ -208,8 +205,7 @@ class TopologyService:
         (a re-landed entry after store corruption repairs, not refreshes,
         the render) plus the catalog's cue that the device list grew.
         """
-        if self.hot_cache is not None:
-            self.hot_cache.invalidate(key)
+        self.hot_cache.invalidate(key)
         self.catalog.invalidate()
 
     # ------------------------------------------------------------------ #
@@ -237,7 +233,7 @@ class TopologyService:
 
         Wires the ring into both halves of the serving stack — the job
         queue (cold keys owned elsewhere become proxy jobs) and, when
-        the store is tiered, a :class:`PeerTier` appended below disk (a
+        the store is tiered, a :class:`PeerTier` attached below disk (a
         local read miss falls through to the key's peers).  Called after
         :meth:`start` so a port-0 bind can advertise its real port.
         """
@@ -245,9 +241,9 @@ class TopologyService:
         self.jobs.ring = ring
         self.jobs.peer_retry = peer_retry if peer_retry is not None else DEFAULT_PEER_RETRY
         self.jobs.peer_timeout = peer_timeout
-        add_tier = getattr(self.store, "add_tier", None)
-        if add_tier is not None:
-            add_tier(
+        attach_peers = getattr(self.store, "attach_peers", None)
+        if attach_peers is not None:
+            attach_peers(
                 PeerTier(
                     ring,
                     retry=self.jobs.peer_retry,
@@ -528,15 +524,14 @@ async def run_service(
     quiet: bool = False,
     peers: "list[str] | None" = None,
     advertise: str | None = None,
-    memory_limit: int = DEFAULT_MEMORY_BYTES,
     cache_limit: int | None = None,
     **service_kw: Any,
 ) -> None:
     """Run the service until cancelled (the ``mt4g serve`` entry point).
 
-    The store is the standard tier stack (memory LRU over disk;
-    ``memory_limit=0`` disables the memory tier).  ``peers`` joins a
-    consistent-hash ring with those instances — each must be started
+    The store is the standard tier stack: a memory LRU over disk.
+    ``peers`` joins a consistent-hash ring with those instances and
+    attaches them below disk — each must be started
     with the member list naming everyone else, and ``advertise`` is the
     URL *they* reach this instance under (default: the bound
     host:port).  ``cache_limit`` prunes the disk tier to that many
@@ -545,9 +540,7 @@ async def run_service(
     hot path (keep-alive, hot-report cache, catalog TTL, pre-warmed
     pool).
     """
-    store = build_worker_cache(
-        Path(cache_dir).expanduser(), memory_bytes=memory_limit
-    )
+    store = build_worker_cache(Path(cache_dir).expanduser())
     service = TopologyService(store, prune_bytes=cache_limit, **service_kw)
     bound_host, bound_port = await service.start(host, port)
     if peers:

@@ -363,8 +363,9 @@ def _discover_one(
         # regardless of which process runs the worker.
         faults.inject("fleet.worker", f"{preset}@{n - 1}")
         # The standard tier stack (memory LRU over the shared disk
-        # store): reads within this worker's retries hit memory,
-        # writes land through to disk where every worker sees them.
+        # store), rebuilt per attempt: a retry starts with empty memory
+        # and reads the disk, and writes land through to disk where
+        # every worker sees them.
         store = build_worker_cache(cache_dir)
         device = SimulatedGPU(get_preset(preset), seed=seed, cache_config=cache_config)
         tool = MT4G(device, config=PChaseConfig(engine=engine), cache=store)

@@ -368,15 +368,15 @@ class TestServeCLI:
         args = build_serve_parser().parse_args([
             "--peers", "http://a:1,http://b:2", "--peers", "http://c:3",
             "--advertise", "http://me:8734",
-            "--memory-limit", "1048576", "--cache-limit", "2097152",
+            "--cache-limit", "2097152",
         ])
         # repeatable AND comma-separated (serve_main flattens the chunks)
         assert args.peers == ["http://a:1,http://b:2", "http://c:3"]
         assert args.advertise == "http://me:8734"
-        assert args.memory_limit == 1048576 and args.cache_limit == 2097152
+        assert args.cache_limit == 2097152
         defaults = build_serve_parser().parse_args([])
         assert defaults.peers is None and defaults.advertise is None
-        assert defaults.memory_limit is None and defaults.cache_limit is None
+        assert defaults.cache_limit is None
 
     def test_serve_parser_hot_path_flags(self):
         args = build_serve_parser().parse_args([

@@ -24,7 +24,7 @@ import pytest
 from repro import faults
 from repro.cache.ring import HashRing
 from repro.cache.store import DiscoveryCache
-from repro.cache.tiers import DiskTier, MemoryTier, PeerTier, TieredCache
+from repro.cache.tiers import PeerTier, TieredCache
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.trace import Tracer
 from repro.serve import metrics as metrics_module
@@ -73,9 +73,7 @@ def snapshot(tmp_path):
     metrics.count("stale_served")
     clock.now += 42.125
 
-    store = TieredCache(
-        [MemoryTier(max_bytes=1 << 20), DiskTier(DiscoveryCache(tmp_path)), PeerTier(None)]
-    )
+    store = TieredCache(DiscoveryCache(tmp_path), peers=PeerTier(None))
     hot = HotReportCache(max_bytes=4096)
     tracer = Tracer()
     plan = FaultPlan([FaultSpec(site="tier.memory", kind="corrupt")])

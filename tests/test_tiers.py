@@ -20,16 +20,11 @@ import pickle
 import pytest
 
 from repro import faults
+from repro.cache import codec
 from repro.cache import keys as cache_keys
 from repro.cache.ring import DEFAULT_REPLICAS, HashRing, normalize_node
 from repro.cache.store import DiscoveryCache
-from repro.cache.tiers import (
-    DiskTier,
-    MemoryTier,
-    PeerTier,
-    TieredCache,
-    build_worker_cache,
-)
+from repro.cache.tiers import PeerTier, TieredCache, build_worker_cache
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.retry import RetryPolicy
 
@@ -141,66 +136,48 @@ class TestHashRing:
 # ---------------------------------------------------------------------- #
 
 
+def stack(tmp_path, **kw) -> TieredCache:
+    return TieredCache(DiscoveryCache(tmp_path / "store"), **kw)
+
+
+def memory_stats(cache: TieredCache) -> dict:
+    return cache.stats()["tiers"]["memory"]
+
+
 class TestMemoryTier:
-    def test_roundtrip_and_lru_eviction(self):
-        blob = wrap(KEY, {"x": 1})
-        tier = MemoryTier(max_bytes=len(blob) * 2 + 1)
-        assert tier.put_blob(KEY, blob)
-        got = tier.fetch(KEY)
-        assert got is not None and got[0] == blob and got[1] == {"x": 1}
-        assert tier.hits == 1 and tier.current_bytes == len(blob)
-        # Two more entries of the same size: the budget holds two, so
-        # the least recently used entry goes.
-        tier.put_blob(OTHER, wrap(OTHER, {"x": 2}))
-        tier.fetch(KEY)  # refresh KEY's recency: OTHER is now the LRU
-        third = "ef" * 32
-        tier.put_blob(third, wrap(third, {"x": 3}))
-        assert len(tier) == 2
-        assert tier.fetch(OTHER) is None  # the LRU victim
-        assert tier.fetch(KEY) is not None and tier.fetch(third) is not None
+    def test_wrong_address_degrades_to_miss_and_evicts(self, tmp_path):
+        cache = stack(tmp_path)
+        cache._blobs.put(KEY, wrap(OTHER, {"x": 1}))  # blob addressed elsewhere
+        assert cache.get(KEY) is None
+        assert memory_stats(cache)["degradations"]["corrupt_entry"] == 1
+        assert len(cache._blobs) == 0  # self-healed: the slot is gone
 
-    def test_oversize_blob_is_rejected(self):
-        tier = MemoryTier(max_bytes=8)
-        assert not tier.put_blob(KEY, wrap(KEY, list(range(100))))
-        assert len(tier) == 0 and tier.stores == 0
-
-    def test_wrong_address_degrades_to_miss_and_evicts(self):
-        tier = MemoryTier()
-        tier.put_blob(KEY, wrap(OTHER, {"x": 1}))  # blob addressed elsewhere
-        assert tier.fetch(KEY) is None
-        assert tier.degradations["corrupt_entry"] == 1
-        assert len(tier) == 0  # self-healed: the slot is gone
-
-    def test_injected_corruption_degrades_and_heals(self):
-        tier = MemoryTier()
-        tier.put_blob(KEY, wrap(KEY, {"x": 1}))
+    def test_injected_corruption_degrades_and_heals(self, tmp_path):
+        cache = stack(tmp_path)
+        cache.put_blob(KEY, wrap(KEY, {"x": 1}))
         with faults.injected(plan(FaultSpec("tier.memory", "corrupt", label=KEY))):
-            assert tier.fetch(KEY) is None
-            assert tier.degradations["corrupt_entry"] == 1
-            assert len(tier) == 0
-            # Re-landed (as promotion would) the entry serves again: the
-            # spec fired on occurrence 0 only.
-            tier.put_blob(KEY, wrap(KEY, {"x": 1}))
-            assert tier.fetch(KEY) is not None
+            assert cache.get(KEY, peer=False) == {"x": 1}  # disk carried it
+            assert memory_stats(cache)["degradations"]["corrupt_entry"] == 1
+            # Promotion re-landed the slot; the spec fired on occurrence
+            # 0 only, so memory serves again.
+            assert cache.get(KEY) == {"x": 1}
+            assert memory_stats(cache)["hits"] == 1
 
-    def test_injected_io_error_is_a_read_error(self):
-        tier = MemoryTier()
-        tier.put_blob(KEY, wrap(KEY, {"x": 1}))
+    def test_injected_io_error_is_a_read_error(self, tmp_path):
+        cache = stack(tmp_path)
+        cache.put_blob(KEY, wrap(KEY, {"x": 1}))
         with faults.injected(plan(FaultSpec("tier.memory", "io_error", label=KEY))):
-            assert tier.fetch(KEY) is None
-        assert tier.degradations["read_error"] == 1
-        assert tier.fetch(KEY) is not None  # the entry itself is intact
+            assert cache.get(KEY) == {"x": 1}  # disk carried it
+        stats = memory_stats(cache)
+        assert stats["degradations"]["read_error"] == 1 and stats["misses"] == 1
+        assert len(cache._blobs) == 1  # the entry itself is intact
+        assert cache.get(KEY) == {"x": 1}
+        assert memory_stats(cache)["hits"] == 1
 
 
 # ---------------------------------------------------------------------- #
 # the composed stack                                                      #
 # ---------------------------------------------------------------------- #
-
-
-def stack(tmp_path, **kw) -> TieredCache:
-    return TieredCache(
-        [MemoryTier(), DiskTier(DiscoveryCache(tmp_path / "store"))], **kw
-    )
 
 
 class TestTieredCache:
@@ -259,11 +236,14 @@ class TestTieredCache:
         ring = HashRing("http://self:1", ["http://127.0.0.1:1"])
         peer = PeerTier(ring, retry=RetryPolicy(attempts=1, base_delay=0.001,
                                                 max_delay=0.01), timeout=0.2)
-        cache.add_tier(peer)
+        cache.attach_peers(peer)
+        assert list(cache.stats()["tiers"]) == ["memory", "disk", "peer"]
         assert cache.get(KEY, peer=False) is None
         assert peer.misses == 0  # never consulted
         assert cache.get_blob(KEY, peer=False) is None
         assert peer.misses == 0
+        assert cache.get(KEY) is None  # peer=True does ask
+        assert peer.misses == 1
 
     def test_garbage_blob_never_lands_on_disk(self, tmp_path):
         cache = stack(tmp_path)
@@ -280,10 +260,6 @@ class TestTieredCache:
         assert cache.put_blob(KEY, wrap(KEY, {"x": 1}))
         assert cache.stats()["tiers"]["memory"]["stores"] == 1
 
-    def test_disk_tier_is_mandatory(self):
-        with pytest.raises(ValueError, match="DiskTier"):
-            TieredCache([MemoryTier()])
-
     def test_counters_are_a_drop_in_for_the_bare_store(self, tmp_path):
         cache = stack(tmp_path)
         cache.put(KEY, {"x": 1})
@@ -293,6 +269,33 @@ class TestTieredCache:
         assert cache.misses == 1  # OTHER missed everywhere; the memory
         assert cache.stores == 1  # miss on KEY's read is not aggregate
         assert set(cache.degradations) >= {"read_error", "corrupt_entry"}
+
+    def test_failed_disk_write_still_lands_in_memory(self, tmp_path):
+        cache = stack(tmp_path)
+        with faults.injected(plan(FaultSpec("store.put", "io_error", label=KEY))):
+            assert cache.put(KEY, {"x": 1})  # landed in one local tier
+        assert cache.store.degradations["write_error"] == 1
+        assert cache.store.entry_count() == 0
+        assert cache.get(KEY) == {"x": 1}
+        assert memory_stats(cache)["hits"] == 1
+
+    def test_each_write_and_hit_decodes_at_most_once(self, tmp_path, monkeypatch):
+        decodes = []
+        real_decode = codec.decode
+
+        def counting_decode(key, blob, version):
+            decodes.append(key)
+            return real_decode(key, blob, version)
+
+        monkeypatch.setattr(codec, "decode", counting_decode)
+        cache = stack(tmp_path)
+        assert cache.put(KEY, {"x": 1})
+        assert decodes == []  # our own encoding is trusted
+        assert cache.put_blob(OTHER, wrap(OTHER, {"x": 2}))
+        assert decodes == [OTHER]  # a foreign blob is checked once
+        decodes.clear()
+        assert cache.get(KEY) == {"x": 1}
+        assert decodes == [KEY]  # a memory hit decodes a fresh copy
 
 
 # ---------------------------------------------------------------------- #
@@ -333,10 +336,14 @@ class TestPeerTier:
         assert tier.candidates(KEY) == []
         assert tier.fetch(KEY) is None and tier.misses == 1
 
-    def test_put_blob_is_a_no_op(self):
+    def test_put_blob_is_a_no_op(self, tmp_path):
+        # Peers pull: writes land locally and never contact a peer.
         tier = self._tier()
-        assert not tier.put_blob(KEY, wrap(KEY, {"x": 1}))
-        assert tier.stores == 0
+        cache = stack(tmp_path, peers=tier)
+        assert cache.put_blob(KEY, wrap(KEY, {"x": 1}))
+        assert cache.put(OTHER, {"x": 2})
+        assert tier.stores == 0 and tier.misses == 0
+        assert tier.degradations["read_error"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -350,11 +357,5 @@ class TestBuildWorkerCache:
 
     def test_default_stack_is_memory_over_disk(self, tmp_path):
         cache = build_worker_cache(tmp_path / "store")
-        assert [t.name for t in cache.tiers] == ["memory", "disk"]
+        assert list(cache.stats()["tiers"]) == ["memory", "disk"]
         assert cache.root == tmp_path / "store"
-
-    def test_zero_memory_budget_disables_the_memory_tier(self, tmp_path):
-        cache = build_worker_cache(tmp_path / "store", memory_bytes=0)
-        assert [t.name for t in cache.tiers] == ["disk"]
-        cache.put(KEY, {"x": 1})
-        assert cache.get(KEY) == {"x": 1}

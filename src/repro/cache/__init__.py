@@ -11,14 +11,12 @@ salt), so a re-run with identical inputs is a hash lookup instead of a
 measurement campaign, and *any* change to an input silently produces a
 fresh key (no invalidation protocol to get wrong).
 
-Two entry granularities are cached:
-
-* whole :class:`~repro.core.report.TopologyReport` discoveries
-  (``MT4G.discover``), including the raw sweep artefacts and the
-  measured-size state the validation escalation path depends on;
-* individual escalation re-measurements (one per ``seed + offset``
-  per attribute), so re-validating a fleet is near-free even when the
-  whole-report entry misses.
+One entry kind is cached: a whole
+:class:`~repro.core.report.TopologyReport` discovery
+(``MT4G.discover``), with the raw sweep artefacts and the measured-size
+state the validation escalation path depends on.  A validated
+discovery is its own entry (``validate`` is part of the key), so
+re-validating a fleet replays whole validated reports.
 
 The store (:class:`~repro.cache.store.DiscoveryCache`) is safe for
 concurrent fleet workers: entries are immutable once written and land
@@ -40,7 +38,6 @@ from repro.cache.keys import (
     canonical_json,
     device_fingerprint,
     digest,
-    measurement_key,
     report_key,
     spec_fingerprint,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "device_fingerprint",
     "digest",
     "estimate_discovery_cost",
-    "measurement_key",
     "report_key",
     "schedule_order",
     "spec_fingerprint",

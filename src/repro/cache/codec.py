@@ -2,10 +2,12 @@
 
 An entry is ``pickle.dumps({"schema", "key", "payload"})``; the embedded
 schema salt and key let any holder check a blob against its address.
-Blobs also arrive from peers, so :func:`decode` resolves only classes
-defined in ``repro``, numpy's array reconstructors and plain builtin
-types: a ``__reduce__`` payload naming any other callable fails to load
-instead of running.
+Blobs also arrive from peers, so :func:`decode` resolves only the
+classes a report entry pickles: the report model and the validation
+records it carries.  Unpickling one of them calls no constructor (a
+dataclass is rebuilt from its ``__dict__``, an enum member is looked
+up), and a payload naming any other global fails to load instead of
+building or running it.
 """
 
 from __future__ import annotations
@@ -16,23 +18,31 @@ from typing import Any
 
 __all__ = ["decode", "encode"]
 
-_NUMPY_GLOBALS = frozenset(
-    (module, name)
-    for module in ("numpy.core.multiarray", "numpy._core.multiarray")
-    for name in ("_reconstruct", "scalar")
-) | {("numpy", "ndarray"), ("numpy", "dtype")}
-_BUILTIN_TYPES = frozenset({"bytearray", "complex", "frozenset", "range", "set", "slice"})
+#: Every global a report entry names (``MT4G.discover`` stores them).  A
+#: class added to the report model must be added here too, or its
+#: entries stop decoding and every read of them is a miss.
+_REPORT_CLASSES = frozenset(
+    {
+        ("repro.core.report", "TopologyReport"),
+        ("repro.core.report", "GeneralReport"),
+        ("repro.core.report", "ComputeReport"),
+        ("repro.core.report", "MemoryElementReport"),
+        ("repro.core.report", "AttributeValue"),
+        ("repro.core.report", "RuntimeReport"),
+        ("repro.core.benchmarks.base", "Source"),
+        ("repro.validate.validator", "ValidationReport"),
+        ("repro.validate.validator", "CrossCheck"),
+        ("repro.validate.validator", "EscalationRecord"),
+        ("repro.validate.validator", "Recalibration"),
+        ("repro.validate.checks", "CheckResult"),
+    }
+)
 
 
 class _EntryUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str) -> Any:
-        if (module == "builtins" and name in _BUILTIN_TYPES) or (module, name) in _NUMPY_GLOBALS:
+        if (module, name) in _REPORT_CLASSES:
             return super().find_class(module, name)
-        if module.split(".")[0] == "repro" and "." not in name:
-            found = super().find_class(module, name)
-            # Only classes defined in repro: no functions, no re-exports.
-            if isinstance(found, type) and found.__module__.split(".")[0] == "repro":
-                return found
         raise pickle.UnpicklingError(f"entry references forbidden global {module}.{name}")
 
 

@@ -32,14 +32,13 @@ __all__ = [
     "canonicalize",
     "device_fingerprint",
     "digest",
-    "measurement_key",
     "report_key",
     "spec_fingerprint",
 ]
 
 #: Salt mixed into every key.  Bump when the *payload* schema changes
-#: (report model, measurement dataclass, stored sidecar state) or when
-#: the same inputs now measure different report bytes, so stale entries
+#: (the report model or the tool state stored beside it) or when the
+#: same inputs now measure different report bytes, so stale entries
 #: become unreachable instead of unpicklable surprises or old answers.
 #: 2: the ConstL1 latency probes 10 % inside the measured size.
 SCHEMA_VERSION = 2
@@ -102,38 +101,29 @@ def spec_fingerprint(spec: Any) -> str:
     return digest(spec)
 
 
-def device_fingerprint(device: Any, include_run_state: bool = True) -> dict[str, Any]:
+def device_fingerprint(device: Any) -> dict[str, Any]:
     """Everything about a simulated device that determines measurements.
 
     The spec alone is not enough: the noise stream (seed, contention),
     the L1/shared carveout configuration and an active MIG profile all
-    change what the benchmarks observe.  With ``include_run_state``
-    (the whole-report case, which measures on *this* device) the mutable
-    run state is included too — a device that already executed work has
-    advanced its noise RNGs and time accounting, so measuring on it
-    again produces *different* results than a fresh same-seed device;
-    keying only on (spec, seed) would let such a run poison the pristine
-    key.  Escalation re-measurements run on freshly-built
-    ``(spec, seed + offset)`` devices, so their keys use the static
-    identity only (``include_run_state=False``) — the parent's run state
-    cannot influence them.
+    change what the benchmarks observe.  The mutable run state is
+    included too: a device that already executed work has advanced its
+    noise RNGs and time accounting, so measuring on it again produces
+    *different* results than a fresh same-seed device; keying only on
+    (spec, seed) would let such a run poison the pristine key.
     """
-    out: dict[str, Any] = {
+    return {
         "spec": canonicalize(device.spec),
         "seed": int(device.seed),
         "cache_config": device.cache_config,
         "contention": float(device.noise.contention_factor),
         "mig_profile": device.mig.profile,
+        "op_serial": int(device.op_serial),
+        "total_loads": int(device.total_loads),
+        "elapsed_seconds": float(device.elapsed_seconds()),
+        "rng_state": canonicalize(device.rng.bit_generator.state),
+        "quirk_rng_state": canonicalize(device._quirk_rng.bit_generator.state),
     }
-    if include_run_state:
-        out.update(
-            op_serial=int(device.op_serial),
-            total_loads=int(device.total_loads),
-            elapsed_seconds=float(device.elapsed_seconds()),
-            rng_state=canonicalize(device.rng.bit_generator.state),
-            quirk_rng_state=canonicalize(device._quirk_rng.bit_generator.state),
-        )
-    return out
 
 
 def report_key(
@@ -155,37 +145,5 @@ def report_key(
             "targets": sorted(targets),
             "extensions": sorted(extensions),
             "validate": bool(validate),
-        }
-    )
-
-
-def measurement_key(
-    device: Any,
-    config: Any,
-    element: str,
-    attribute: str,
-    seed_offset: int,
-    context: Any = None,
-    version: int = SCHEMA_VERSION,
-) -> str:
-    """Key of one escalation re-measurement.
-
-    ``context`` carries the tool state the re-measurement depends on
-    beyond (device, config) — the measured sizes and fetch granularities
-    that shape the probe rings.  A re-validation whose pipeline measured
-    a different capacity must therefore miss, not reuse a ring of the
-    wrong size.
-    """
-    return digest(
-        {
-            "kind": "measurement",
-            "schema": int(version),
-            "tool_version": _tool_version(),
-            "device": device_fingerprint(device, include_run_state=False),
-            "config": canonicalize(config),
-            "element": element,
-            "attribute": attribute,
-            "seed_offset": int(seed_offset),
-            "context": canonicalize(context),
         }
     )

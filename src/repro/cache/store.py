@@ -28,11 +28,14 @@ The store is also a first-class chaos surface: named injection points
 :mod:`repro.faults`) let a recorded fault plan exercise exactly these
 degradation paths deterministically.
 
-Payloads are pickled through :mod:`repro.cache.codec`: the
-report/measurement dataclasses round-trip exactly (types included),
-which is what makes a cache-hit report byte-identical to the cold one.
-Cross-version safety comes from the schema salt in the key plus the
-embedded schema check, not from trusting old pickles.
+Each entry holds one whole discovery: ``{"report", "raw_data",
+"measured_sizes", "measured_fg"}`` (see ``MT4G.discover``).  Payloads
+are pickled through :mod:`repro.cache.codec`: the report dataclasses
+round-trip exactly (types included), which is what makes a cache-hit
+report byte-identical to the cold one, and decoding admits only the
+report model's classes.  Cross-version safety comes from the schema
+salt in the key plus the embedded schema check, not from trusting old
+pickles.
 """
 
 from __future__ import annotations
@@ -118,25 +121,6 @@ class DiscoveryCache:
     ) -> str:
         return _keys.report_key(
             device, config, targets, extensions, validate, version=self.version
-        )
-
-    def measurement_key(
-        self,
-        device: Any,
-        config: Any,
-        element: str,
-        attribute: str,
-        seed_offset: int,
-        context: Any = None,
-    ) -> str:
-        return _keys.measurement_key(
-            device,
-            config,
-            element,
-            attribute,
-            seed_offset,
-            context,
-            version=self.version,
         )
 
     # ------------------------------------------------------------------ #

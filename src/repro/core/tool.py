@@ -154,8 +154,8 @@ class MT4G:
         self.device = device
         self.ctx = BenchmarkContext(device, config)
         #: Optional :class:`repro.cache.DiscoveryCache`: whole-report
-        #: discoveries and per-seed escalation re-measurements are
-        #: memoised under content-addressed keys; None measures always.
+        #: discoveries are memoised under content-addressed keys; None
+        #: measures always.
         self.cache = cache
         self.extensions = frozenset(extensions)
         unknown_ext = self.extensions - self.EXTENSIONS
@@ -1096,33 +1096,6 @@ class MT4G:
             return None
         candidates: list[MeasurementResult] = []
         for offset in _ESCALATION_SEED_OFFSETS:
-            # Each (seed offset, element, attribute) re-measurement is
-            # cached individually: re-validating a fleet replays the
-            # escalation verdicts from the store instead of re-running
-            # three fresh-seed measurement campaigns per failing check.
-            # The key carries the measured-size/granularity state because
-            # it shapes the probe rings the handlers build.
-            mkey = None
-            if self.cache is not None:
-                try:
-                    mkey = self.cache.measurement_key(
-                        self.device,
-                        self.ctx.config,
-                        element,
-                        attribute,
-                        offset,
-                        context={
-                            "sizes": self._measured_sizes,
-                            "fg": self._measured_fg,
-                        },
-                    )
-                except Exception:  # unkeyable input: measure uncached
-                    mkey = None
-            if mkey is not None:
-                cached = self.cache.get(mkey)
-                if isinstance(cached, MeasurementResult):
-                    candidates.append(cached)
-                    continue
             ctx = self._escalation_context(offset)
             try:
                 with self._phase(element, f"escalate:{attribute}"):
@@ -1135,12 +1108,6 @@ class MT4G:
                 isinstance(m.value, bool) or not isinstance(m.value, (int, float))
             ):
                 continue
-            if mkey is not None:
-                # Only results that passed the filters above are stored —
-                # a cache hit re-enters the candidate list directly.  The
-                # put serialises eagerly, so the median/majority winner's
-                # note mutation below never leaks into the store.
-                self.cache.put(mkey, m)
             candidates.append(m)
         if not candidates:
             return None

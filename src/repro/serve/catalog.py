@@ -132,8 +132,9 @@ class DeviceCatalog:
         """The store's entry count, behind the same TTL as the listing.
 
         Counted directly on the store (not ``len(entries())``): the raw
-        count includes non-report payloads such as escalation memos,
-        matching what ``/healthz`` reported before the snapshot existed.
+        count includes files that do not decode as reports, such as
+        entries from an older build, matching what ``/healthz`` reported
+        before the snapshot existed.
         """
         if self.ttl <= 0:
             return self.store.entry_count()
@@ -159,7 +160,7 @@ class DeviceCatalog:
         out: list[CatalogEntry] = []
         for key, payload in self.store.entries():
             entry = self._entry_from_payload(key, payload, walls)
-            if entry is None:  # escalation memo entries are not devices
+            if entry is None:  # not a report, so not a device
                 continue
             out.append(entry)
         out.sort(key=lambda e: (e.preset, e.seed, e.key))

@@ -117,7 +117,6 @@ def fetch_report_for_job(
     preset: str,
     seed: int,
     cache_config: str,
-    engine: str,
     validate: bool,
     cache_dir: str,
     retry: RetryPolicy | None = None,
@@ -316,7 +315,6 @@ class JobQueue:
         self,
         store: DiscoveryCache,
         cache_config: str = "PreferL1",
-        engine: str = "analytic",
         max_workers: int | None = None,
         executor: Executor | None = None,
         retry: RetryPolicy | None = None,
@@ -335,7 +333,6 @@ class JobQueue:
     ) -> None:
         self.store = store
         self.cache_config = cache_config
-        self.engine = engine
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
         self._executor = executor
         self._owns_executor = executor is None
@@ -419,7 +416,8 @@ class JobQueue:
     def report_key(self, preset: str, seed: int, validate: bool) -> str:
         """The content-addressed key a discovery with these inputs lands
         under — computed exactly like the worker will: a pristine device,
-        the service's engine/carveout config, all elements, no extensions.
+        the service's carveout, the default p-chase config, all
+        elements, no extensions.
 
         Memoised: the mapping is pure (the key is a function of nothing
         but these inputs and the queue's fixed config), and deriving it
@@ -437,7 +435,7 @@ class JobQueue:
         targets = NVIDIA_ELEMENTS if spec.vendor is Vendor.NVIDIA else AMD_ELEMENTS
         key = self.store.report_key(
             device,
-            PChaseConfig(engine=self.engine),
+            PChaseConfig(),
             set(targets),
             frozenset(),
             validate,
@@ -633,7 +631,6 @@ class JobQueue:
                 job.preset,
                 job.seed,
                 self.cache_config,
-                self.engine,
                 job.validate,
                 str(self.store.root),
                 self.peer_retry,
@@ -651,7 +648,6 @@ class JobQueue:
                 job.preset,
                 job.seed,
                 self.cache_config,
-                self.engine,
                 job.validate,
                 str(self.store.root),
                 self.retry,

@@ -118,7 +118,6 @@ class TopologyService:
         store: DiscoveryCache,
         read_only: bool = False,
         cache_config: str = "PreferL1",
-        engine: str = "analytic",
         max_workers: int | None = None,
         executor: Executor | None = None,
         retry: RetryPolicy | None = None,
@@ -133,7 +132,6 @@ class TopologyService:
         catalog_ttl: float = CATALOG_TTL_SECONDS,
         pool_mode: str = POOL_MODE,
         trace: bool = False,
-        trace_max: int = 512,
         trace_slow_ms: float | None = None,
         log_format: str | None = None,
         log_stream=None,
@@ -147,7 +145,6 @@ class TopologyService:
         self.jobs = JobQueue(
             store,
             cache_config=cache_config,
-            engine=engine,
             max_workers=max_workers,
             executor=executor,
             retry=retry,
@@ -166,7 +163,7 @@ class TopologyService:
         #: rather than module-global: replicated tests run two instances
         #: in one process, each with its own ring.
         self.tracer: Tracer | None = (
-            Tracer(max_traces=trace_max, slow_ms=trace_slow_ms, log_stream=log_stream)
+            Tracer(slow_ms=trace_slow_ms, log_stream=log_stream)
             if trace
             else None
         )

@@ -324,7 +324,6 @@ def _discover_one(
     preset: str,
     seed: int,
     cache_config: str,
-    engine: str,
     validate: bool,
     cache_dir: str | None = None,
     retry: RetryPolicy | None = None,
@@ -368,7 +367,7 @@ def _discover_one(
         # every worker sees them.
         store = build_worker_cache(cache_dir)
         device = SimulatedGPU(get_preset(preset), seed=seed, cache_config=cache_config)
-        tool = MT4G(device, config=PChaseConfig(engine=engine), cache=store)
+        tool = MT4G(device, config=PChaseConfig(), cache=store)
         report = tool.discover(validate=validate)
         if ctx is not None:
             _trace.record(ctx, "worker.attempt", attempt_start, attempt=n, outcome="ok")
@@ -439,7 +438,6 @@ def discover_fleet(
     seed: int = 0,
     jobs: int | None = None,
     validate: bool = True,
-    engine: str = "analytic",
     cache_config: str = "PreferL1",
     cache_dir: str | Path | None = None,
     retry: RetryPolicy | None = None,
@@ -516,7 +514,7 @@ def discover_fleet(
             try:
                 by_name[name] = entry_from(
                     _discover_one(
-                        name, seed, cache_config, engine, validate,
+                        name, seed, cache_config, validate,
                         cache_dir_arg, policy,
                     )
                 )
@@ -537,7 +535,6 @@ def discover_fleet(
                     name,
                     seed,
                     cache_config,
-                    engine,
                     validate,
                     cache_dir_arg,
                     policy,
@@ -603,7 +600,7 @@ def discover_fleet(
                 if entry is None or entry.error_kind != "infrastructure":
                     continue
                 outcome = _discover_one(
-                    name, seed, cache_config, engine, validate,
+                    name, seed, cache_config, validate,
                     cache_dir_arg, policy,
                 )
                 if outcome.ok:

@@ -25,7 +25,6 @@ import pytest
 from repro import MT4G, DiscoveryCache, SimulatedGPU
 from repro.cache import keys as cache_keys
 from repro.cache.costs import estimate_discovery_cost, schedule_order
-from repro.core.benchmarks.base import MeasurementResult
 from repro.gpuspec.presets import get_preset
 from repro.pchase.config import PChaseConfig
 from repro.validate.fleet import discover_fleet, fleet_schedule
@@ -154,19 +153,6 @@ class TestKeys:
         report = tool.discover()  # must not raise
         assert "cache" not in report.meta
         assert store.stores == 0
-
-    def test_measurement_key_tracks_tool_state(self):
-        dev, cfg = device(), PChaseConfig()
-        a = cache_keys.measurement_key(
-            dev, cfg, "L1", "size", 1009, context={"sizes": {"L1": 4096}}
-        )
-        b = cache_keys.measurement_key(
-            dev, cfg, "L1", "size", 1009, context={"sizes": {"L1": 8192}}
-        )
-        c = cache_keys.measurement_key(
-            dev, cfg, "L1", "size", 2003, context={"sizes": {"L1": 4096}}
-        )
-        assert len({a, b, c}) == 3
 
 
 # ---------------------------------------------------------------------- #
@@ -336,34 +322,17 @@ class TestCachedDiscovery:
         assert "SENTINEL" not in tool2.raw_data
         assert content(again) == content(cold)
 
-    def test_escalation_measurements_cached_per_seed_offset(self, store):
-        # First pass measures and stores the per-(seed offset) escalation
-        # re-measurements; a second validation of a *fresh* cold report
-        # replays them from the store.
-        tool1 = MT4G(device(), cache=store)
-        report1 = tool1.discover()
-        tool1.validate(report1)
-        assert report1.validation.escalations, "fixture must escalate"
-        measured_stores = store.stores
-        hits_before = store.hits
-
-        tool2 = MT4G(device(), cache=store)
-        report2 = tool2.discover()  # report-level hit
-        tool2.validate(report2)
-        assert store.hits > hits_before
-        assert store.stores == measured_stores  # nothing re-measured
-        assert json.dumps(
-            report1.validation.as_dict(), default=str, sort_keys=True
-        ) == json.dumps(report2.validation.as_dict(), default=str, sort_keys=True)
-
-    def test_cached_measurement_round_trips_type(self, store):
-        dev, cfg = device(), PChaseConfig()
-        key = store.measurement_key(dev, cfg, "L1", "size", 1009)
-        m = MeasurementResult("size", "L1", 4096, "B", 0.9, note="n")
-        store.put(key, m)
-        got = store.get(key)
-        assert isinstance(got, MeasurementResult)
-        assert got == m
+    def test_escalating_validation_stores_one_entry(self, store):
+        # Escalation re-measurements are not cached on their own: a
+        # validated discovery that escalates leaves exactly its report
+        # entry, and a re-run replays the whole validated report.
+        cold = MT4G(device(), cache=store).discover(validate=True)
+        assert cold.validation.escalations, "fixture must escalate"
+        assert store.entry_count() == 1 and store.stores == 1
+        warm = MT4G(device(), cache=store).discover(validate=True)
+        assert warm.meta["cache"]["status"] == "hit"
+        assert store.stores == 1
+        assert content(warm) == content(cold)
 
 
 # ---------------------------------------------------------------------- #

@@ -55,7 +55,7 @@ class TestDiscoverFleet:
     def test_worker_failure_becomes_error_entry(self, monkeypatch):
         import repro.validate.fleet as fleet_mod
 
-        def boom(preset, seed, cache_config, engine, validate, cache_dir=None,
+        def boom(preset, seed, cache_config, validate, cache_dir=None,
                  retry=None):
             raise RuntimeError(f"{preset} exploded")
 
@@ -66,7 +66,7 @@ class TestDiscoverFleet:
         assert result.entry("TestGPU-AMD").error_kind == "infrastructure"
 
     def test_worker_function_is_self_contained(self):
-        outcome = _discover_one("TestGPU-AMD", 0, "PreferL1", "analytic", True)
+        outcome = _discover_one("TestGPU-AMD", 0, "PreferL1", True)
         assert outcome.preset == "TestGPU-AMD"
         assert outcome.report.validation is not None
         assert outcome.wall_seconds > 0 and outcome.error == ""
@@ -76,7 +76,7 @@ class TestDiscoverFleet:
         # unknown preset inside the worker: error carried as data, not an
         # exception, with the actual elapsed wall (same accounting as a
         # successful run, in both sequential and concurrent modes)
-        outcome = _discover_one("NoSuchGPU", 0, "PreferL1", "analytic", True)
+        outcome = _discover_one("NoSuchGPU", 0, "PreferL1", True)
         assert outcome.preset == "NoSuchGPU" and outcome.report is None
         assert outcome.wall_seconds > 0 and "NoSuchGPU" in outcome.error
         # an unknown preset cannot be retried into existence
@@ -160,13 +160,13 @@ class TestErrorFallback:
                 raise ValueError()  # deliberately message-less
 
         monkeypatch.setattr(fleet_mod, "SimulatedGPU", ExplodingGPU)
-        outcome = _discover_one("TestGPU-AMD", 0, "PreferL1", "analytic", False)
+        outcome = _discover_one("TestGPU-AMD", 0, "PreferL1", False)
         assert outcome.report is None and outcome.error == "ValueError"
 
     def test_sequential_loop_empty_message_falls_back_to_type(self, monkeypatch):
         import repro.validate.fleet as fleet_mod
 
-        def boom(preset, seed, cache_config, engine, validate, cache_dir=None,
+        def boom(preset, seed, cache_config, validate, cache_dir=None,
                  retry=None):
             raise RuntimeError()  # deliberately message-less
 

@@ -26,9 +26,13 @@ from repro.cache.lru import LRU
 from repro.cache.ring import HashRing
 from repro.cache.store import DiscoveryCache
 from repro.cache.tiers import PeerTier, build_worker_cache, peer_fetch
+from repro.core import report
+from repro.core.benchmarks.base import Source
 from repro.faults import Breaker, FaultPlan, FaultSpec, RetryPolicy
 from repro.faults import retry as retry_module
 from repro.serve import jobs as jobs_module
+from repro.validate import validator
+from repro.validate.checks import CheckResult
 from repro.validate.fleet import discover_one
 
 KEY = "ab" * 32
@@ -49,12 +53,27 @@ class _Exploit:
         return (_payload_ran, ())
 
 
-def exploit_blob(key: str) -> bytes:
-    """A correctly addressed entry whose payload runs code on unpickling."""
+class _BuildsStore:
+    """Pickles as a call of the ``DiscoveryCache`` constructor."""
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+
+    def __reduce__(self):
+        return (DiscoveryCache, (self.root,))
+
+
+def entry_blob(key: str, payload) -> bytes:
+    """A correctly addressed entry around ``payload``."""
     return pickle.dumps(
-        {"schema": SCHEMA_VERSION, "key": key, "payload": _Exploit()},
+        {"schema": SCHEMA_VERSION, "key": key, "payload": payload},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
+
+
+def exploit_blob(key: str) -> bytes:
+    """A correctly addressed entry whose payload runs code on unpickling."""
+    return entry_blob(key, _Exploit())
 
 
 @pytest.fixture(autouse=True)
@@ -112,13 +131,13 @@ class TestCodec:
         with pytest.raises(ValueError):
             codec.decode(KEY, blob, SCHEMA_VERSION + 1)
 
-    @pytest.mark.parametrize("preset", ["TestGPU-NV", "TestGPU-AMD"])
+    @pytest.mark.parametrize("preset", ["TestGPU-NV", "TestGPU-AMD", "A100", "MI210"])
     def test_every_real_entry_decodes(self, tmp_path, preset):
         store = DiscoveryCache(tmp_path / "store")
         MT4G(SimulatedGPU.from_preset(preset, seed=0), cache=store).discover(
             validate=True
         )
-        assert store.entry_count() > 0
+        assert store.entry_count() == 1
         assert len(list(store.entries())) == store.entry_count()
 
     def test_exploit_payload_is_refused_and_never_runs(self):
@@ -129,6 +148,25 @@ class TestCodec:
         with pytest.raises(pickle.UnpicklingError):
             codec.decode(KEY, blob, SCHEMA_VERSION)
         assert RAN == []
+
+    def test_store_payload_is_refused_before_its_constructor_runs(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+        original = DiscoveryCache.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscoveryCache, "__init__", spy)
+        blob = entry_blob(KEY, _BuildsStore(str(tmp_path / "planted")))
+        assert isinstance(pickle.loads(blob)["payload"], DiscoveryCache)
+        assert len(built) == 1  # the blob is live: a plain unpickler builds it
+        built.clear()
+        with pytest.raises(pickle.UnpicklingError):
+            codec.decode(KEY, blob, SCHEMA_VERSION)
+        assert built == []
 
     @pytest.mark.parametrize(
         "module, name",
@@ -145,10 +183,24 @@ class TestCodec:
         with pytest.raises(pickle.UnpicklingError):
             unpickler.find_class(module, name)
 
-    def test_find_class_allows_repro_classes_and_plain_types(self):
+    def test_find_class_admits_only_the_report_model(self):
         unpickler = codec._EntryUnpickler(io.BytesIO(b""))
-        assert unpickler.find_class("repro.cache.store", "DiscoveryCache") is DiscoveryCache
-        assert unpickler.find_class("builtins", "frozenset") is frozenset
+        admitted = {
+            report.TopologyReport, report.GeneralReport, report.ComputeReport,
+            report.MemoryElementReport, report.AttributeValue, report.RuntimeReport,
+            Source, validator.ValidationReport, validator.CrossCheck,
+            validator.EscalationRecord, validator.Recalibration, CheckResult,
+        }
+        assert len(admitted) == 12
+        for cls in admitted:
+            assert unpickler.find_class(cls.__module__, cls.__name__) is cls
+        for module, name in [
+            ("repro.cache.store", "DiscoveryCache"),
+            ("builtins", "frozenset"),
+            ("numpy", "ndarray"),
+        ]:
+            with pytest.raises(pickle.UnpicklingError):
+                unpickler.find_class(module, name)
 
 
 class TestExploitFromPeers:
@@ -183,7 +235,7 @@ class TestExploitFromPeers:
 
         monkeypatch.setattr(jobs_module, "build_worker_cache", capturing)
         outcome = jobs_module.fetch_report_for_job(
-            exploit_peer, KEY, PRESET, 0, "PreferL1", "analytic", False,
+            exploit_peer, KEY, PRESET, 0, "PreferL1", False,
             str(tmp_path / "store"), retry=RetryPolicy(attempts=1), timeout=5.0,
         )
         assert not outcome.ok and outcome.error_kind == "transient"
@@ -364,13 +416,13 @@ class TestFirstBackoffIsDelayZero:
     def test_fleet_worker(self, sleeps):
         crash = FaultSpec("fleet.worker", "crash", label=f"{PRESET}@*", times=None)
         with faults.injected(FaultPlan([crash])):
-            outcome = discover_one(PRESET, 0, "PreferL1", "analytic", False, None, POLICY)
+            outcome = discover_one(PRESET, 0, "PreferL1", False, None, POLICY)
         assert outcome.attempts == 2 and outcome.error_kind == "transient"
         assert sleeps == [POLICY.delay(PRESET, 0)]
 
     def test_proxy_fetch(self, tmp_path, sleeps):
         outcome = jobs_module.fetch_report_for_job(
-            DEAD_PEER, KEY, PRESET, 0, "PreferL1", "analytic", False,
+            DEAD_PEER, KEY, PRESET, 0, "PreferL1", False,
             str(tmp_path / "store"), retry=POLICY, timeout=0.5,
         )
         assert outcome.attempts == 2 and outcome.error_kind == "transient"

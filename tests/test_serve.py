@@ -106,7 +106,7 @@ class TestCatalog:
     def test_non_report_entries_are_not_devices(self, store):
         warm(store)
         store.put("aa" * 32, {"not": "a report"})
-        store.put("bb" * 32, "escalation memo stand-in")
+        store.put("bb" * 32, "not a report either")
         entries = DeviceCatalog(store).entries()
         assert len(entries) == 1 and entries[0].preset == PRESET
 
@@ -179,7 +179,7 @@ class TestJobQueue:
     def test_failed_job_is_retried_not_pinned(self, store, executor, monkeypatch):
         calls = []
 
-        def flaky(preset, seed, cache_config, engine, validate, cache_dir,
+        def flaky(preset, seed, cache_config, validate, cache_dir,
                   retry=None):
             calls.append(preset)
             if len(calls) == 1:
@@ -189,7 +189,7 @@ class TestJobQueue:
             import repro.validate.fleet as fleet_mod
 
             return fleet_mod.discover_one(
-                preset, seed, cache_config, engine, validate, cache_dir
+                preset, seed, cache_config, validate, cache_dir
             )
 
         monkeypatch.setattr("repro.serve.jobs.discover_one", flaky)
@@ -212,7 +212,7 @@ class TestJobQueue:
     def test_shutdown_releases_queued_waiters(self, store, monkeypatch):
         # A job still queued at shutdown never reaches _finish; its
         # waiters must be released with an error, not hung forever.
-        def slow_worker(preset, seed, cache_config, engine, validate, cache_dir,
+        def slow_worker(preset, seed, cache_config, validate, cache_dir,
                         retry=None):
             import time as _time
 
@@ -245,7 +245,7 @@ class TestJobQueue:
 
         monkeypatch.setattr(
             "repro.serve.jobs.discover_one",
-            lambda preset, seed, cache_config, engine, validate, cache_dir,
+            lambda preset, seed, cache_config, validate, cache_dir,
             retry=None: WorkerOutcome(preset, None, 0.01, error="fake"),
         )
 
@@ -268,7 +268,7 @@ class TestJobQueue:
         store.record_wall("TestGPU-AMD-L3", 50.0)
         order = []
 
-        def fake_worker(preset, seed, cache_config, engine, validate, cache_dir,
+        def fake_worker(preset, seed, cache_config, validate, cache_dir,
                         retry=None):
             from repro.validate.fleet import WorkerOutcome
 

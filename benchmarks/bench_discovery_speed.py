@@ -10,15 +10,18 @@ the results to ``BENCH_discovery.json`` at the repository root:
 The JSON carries, per preset: wall seconds for both engines, the
 speedup, the simulated GPU seconds of the Section V-A run-time model,
 the equivalence verdict — the before/after record the ROADMAP's
-performance section points at — and the warm-reuse accounting of the
-fresh p-chase probes: how many executed a real flush + full warm versus
-extending (growing probe) or truncating (binary-descent probe) the
-previous fixed point, with and without the descent (shrink) reuse path.
+performance section points at — the p-chase runner's accounting (every
+fresh probe is one flush + full warm), and a host stamp: the mean of
+``perfbench/hostspeed.calibration_seconds()`` taken just before and just
+after the analytic discovery.  Dividing a wall time by that stamp and
+multiplying by ``hostspeed.REFERENCE_S`` gives reference-host seconds,
+so records made on differently loaded hosts can be compared.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -26,11 +29,15 @@ import pytest
 
 from repro import MT4G, SimulatedGPU
 from repro.pchase.config import PChaseConfig
-from repro.pchase.runner import PChaseRunner
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from hostspeed import calibration_seconds  # noqa: E402
 
 SEED = 42
 PRESETS = ("A100", "H100-80", "MI210")
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_discovery.json"
+OUT_PATH = ROOT / "BENCH_discovery.json"
 
 #: The analytic engine must beat the exact engine by at least this factor
 #: end-to-end.  Note the exact engine itself already benefits from the
@@ -54,34 +61,16 @@ def _timed_discovery(preset: str, engine: str) -> tuple[dict, float, float, dict
     return report.as_dict(), wall, device.elapsed_seconds(), dict(tool.ctx.runner.stats)
 
 
-def _descent_stats_without_shrink_reuse(preset: str) -> dict:
-    """Warm-reuse accounting with the descent path disabled (the
-    pre-truncation behaviour: a shrinking probe falls back to flush +
-    full warm) — the "before" half of the before/after record."""
-    original = PChaseRunner._incremental_from
-
-    def legacy(self, key, nbytes):
-        warmed = original(self, key, nbytes)
-        if warmed is not None and warmed > nbytes:
-            return None
-        return warmed
-
-    PChaseRunner._incremental_from = legacy
-    try:
-        *_, stats = _timed_discovery(preset, "analytic")
-    finally:
-        PChaseRunner._incremental_from = original
-    return stats
-
-
 @pytest.fixture(scope="module")
 def results():
     out: dict[str, dict] = {}
     for preset in PRESETS:
         exact_report, exact_wall, exact_sim, _ = _timed_discovery(preset, "exact")
+        calibration_before = calibration_seconds()
         analytic_report, analytic_wall, analytic_sim, probe_stats = _timed_discovery(
             preset, "analytic"
         )
+        calibration = (calibration_before + calibration_seconds()) / 2
         identical = json.dumps(analytic_report, default=str, sort_keys=True) == (
             json.dumps(exact_report, default=str, sort_keys=True)
         )
@@ -99,9 +88,7 @@ def results():
             "simulated_gpu_seconds": analytic_sim,
             "reports_identical": identical,
             "probe_warms": probe_stats,
-            "probe_warms_without_shrink_reuse": _descent_stats_without_shrink_reuse(
-                preset
-            ),
+            "host_calibration_seconds": round(calibration, 5),
         }
     OUT_PATH.write_text(json.dumps(out, indent=2) + "\n")
     return out
@@ -138,30 +125,7 @@ def test_simulated_runtime_model_recorded(results):
         assert r["simulated_gpu_seconds"] > 0
 
 
-def test_descent_probes_reuse_warm_state(results):
-    """Binary-descent probes no longer trigger flush + full warm.
-
-    With the shrink path on, descending probes truncate the warmed fixed
-    point; with it off (the pre-truncation behaviour) every one of those
-    probes pays a flush + full re-warm instead.
-    """
-    print("\n=== fresh-probe warm accounting (full/suffix/shrink) ===")
+def test_host_stamp_recorded(results):
+    """Every preset record carries the host calibration taken beside it."""
     for preset, r in results.items():
-        now, before = r["probe_warms"], r["probe_warms_without_shrink_reuse"]
-        print(
-            f"{preset:>8}: with reuse {now['full_warms']}/{now['suffix_warms']}"
-            f"/{now['shrink_warms']}"
-            f"   without shrink reuse {before['full_warms']}"
-            f"/{before['suffix_warms']}/{before['shrink_warms']}"
-        )
-    for preset, r in results.items():
-        now, before = r["probe_warms"], r["probe_warms_without_shrink_reuse"]
-        assert now["shrink_warms"] > 0, f"{preset}: descent never reused warm state"
-        assert before["shrink_warms"] == 0
-        assert now["full_warms"] < before["full_warms"], (
-            f"{preset}: shrink reuse did not reduce flush + full warms "
-            f"({now['full_warms']} vs {before['full_warms']})"
-        )
-        # Identical probe population either way — reuse only changes how
-        # the warm state is reached, never how many probes run.
-        assert now["fresh_runs"] == before["fresh_runs"]
+        assert r["host_calibration_seconds"] > 0, preset

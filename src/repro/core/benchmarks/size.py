@@ -8,11 +8,7 @@ Implements the four-step workflow:
    the final sweep stays fine-grained;
 2. **sweep** — fresh p-chase runs for every size in the interval, step =
    fetch granularity (coarsened only if the interval would exceed the
-   configured point budget); the ascending grid lets the analytic engine
-   reuse warm state between runs (each size extends the previous ring —
-   provably the same LRU fixed point as flush + full re-warm), as does
-   the doubling ascent of step 1, so the hot path costs O(delta) per run
-   instead of O(array size);
+   configured point budget);
 3. **outlier handling** — isolated spikes are scrubbed; a change point
    detected at the sweep edge or an insignificant test widens the
    interval and repeats (up to ``max_widen_rounds``);
@@ -105,13 +101,6 @@ def find_capacity_bounds(
     bounds the final interval width (defaults to the sweep budget); the
     cache-line benchmark reuses this routine to localise *apparent*
     capacities under line-skipping strides (Section IV-E).
-
-    The doubling ascent issues monotonically growing probes against one
-    buffer, which the runner serves incrementally (suffix warms on the
-    previous fixed point); the binary descent's shrinking probes are
-    served by *truncating* the deferred fixed point in place (the same
-    provable-fixed-point argument, O(1) per probe) — neither direction
-    triggers a flush + full re-warm.
     """
     baseline_lat = ctx.runner.latencies(kind, lo, stride, sm=sm)
     floor = float(np.min(baseline_lat))

@@ -225,14 +225,12 @@ def _profiled_discover(tool: MT4G, validate: bool):
         f"{sum(r.get('runs', 0) for r in rows)} p-chase runs "
         f"({sum(r.get('seconds', 0.0) for r in rows):.3f}s); self time per phase",
         f"{'element':<18} {'phase':<24} {'self_s':>8} {'calls':>5} {'runs':>5} "
-        f"{'pchase_s':>8} {'full':>5} {'sufx':>5} {'shrk':>5}",
+        f"{'pchase_s':>8}",
     ]
     for r in rows:
         lines.append(
             f"{r['element']:<18} {r['phase']:<24} {r['wall_s']:>8.4f} "
-            f"{r['calls']:>5} {r.get('runs', 0):>5} {r.get('seconds', 0.0):>8.4f} "
-            f"{r.get('full_warms', 0):>5} {r.get('suffix_warms', 0):>5} "
-            f"{r.get('shrink_warms', 0):>5}"
+            f"{r['calls']:>5} {r.get('runs', 0):>5} {r.get('seconds', 0.0):>8.4f}"
         )
     print("\n".join(lines), file=sys.stderr)
     return report

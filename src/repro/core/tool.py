@@ -128,7 +128,7 @@ _ESCALATION_SEED_OFFSETS = (1009, 2003, 3001)
 _NULL_PHASE = nullcontext()
 
 #: ``PChaseRunner.stats`` counters a phase span closes with, as deltas.
-_PHASE_COUNTERS = ("runs", "seconds", "full_warms", "suffix_warms", "shrink_warms")
+_PHASE_COUNTERS = ("runs", "seconds")
 
 
 class MT4G:

@@ -22,6 +22,10 @@ p-chase passes, some over 50 MB L2 footprints):
   (``-1``) packed at the LRU side;
 * :meth:`flush` is O(1): rows carry a generation stamp and are lazily
   reset on first touch after a flush;
+* :meth:`warm_fixed_point` — flush plus one warm pass over a strided
+  ring, every fresh p-chase's preamble — is O(1) too: it records a
+  deferred descriptor, and rows are installed only if something reads
+  them;
 * :meth:`warm_cyclic` installs the *end state* of a full cyclic pass
   analytically — for uniform strided rings the grouping is a pure
   counting pass (no ``argsort``), merges onto a non-empty cache are a
@@ -56,17 +60,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SimCache"]
-
-#: Cumcount index cache for uniform-stride rings with stride >= line_size
-#: (cache-line benchmarks probe the same (base, stride) ring at many
-#: lengths; the per-set insertion rank is prefix-stable, so one stable
-#: sort serves every probe).  Keyed by (num_sets, line_size, base, stride).
-_RANK_CACHE: dict[tuple[int, int, int, int], dict] = {}
-#: Total cached rank elements across entries (~32 MB of int64); oldest
-#: entries are evicted beyond this so the cache cannot grow with the
-#: number of devices or strides probed in one process.
-_RANK_CACHE_MAX_ELEMS = 4_000_000
-
 
 def _group_rank(
     keys: np.ndarray,
@@ -156,8 +149,8 @@ class SimCache:
         # Smallest and largest line tags installed in the current
         # generation: every resident line lies in [min, max], so a merge
         # proves "this incoming line cannot match resident content" in
-        # O(1) for lines outside it (suffix-extension warms share at most
-        # the boundary line; a ring below every resident line shares none).
+        # O(1) for lines outside it (a ring above or below every resident
+        # line shares none).
         self._line_min = 0
         self._line_max = -1
         self._line_gen = 0
@@ -237,40 +230,6 @@ class SimCache:
             and ring[2] == stride
             and ring[1] // ring[2] == nbytes // stride
         )
-
-    def extend_fixed_point(self, base: int, nbytes: int, stride: int) -> bool:
-        """Extend a deferred warm ring in place (incremental sweeps).
-
-        Valid only when the cache currently holds the fixed point of a
-        ring with the same base and stride and no larger size — warming
-        the appended suffix of a monotone ring reproduces the fixed point
-        of the extended ring exactly (property-tested).  Returns False
-        when the current state offers no such proof.
-        """
-        ring = self._fixed_point_ring()
-        if ring is not None and ring[0] == base and ring[2] == stride and ring[1] <= nbytes:
-            self._virtual = (True, [(int(base), int(nbytes), int(stride))])
-            return True
-        return False
-
-    def truncate_fixed_point(self, base: int, nbytes: int, stride: int) -> bool:
-        """Shrink a deferred warm ring in place (binary-descent probes).
-
-        Valid only when the cache currently holds the *deferred* fixed
-        point of a ring with the same base and stride and at least this
-        size.  The logical state then becomes flush + warm of the
-        truncated prefix ring — exactly what a fresh probe would install
-        — without touching any rows: the descriptor swap alone is the
-        whole operation, so a shrinking probe against a warmed superset
-        costs O(1) instead of flush + O(size) re-warm (property-tested).
-        Returns False when the current state offers no such proof (e.g.
-        something materialised the rows in between).
-        """
-        ring = self._fixed_point_ring()
-        if ring is not None and ring[0] == base and ring[2] == stride and ring[1] >= nbytes:
-            self._virtual = (True, [(int(base), int(nbytes), int(stride))])
-            return True
-        return False
 
     def _materialize(self) -> None:
         """Install the rows of the deferred warm list."""
@@ -422,7 +381,6 @@ class SimCache:
         monotonicity and, for ``stride <= line_size``, makes the grouping
         a pure counting pass (consecutive lines — no ``argsort``).
         """
-        ws = self.ways
         sets_total = self.num_sets
         line = self.line_size
         fg = self.fetch_granularity
@@ -462,65 +420,20 @@ class SimCache:
             else:
                 touched = np.sort(set_ids)
             return uniq_lines, line_masks, set_ids, from_end, touched
-        if stride is not None and stride >= line:
-            # Uniform stride at or above the line size: every address is
-            # its own line (and single sector); the per-set insertion
-            # rank comes from the prefix-stable rank cache.
-            lines, bits = self._addr_parts(addrs)
-            set_ids = lines % sets_total
-            counts_prefix = np.bincount(set_ids, minlength=sets_total)
-            rank = self._stride_rank(addrs, stride)
-            from_end = counts_prefix[set_ids] - 1 - rank
-            touched = np.flatnonzero(counts_prefix)
-            return lines, bits, set_ids, from_end, touched
-        # Generic monotone sequence: run-length pass plus a stable sort
-        # over the (much smaller) per-line arrays.
         lines, bits = self._addr_parts(addrs)
-        change = np.empty(lines.size, dtype=bool)
-        change[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=change[1:])
-        run_starts = np.flatnonzero(change)
-        uniq_lines = lines[run_starts]
-        line_masks = np.bitwise_or.reduceat(bits, run_starts)
-        set_ids = uniq_lines % sets_total
+        if stride is None or stride < line:
+            # Generic monotone sequence: collapse each line's run of loads.
+            # (A uniform stride above the line size gives every address
+            # its own line and single sector, so there are no runs.)
+            change = np.empty(lines.size, dtype=bool)
+            change[0] = True
+            np.not_equal(lines[1:], lines[:-1], out=change[1:])
+            run_starts = np.flatnonzero(change)
+            lines = lines[run_starts]
+            bits = np.bitwise_or.reduceat(bits, run_starts)
+        set_ids = lines % sets_total
         order, gstarts, _, rank, size = _group_rank(set_ids)
-        from_end = size - 1 - rank
-        touched = set_ids[order][gstarts]
-        _ = ws  # (associativity is applied by the install helpers)
-        return uniq_lines, line_masks, set_ids, from_end, touched
-
-    def _stride_rank(self, addrs: np.ndarray, stride: int) -> np.ndarray:
-        """Per-address insertion rank within its set (stride >= line_size).
-
-        Rank is prefix-stable — element ``i`` only depends on elements
-        before it — so the cached index of the longest ring seen for this
-        (base, stride) serves every shorter probe, and extensions only
-        sort the appended suffix.
-        """
-        key = (self.num_sets, self.line_size, int(addrs[0]), int(stride))
-        n = int(addrs.size)
-        ent = _RANK_CACHE.get(key)
-        if ent is None or ent["n"] < n:
-            if ent is None:
-                prior_n = 0
-                prior_counts = np.zeros(self.num_sets, dtype=np.int64)
-                prior_rank = np.empty(0, dtype=np.int64)
-            else:
-                prior_n = ent["n"]
-                prior_counts = ent["counts"]
-                prior_rank = ent["rank"]
-            new_sets = (addrs[prior_n:] // self.line_size) % self.num_sets
-            _, _, _, within, _ = _group_rank(new_sets)
-            rank = np.concatenate([prior_rank, prior_counts[new_sets] + within])
-            counts = prior_counts + np.bincount(new_sets, minlength=self.num_sets)
-            _RANK_CACHE.pop(key, None)
-            total = sum(e["rank"].size for e in _RANK_CACHE.values())
-            while _RANK_CACHE and total + rank.size > _RANK_CACHE_MAX_ELEMS:
-                total -= _RANK_CACHE.pop(next(iter(_RANK_CACHE)))["rank"].size
-            if rank.size <= _RANK_CACHE_MAX_ELEMS:
-                _RANK_CACHE[key] = {"n": n, "rank": rank, "counts": counts}
-            return rank[:n]
-        return ent["rank"][:n]
+        return lines, bits, set_ids, size - 1 - rank, set_ids[order][gstarts]
 
     def _ring_set_counts(
         self,
@@ -689,9 +602,6 @@ class SimCache:
         *uncapped* number of inserts per set) is given, else ``None``.
         """
         ws = self.ways
-        if touched.size <= 4 and inserted_counts is None:
-            self._merge_rows_small(touched, inc_tags, inc_masks)
-            return None
         valid_inc = inc_tags != -1
         if inserted_counts is None and bool(valid_inc.all()):
             # Every touched set receives a full complement of lines none
@@ -737,43 +647,6 @@ class SimCache:
         self._note_lines(int(inc_tags[valid_inc].min()), int(inc_tags.max()))
         return evictions
 
-    def _merge_rows_small(
-        self,
-        touched: np.ndarray,
-        inc_tags: np.ndarray,
-        inc_masks: np.ndarray,
-    ) -> None:
-        """Scalar twin of :meth:`_merge_rows` for a handful of sets.
-
-        Sweep deltas usually append one or two lines; plain-Python row
-        surgery beats the ~25-op vectorised pipeline by ~30x there.
-        """
-        ws = self.ways
-        for t in range(touched.size):
-            set_id = int(touched[t])
-            self._ensure_row(set_id)
-            row_t = self._tags[set_id]
-            row_m = self._masks[set_id]
-            incoming = [
-                (int(inc_tags[t, w]), int(inc_masks[t, w]))
-                for w in range(ws)
-                if inc_tags[t, w] != -1
-            ]
-            old = [
-                (int(row_t[w]), int(row_m[w])) for w in range(ws) if row_t[w] != -1
-            ]
-            merged = (old + incoming)[-ws:]
-            row_t[:] = -1
-            row_m[:] = 0
-            pad = ws - len(merged)
-            for w, (tag, mask) in enumerate(merged):
-                row_t[pad + w] = tag
-                row_m[pad + w] = mask
-            if incoming:
-                self._note_lines(
-                    min(tag for tag, _ in incoming), max(tag for tag, _ in incoming)
-                )
-
     def _promote_rows(
         self,
         touched: np.ndarray,
@@ -813,10 +686,8 @@ class SimCache:
         The end state equals exact per-load simulation on *any* prior
         cache state (sets whose lines may re-access resident content are
         replayed literally; all others take the vectorised pure-insert
-        path).  Consequences relied on elsewhere: repeating the pass
-        (multiple warm-up rounds) is a fixed point, and warming a *suffix
-        extension* of an already-warmed ring is exactly equivalent to
-        re-warming the extended ring (the incremental-sweep invariant).
+        path).  Consequence relied on elsewhere: repeating the pass
+        (multiple warm-up rounds) is a fixed point.
         """
         if self._virtual is not None:
             self._materialize()
@@ -899,8 +770,8 @@ class SimCache:
         * ``warmed=False``: the cache is flushed (verified internally).
 
         ``update_state=False`` computes hits and statistics but leaves the
-        cache at the warm fixed point — used by incremental sweeps, where
-        the next delta warm re-establishes the fixed point invariant.
+        cache at the warm fixed point — used by fresh p-chase runs, whose
+        successor flushes and re-warms anyway.
 
         A warmed, stride-certified pass that leaves the state alone
         (``update_state=False``, or only full wraps — the identity on the

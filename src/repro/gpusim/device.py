@@ -92,14 +92,8 @@ class SimulatedGPU:
         self._paths: dict[tuple[LoadKind, int, int], LoadPath] = {}
         self.total_loads = 0
         # Monotone counter bumped by every accounted kernel operation and
-        # every flush: lets drivers prove "nothing touched the caches in
-        # between" when reusing warm state across p-chase runs.
+        # every flush; part of the device state a cache key fingerprints.
         self.op_serial = 0
-        # Executed device-wide flushes.  Warm-state reuse (suffix warms,
-        # descent truncations) skips the flush entirely; this counter is
-        # how the benchmarks and tests observe that no flush + full
-        # re-warm happened on the hot path.
-        self.flush_count = 0
 
     @classmethod
     def from_preset(cls, name: str, **kwargs) -> "SimulatedGPU":
@@ -247,7 +241,6 @@ class SimulatedGPU:
     def flush_caches(self) -> None:
         """Invalidate every instantiated cache (between benchmark runs)."""
         self.op_serial += 1
-        self.flush_count += 1
         for sm in self._sms.values():
             sm.flush_caches()
         for cache in self._gpu_caches.values():

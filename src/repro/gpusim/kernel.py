@@ -24,8 +24,11 @@ by ``benchmarks/bench_discovery_speed.py``):
 * ``engine="exact"`` walks every load through the per-access simulator
   (the reference implementation the property tests compare against).
 
-Warm-up passes are executed once per cache regardless of
-``warmup_passes`` — a repeated cyclic warm is an LRU fixed point — while
+Every fresh p-chase follows one path: flush the device, warm each cache
+of the load path, then the timed pass.  Warm-up passes are executed once
+per cache regardless of ``warmup_passes`` — a repeated cyclic warm is an
+LRU fixed point, which the analytic engine records after a flush as an
+O(1) deferred descriptor (:meth:`SimCache.warm_fixed_point`) — while
 the simulated run-time model still charges every requested pass, with the
 first pass after a flush charged at *miss* latency (the loads of a cold
 warm-up traverse to the terminal level; charging them at hit latency
@@ -149,7 +152,7 @@ def _walk_many(
     stride: int | None,
     preserve_warm_state: bool,
     ring: int | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None, bool]:
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Batch timed pass over a cyclic ring: per-load latency vector.
 
     ``ring`` is the ring length when ``addrs`` holds only the sampled
@@ -162,26 +165,22 @@ def _walk_many(
     mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
     unknown state, use the arbitrary-state batch walker throughout).
 
-    Returns ``(latencies, first_level_hits, preserved)`` where
-    ``preserved`` reports whether every touched cache was left at the
-    warm fixed point.  A *fresh* warmed pass (``warmed=True``, uniform
-    stride) may route a level through the filtered batch walker — its
-    hit results are computed exactly on the materialised state — and
-    then re-declare the ring's deferred fixed point: the next fresh run
-    flushes + re-warms in the real tool anyway, so starting it from the
-    declared fixed point is exactly equivalent (the incremental-sweep
-    invariant).  On unknown prior state (``warmed=None``) a cache that
-    provably still holds this ring's deferred fixed point
-    (:meth:`SimCache.holds_fixed_point` — a protocol probe right after its
-    own warm) is answered by the warmed analytic chase, from the
-    descriptor alone when the pass is whole wraps; every other level
-    takes the filtered walker, and preservation is never claimed.
+    Returns ``(latencies, first_level_hits)``.  With
+    ``preserve_warm_state`` a *fresh* warmed pass (``warmed=True``,
+    uniform stride) leaves every cache at the ring's warm fixed point: a
+    level routed through the filtered batch walker — its hit results are
+    computed exactly on the materialised state — re-declares the ring's
+    deferred fixed point afterwards.  On unknown prior state
+    (``warmed=None``) a cache that provably still holds this ring's
+    deferred fixed point (:meth:`SimCache.holds_fixed_point` — a protocol
+    probe right after its own warm) is answered by the warmed analytic
+    chase, from the descriptor alone when the pass is whole wraps; every
+    other level takes the filtered walker.
     """
     n = int(n_samples)
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     first_hits: np.ndarray | None = None
-    preserved = preserve_warm_state and warmed is not None
     ring = len(addrs) if ring is None else int(ring)
     ring_nbytes = ring * stride if stride is not None else 0
     restorable = (
@@ -210,12 +209,8 @@ def _walk_many(
 
     def filtered(cache, mask: np.ndarray) -> np.ndarray | None:
         h = _pass_filtered(cache, addrs, n, mask)
-        nonlocal preserved
-        if h is not None:
-            if restorable:
-                cache.warm_fixed_point(int(addrs[0]), ring_nbytes, stride)
-            else:
-                preserved = False
+        if h is not None and restorable:
+            cache.warm_fixed_point(int(addrs[0]), ring_nbytes, stride)
         return h
 
     for level_idx, (cache, level_lat) in enumerate(path.levels):
@@ -226,7 +221,7 @@ def _walk_many(
             else:
                 hits = filtered(cache, pending)
                 if hits is None:
-                    return None, None, False
+                    return None, None
         if level_idx == 0:
             first_hits = hits.copy()
         lat[pending & hits] = level_lat
@@ -234,8 +229,8 @@ def _walk_many(
     full = np.ones(n, dtype=bool)
     for cache in path.side_effects:
         if chase(cache) is None and filtered(cache, full) is None:
-            return None, None, False
-    return lat, first_hits, preserved
+            return None, None
+    return lat, first_hits
 
 
 def warm(
@@ -314,7 +309,7 @@ def probe_hits(
     else:
         done = False
         if engine == "analytic":
-            lat, first_hits, _ = _walk_many(
+            lat, first_hits = _walk_many(
                 path,
                 np.asarray(addrs, dtype=np.int64),
                 n,
@@ -357,7 +352,7 @@ def run_pchase(
     latencies are recorded (wrapping around the ring if N exceeds the
     element count).
     """
-    lat, _ = run_pchase_ex(
+    return run_pchase_ex(
         device,
         kind,
         base,
@@ -370,7 +365,6 @@ def run_pchase(
         flush=flush,
         engine=engine,
     )
-    return lat
 
 
 def run_pchase_ex(
@@ -385,29 +379,20 @@ def run_pchase_ex(
     warmup_passes: int = 1,
     flush: bool = False,
     engine: str = "analytic",
-    incremental_from: int | None = None,
     preserve_warm_state: bool = False,
-) -> tuple[np.ndarray, bool]:
-    """:func:`run_pchase` plus the incremental-sweep driver interface.
+) -> np.ndarray:
+    """:func:`run_pchase` plus the driver's warm-state switch.
 
-    ``incremental_from`` (bytes of an identical-base, identical-stride
-    ring already warmed to its LRU fixed point) replaces the flush +
-    full-ring warm with the O(delta) equivalent: a *growing* probe warms
-    only the appended suffix, a *shrinking* probe (the binary-descent
-    case) truncates the deferred fixed point in place — both provably the
-    same end state — while the simulated run-time model still charges the
-    full flush + warm the real tool would execute.
-    ``preserve_warm_state`` asks the analytic timed pass to leave the
-    caches at the warm fixed point so the *next* sweep size can extend it.
+    ``preserve_warm_state`` asks the analytic timed pass of a fresh,
+    warmed run to leave every cache at the ring's warm fixed point
+    instead of applying the timed pass's state updates: the next fresh
+    run flushes and re-warms anyway, so that work would be thrown away.
 
     Only the sampled addresses are generated: the timed pass reads at
     most the first ``min(ring, n_samples)`` of them, and the ring length
     ``nbytes // stride`` travels separately.  The whole ring is built
     only for a warm that replays it load by load (the exact engine, or a
     warm onto unflushed state).
-
-    Returns ``(latencies, preserved)``; ``preserved`` is True only when
-    the fixed point was actually kept (analytic pass, no fallback).
     """
     if n_samples <= 0:
         raise SimulationError("n_samples must be positive")
@@ -419,21 +404,14 @@ def run_pchase_ex(
     # cold timed pass must apply its state mutations like the exact engine.
     if warmup_passes <= 0:
         preserve_warm_state = False
-    incremental = (
-        analytic
-        and incremental_from is not None
-        and incremental_from > 0
-        and flush
-        and warmup_passes > 0
-    )
-    if flush and not incremental:
+    if flush:
         device.flush_caches()
     path = device.resolve_path(kind, sm, core)
     if not path.levels:
         # Scratchpad: constant latency, no cache dynamics.
         base_lat = np.full(n_samples, path.terminal_latency)
         device.account_loads(n_samples, float(base_lat.sum()))
-        return device.noise.perturb(base_lat), False
+        return device.noise.perturb(base_lat)
 
     addrs = pchase_addresses(base, nbytes, stride, limit=n_samples)
     n_ring = nbytes // stride
@@ -442,49 +420,28 @@ def run_pchase_ex(
         # One executed pass stands in for all requested passes: a repeated
         # cyclic warm is an LRU fixed point (property-tested).
         if analytic and flush:
-            # Fresh warm after a flush (or its incremental equivalent):
-            # record the fixed point as a deferred descriptor — O(1).  An
-            # extension (growing probe) or truncation (shrinking probe,
-            # the binary-descent case) is only accepted against a cache
-            # that provably still holds the previous ring's fixed point;
-            # otherwise the run degrades to a real flush + fresh warm.
-            if incremental:
-                if incremental_from <= nbytes:
-                    reused = all(
-                        c.extend_fixed_point(base, nbytes, stride) for c in caches
-                    )
-                else:
-                    reused = all(
-                        c.truncate_fixed_point(base, nbytes, stride) for c in caches
-                    )
-                if not reused:
-                    device.flush_caches()
-                    incremental = False
-            if not incremental:
-                for cache in caches:
-                    cache.warm_fixed_point(base, nbytes, stride)
+            # Fresh warm after a flush: record the fixed point as a
+            # deferred descriptor — O(1).
+            for cache in caches:
+                cache.warm_fixed_point(base, nbytes, stride)
         else:
-            # Exact engine, or a warm onto unknown (unflushed) state:
-            # incremental reuse never applies here.
+            # Exact engine, or a warm onto unknown (unflushed) state.
             ring_addrs = pchase_addresses(base, nbytes, stride)
             for cache in caches:
                 cache.warm_cyclic(ring_addrs, stride=stride)
 
     base_lat = None
-    preserved = False
     if analytic:
-        if flush:  # fresh state (a real flush or its incremental equivalent)
-            warmed: bool | None = warmup_passes > 0
-        else:
-            warmed = None  # unknown prior state: arbitrary-state batch walk
-        base_lat, _, preserved = _walk_many(
+        # After a flush the state is known (warmed or cold); otherwise the
+        # arbitrary-state batch walk handles the unknown prior state.
+        warmed: bool | None = warmup_passes > 0 if flush else None
+        base_lat, _ = _walk_many(
             path, addrs, n_samples, warmed, stride, preserve_warm_state, n_ring
         )
     if base_lat is None:
         base_lat = np.empty(n_samples, dtype=np.float64)
         for i in range(n_samples):
             base_lat[i] = _walk(path, int(addrs[i % n_ring]))
-        preserved = False
 
     # Run-time model (Section V-A): charge every requested warm pass; the
     # first pass after a flush runs against cold caches and is charged at
@@ -496,7 +453,7 @@ def run_pchase_ex(
     device.account_loads(
         n_samples + warmup_passes * n_ring, float(base_lat.sum()) + warm_cycles
     )
-    return device.noise.perturb(base_lat), preserved
+    return device.noise.perturb(base_lat)
 
 
 def run_stream_kernel(

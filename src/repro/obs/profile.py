@@ -2,7 +2,7 @@
 
 Discovery phases (``MT4G._phase``) are ``discover.phase`` trace spans
 whose attrs name the element and phase and carry the p-chase runner's
-counter deltas over the span (runs, kernel seconds, warm kinds).  Span
+counter deltas over the span (runs, kernel seconds).  Span
 numbers are *totals* — a phase includes the phases nested in it — so the
 table reports self values: own minus the sum over direct child phases.
 The span the top-level phases hang from (``mt4g --profile``'s root, or a

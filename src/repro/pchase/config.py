@@ -39,8 +39,7 @@ class PChaseConfig:
     latency_array_elems: int = 256
     #: measurement engine: "analytic" batches warm/timed/probe passes
     #: through the vectorised cache primitives (with automatic exact
-    #: fallback) and lets sweeps reuse warm state incrementally;
-    #: "exact" walks every load through the per-access simulator.  Both
+    #: fallback); "exact" walks every load through the per-access simulator.  Both
     #: produce identical measurements — the analytic engine exists purely
     #: for speed (see benchmarks/bench_discovery_speed.py).
     engine: str = "analytic"

@@ -8,22 +8,13 @@ measurement primitives every Section-IV benchmark builds on:
 * :meth:`PChaseRunner.sweep` — a latency matrix over array sizes;
 * :meth:`PChaseRunner.probe` — cold/warm probe passes for the protocols.
 
-**Incremental sweeps** (the analytic engine's driver-side half): a fresh
-p-chase of ``n`` bytes leaves every cache on the path at the warm LRU
-fixed point of its ring.  When the next fresh run extends the same ring
-(same buffer base, same stride, larger size — exactly what the size
-benchmark's doubling ascent and linear sweeps do), flushing and
-re-warming from scratch is redundant: warming only the appended suffix
-provably reaches the same fixed point (property-tested in
-``tests/test_cache_chase.py``).  When the next fresh run *shrinks* the
-same ring (the size benchmark's binary-descent probes), the deferred
-fixed point is truncated in place — flush + warm of the prefix ring by
-definition — so descent probes are O(1) warm-state work too.  The runner tracks the warmed ring in
-``_warm_token`` and proves nothing else touched the caches in between via
-the device's ``op_serial``; any interleaved kernel operation or flush
-invalidates the token.  Simulated run-time accounting is unaffected — the
-skipped flush + full warm is still charged, so the Section V-A run-time
-model reports what the real tool would measure.
+**Fresh runs** follow the paper's recipe literally: flush the device,
+warm every cache of the load path, then the timed pass.  On the analytic
+engine the warm after a flush is an O(1) deferred descriptor
+(:meth:`SimCache.warm_fixed_point`), and the timed pass of a fresh,
+warmed run leaves the caches at that fixed point instead of applying its
+own state updates (``preserve_warm_state``): the next fresh run flushes
+them anyway.
 
 One caveat the benchmarks satisfy by construction: a preserved run leaves
 the path's caches at the warm fixed point rather than the exact engine's
@@ -37,7 +28,6 @@ benchmark does — would observe the fixed point; use
 from __future__ import annotations
 
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,20 +35,11 @@ from repro.errors import SimulationError
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
 from repro.gpusim.kernel import probe_hits, run_pchase_ex, warm
-from repro.gpuspec.spec import Quirk
 from repro.pchase.config import PChaseConfig
 
 __all__ = ["PChaseRunner"]
 
 _SHARED_BASE = 1 << 28
-
-
-class _WarmToken(NamedTuple):
-    """Proof that a ring is warmed to its fixed point on the device."""
-
-    key: tuple[LoadKind, int, int, int, int]  # kind, sm, core, base, stride
-    nbytes: int
-    op_serial: int
 
 
 class PChaseRunner:
@@ -68,23 +49,12 @@ class PChaseRunner:
         self.device = device
         self.config = config or PChaseConfig()
         self._buffers: dict[tuple[MemorySpace, int], tuple[int, int]] = {}
-        self._warm_token: _WarmToken | None = None
         #: Run accounting: ``runs`` counts every :meth:`latencies` call
-        #: and ``seconds`` the wall time spent inside the kernel.  Warm
-        #: state per fresh run: ``full_warms`` executed a real device
-        #: flush + fresh warm, ``suffix_warms`` extended the previous
-        #: fixed point (growing probe), ``shrink_warms`` truncated it
-        #: (binary-descent probe).  The discovery benchmark reports these
-        #: to show descent probes no longer flush; discovery phase spans
-        #: carry their deltas.
-        self.stats = {
-            "runs": 0,
-            "seconds": 0.0,
-            "fresh_runs": 0,
-            "full_warms": 0,
-            "suffix_warms": 0,
-            "shrink_warms": 0,
-        }
+        #: and ``seconds`` the wall time spent inside the kernel;
+        #: ``fresh_runs`` counts the runs that flushed first, each of which
+        #: is one ``full_warms`` flush + warm.  Discovery phase spans carry
+        #: the ``runs`` and ``seconds`` deltas.
+        self.stats = {"runs": 0, "seconds": 0.0, "fresh_runs": 0, "full_warms": 0}
 
     # ------------------------------------------------------------------ #
     # buffers                                                             #
@@ -132,9 +102,9 @@ class PChaseRunner:
                     f"{limit - offset} B of the bank (slot {slot})"
                 )
             return base + offset
-        # Grow with headroom: a stable base address lets ascending probe
-        # chains (doubling ascent, linear sweeps) extend an already-warmed
-        # ring instead of re-warming from scratch after every growth.
+        # Grow with headroom, so ascending probe chains (doubling ascent,
+        # linear sweeps) keep one base address.  The base decides the set
+        # mapping of every ring, and therefore what the benchmarks measure.
         granted = max(2 * nbytes, 1 << 16)
         base = self.device.alloc(space, granted)
         self._buffers[key] = (base, granted)
@@ -143,38 +113,6 @@ class PChaseRunner:
     # ------------------------------------------------------------------ #
     # measurement primitives                                              #
     # ------------------------------------------------------------------ #
-
-    def _incremental_from(
-        self, key: tuple[LoadKind, int, int, int, int], nbytes: int
-    ) -> int | None:
-        """Warmed byte count reusable for ``key``, or None.
-
-        Both directions reuse the warmed ring: a growing probe warms only
-        the appended suffix, a shrinking probe (binary descent) truncates
-        the deferred fixed point — each provably equal to flush + full
-        warm of the probed ring.
-        """
-        token = self._warm_token
-        if (
-            token is None
-            or token.key != key
-            or token.op_serial != self.device.op_serial
-        ):
-            return None
-        kind = key[0]
-        # The P6000's flaky constant path re-rolls its side-effect caches
-        # per run, so the warmed cache *set* is not reproducible across
-        # runs.  The kernel independently validates every cache on the
-        # resolved path via SimCache.extend_fixed_point (a structural
-        # guard against any path instability); this driver-side check
-        # additionally keeps caches that drop OUT of the path from
-        # retaining warm state the exact engine would have flushed.
-        if (
-            kind is LoadKind.LD_CONST
-            and Quirk.FLAKY_L1_CONST_SHARING in self.device.spec.quirks
-        ):
-            return None
-        return token.nbytes
 
     def latencies(
         self,
@@ -191,19 +129,9 @@ class PChaseRunner:
         """One p-chase run; returns the first-N observed latencies."""
         base = self.buffer(kind, nbytes, slot)
         engine = self.config.engine
-        key = (kind, sm, core, base, stride)
-        reusable = (
-            fresh
-            and warmup
-            and self.config.warmup_passes > 0
-            and engine == "analytic"
-            and slot == 0
-        )
-        incremental_from = self._incremental_from(key, nbytes) if reusable else None
-        flushes_before = self.device.flush_count
         stats = self.stats
         run_start = perf_counter()
-        lat, preserved = run_pchase_ex(
+        lat = run_pchase_ex(
             self.device,
             kind,
             base,
@@ -215,23 +143,13 @@ class PChaseRunner:
             warmup_passes=self.config.warmup_passes if warmup else 0,
             flush=fresh,
             engine=engine,
-            incremental_from=incremental_from,
-            preserve_warm_state=reusable,
+            preserve_warm_state=fresh and warmup and engine == "analytic",
         )
         stats["seconds"] += perf_counter() - run_start
         stats["runs"] += 1
         if fresh:
             stats["fresh_runs"] += 1
-            if self.device.flush_count != flushes_before:
-                stats["full_warms"] += 1
-            elif incremental_from is not None:
-                stats[
-                    "suffix_warms" if incremental_from <= nbytes else "shrink_warms"
-                ] += 1
-        if preserved:
-            self._warm_token = _WarmToken(key, nbytes, self.device.op_serial)
-        else:
-            self._warm_token = None
+            stats["full_warms"] += 1
         return lat
 
     def sweep(
@@ -242,14 +160,7 @@ class PChaseRunner:
         sm: int = 0,
         core: int = 0,
     ) -> np.ndarray:
-        """Latency matrix: one fresh p-chase run per array size.
-
-        Ascending size grids (the natural output of
-        :func:`~repro.pchase.arrays.linear_sizes`) reuse warm state
-        between runs: each size extends the previous ring, so only the
-        appended suffix is warmed — measurements and simulated run time
-        are identical to flush + full re-warm, only the wall clock shrinks.
-        """
+        """Latency matrix: one fresh p-chase run per array size."""
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size == 0:
             raise SimulationError("sweep requires at least one size")

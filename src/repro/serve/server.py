@@ -43,6 +43,7 @@ drive the service.
 from __future__ import annotations
 
 import asyncio
+import signal
 import sys
 import urllib.parse
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -562,7 +563,15 @@ async def run_service(
             file=sys.stderr,
             flush=True,
         )
+    # SIGTERM ends the service the way Ctrl-C does: stop() shuts the
+    # discovery pool down, so no worker outlives the server still holding
+    # the listening socket it inherited.
+    serving = asyncio.ensure_future(service.serve_forever())
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
     try:
-        await service.serve_forever()
+        await serving
+    except asyncio.CancelledError:
+        if asyncio.current_task().cancelling():  # Ctrl-C: cancelled from above
+            raise
     finally:
         await service.stop()

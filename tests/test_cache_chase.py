@@ -268,72 +268,6 @@ class TestIncrementalWarm:
         full.warm_cyclic(addrs, stride=stride)
         assert incremental.snapshot() == full.snapshot()
 
-    @settings(max_examples=80, deadline=None)
-    @given(geometry_and_ring(), st.data())
-    def test_deferred_extension_matches_real_warms(self, params, data):
-        """extend_fixed_point + materialization == real incremental warms."""
-        size, line, fg, ways, stride, addrs = params
-        if len(addrs) < 2:
-            return
-        cut = data.draw(st.integers(min_value=1, max_value=len(addrs) - 1))
-        base = int(addrs[0])
-        lazy = SimCache(size, line, fg, ways)
-        real = SimCache(size, line, fg, ways)
-        lazy.warm_fixed_point(base, cut * stride, stride)
-        assert lazy.extend_fixed_point(base, len(addrs) * stride, stride)
-        real.warm_cyclic(addrs, stride=stride)
-        assert lazy.snapshot() == real.snapshot()  # snapshot materializes
-
-    def test_extension_refused_on_mismatch(self):
-        cache = SimCache(1024, 64, 32, 2)
-        cache.warm_fixed_point(0, 512, 32)
-        assert not cache.extend_fixed_point(64, 1024, 32)  # different base
-        assert not cache.extend_fixed_point(0, 1024, 64)  # different stride
-        cache.warm_fixed_point(0, 512, 32)
-        assert not cache.extend_fixed_point(0, 256, 32)  # shrink
-        assert cache.extend_fixed_point(0, 2048, 32)
-
-    @settings(max_examples=120, deadline=None)
-    @given(geometry_and_ring(), st.data())
-    def test_truncation_matches_flush_plus_warm(self, params, data):
-        """truncate_fixed_point == flush + warm of the prefix ring.
-
-        The binary-descent invariant: a shrinking probe against a warmed
-        superset ring must land on exactly the state a fresh flush + full
-        warm of the smaller ring would install — hits, end state and the
-        statistics of a subsequent timed pass included.
-        """
-        size, line, fg, ways, stride, addrs = params
-        if len(addrs) < 2:
-            return
-        cut = data.draw(st.integers(min_value=1, max_value=len(addrs) - 1))
-        n_samples = data.draw(st.integers(min_value=1, max_value=3 * cut))
-        base = int(addrs[0])
-        truncated = SimCache(size, line, fg, ways)
-        fresh = SimCache(size, line, fg, ways)
-        truncated.warm_fixed_point(base, len(addrs) * stride, stride)
-        assert truncated.truncate_fixed_point(base, cut * stride, stride)
-        fresh.warm_fixed_point(base, cut * stride, stride)
-        prefix = addrs[:cut]
-        hits_t = truncated.chase_cyclic(prefix, n_samples, warmed=True, stride=stride)
-        hits_f = fresh.chase_cyclic(prefix, n_samples, warmed=True, stride=stride)
-        assert hits_t is not None and hits_f is not None
-        assert (hits_t == hits_f).all()
-        assert truncated.snapshot() == fresh.snapshot()
-        assert stats(truncated) == stats(fresh)
-
-    def test_truncation_refused_without_proof(self):
-        cache = SimCache(1024, 64, 32, 2)
-        cache.warm_fixed_point(0, 1024, 32)
-        assert not cache.truncate_fixed_point(64, 512, 32)  # different base
-        assert not cache.truncate_fixed_point(0, 512, 64)  # different stride
-        cache.warm_fixed_point(0, 512, 32)
-        assert not cache.truncate_fixed_point(0, 1024, 32)  # grow, not shrink
-        # Materialised rows offer no descriptor to truncate.
-        cache.warm_fixed_point(0, 1024, 32)
-        cache.resident_lines()  # forces materialisation
-        assert not cache.truncate_fixed_point(0, 512, 32)
-
     def test_flush_discards_pending_warms(self):
         cache = SimCache(1024, 64, 32, 2)
         cache.warm_cyclic_lazy(0, 512, 32)
@@ -531,7 +465,7 @@ class TestSampledPrefix:
                 cache.warm_cyclic(addrs, stride=stride)
         warmed = {"fixed_point": True, "cold": False}.get(state)
         ring = len(addrs)
-        lat, first, preserved = _walk_many(
+        lat, first = _walk_many(
             dev.resolve_path(self.KIND),
             addrs[: min(ring, n)] if prefix else addrs,
             n,
@@ -548,7 +482,6 @@ class TestSampledPrefix:
             "lat": lat,
             "first": first,
             "noisy": noisy,
-            "preserved": preserved,
             "stats": (stats(l1), stats(l2)),
             "snapshots": (l1.snapshot(), l2.snapshot()),
             "elapsed": dev.elapsed_seconds(),
@@ -573,7 +506,7 @@ class TestSampledPrefix:
             assert (got[key] is None) == (ref[key] is None), key
             if ref[key] is not None:
                 assert np.array_equal(got[key], ref[key]), key
-        for key in ("preserved", "stats", "snapshots", "elapsed", "next_draw"):
+        for key in ("stats", "snapshots", "elapsed", "next_draw"):
             assert got[key] == ref[key], key
 
     @settings(max_examples=100, deadline=None)

@@ -2,6 +2,15 @@
 
 import csv
 import json
+import os
+import re
+import select
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -448,3 +457,76 @@ class TestCacheLimitPrecedence:
             ]) == 0
         capsys.readouterr()
         assert DiscoveryCache(tmp_path / "cache").entry_count() <= 1
+
+
+def _live_pid(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid: int) -> list[int]:
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, ValueError, IndexError):
+                continue
+            if ppid == pid:
+                out.append(int(entry))
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestServeSigterm:
+    #: Far above a healthy start or shutdown (well under a second each);
+    #: only a hung or leaking server reaches it.
+    BOUND_S = 30.0
+
+    def test_sigterm_stops_the_pool_and_frees_the_port(self, tmp_path):
+        env = dict(os.environ, MT4G_CACHE_DIR=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src")]
+            + [p for p in (env.get("PYTHONPATH"),) if p]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.cli", "serve", "--port", "0", "--jobs", "1"],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers: list[int] = []
+        try:
+            ready, _, _ = select.select([proc.stderr], [], [], self.BOUND_S)
+            assert ready, "no startup banner"
+            banner = proc.stderr.readline()
+            port = int(re.search(r"http://[^:]+:(\d+) ", banner).group(1))
+            deadline = time.monotonic() + self.BOUND_S
+            while not workers:
+                assert time.monotonic() < deadline, "warm pool never started"
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=self.BOUND_S)
+            deadline = time.monotonic() + self.BOUND_S
+            while any(_live_pid(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"pool workers {workers} outlived the server"
+                )
+                time.sleep(0.05)
+        finally:
+            for pid in [proc.pid] * (proc.poll() is None) + workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            proc.wait()
+            proc.stderr.close()
+        with socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", port))

@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
 from repro.gpusim.kernel import (
+    DEFAULT_SAMPLES,
     KernelLaunch,
     pchase_addresses,
     probe_hits,
@@ -48,7 +49,9 @@ class TestAddressGeneration:
         """A fresh analytic p-chase allocates O(n_samples), not O(ring).
 
         Four A100 L2 rings of 32-44 MiB at stride 32 are 1-1.4 M loads
-        each; a whole-ring address array would be 8-11.5 MB.
+        each; a whole-ring address array would be 8-11.5 MB.  Each run
+        flushes, records its warm as a deferred descriptor and answers
+        the timed pass from it.
         """
         dev = SimulatedGPU.from_preset("A100", seed=0)
         kind = LoadKind.LD_GLOBAL_CG
@@ -56,14 +59,17 @@ class TestAddressGeneration:
         dev.resolve_path(kind)  # instantiates the L2 model (5 MB of rows)
         tracemalloc.start()
         try:
-            for mib in (32, 36, 40, 44):
+            lats = [
                 run_pchase_ex(
                     dev, kind, base, mib << 20, 32, flush=True, preserve_warm_state=True
                 )
+                for mib in (32, 36, 40, 44)
+            ]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert [lat.shape for lat in lats] == [(DEFAULT_SAMPLES,)] * 4
 
 
 class TestRunPchase:
@@ -230,75 +236,45 @@ class TestRunnerMeasurements:
 
 
 class TestDescentWarmReuse:
-    """Binary-descent probes reuse warm state instead of flushing.
+    """A grow/shrink chain of fresh probes, as the size benchmark's
+    doubling ascent and binary descent issue them.
 
-    The runner serves a shrinking probe against a warmed superset ring by
-    truncating the analytic fixed point — measurements must stay
-    byte-identical to flush + full warm (and to the exact engine), while
-    the device-flush accounting proves no flush + full re-warm ran.
+    Every fresh run flushes, warms and times its own ring, so the
+    analytic engine must return the exact engine's latencies run by run.
     """
 
     SIZES = [2048, 4096, 8192, 6144, 3072, 16384, 5120]
 
-    def _run(self, engine: str, allow_reuse: bool) -> tuple[list, dict, int]:
+    def _run(self, engine: str) -> tuple[list, dict]:
         device = SimulatedGPU.from_preset("TestGPU-NV", seed=5)
         runner = PChaseRunner(device, PChaseConfig(engine=engine))
-        if not allow_reuse:
-            runner._incremental_from = lambda key, nbytes: None
         lats = [
             runner.latencies(LoadKind.LD_GLOBAL_CA, s, 32) for s in self.SIZES
         ]
-        return lats, dict(runner.stats), device.flush_count
+        return lats, dict(runner.stats)
 
-    def test_latencies_identical_with_and_without_reuse(self):
-        with_reuse, _, _ = self._run("analytic", True)
-        without, _, _ = self._run("analytic", False)
-        exact, _, _ = self._run("exact", False)
-        for a, b, c in zip(with_reuse, without, exact):
+    def test_latencies_identical_across_engines(self):
+        analytic, _ = self._run("analytic")
+        exact, _ = self._run("exact")
+        for a, b in zip(analytic, exact):
             assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
-
-    def test_shrinking_probes_do_not_flush(self):
-        _, stats, flushes = self._run("analytic", True)
-        # Only the very first probe of the chain executes a real flush;
-        # every later probe extends (grow) or truncates (shrink) the
-        # warmed fixed point.
-        assert stats["fresh_runs"] == len(self.SIZES)
-        assert stats["full_warms"] == 1
-        assert flushes == 1
-        assert stats["shrink_warms"] >= 2
-        assert stats["suffix_warms"] >= 2
-        assert (
-            stats["full_warms"] + stats["suffix_warms"] + stats["shrink_warms"]
-            == stats["fresh_runs"]
-        )
-
-    def test_find_capacity_bounds_descent_never_full_warms(self):
-        from repro.core.benchmarks.base import BenchmarkContext
-        from repro.core.benchmarks.size import find_capacity_bounds
-
-        device = SimulatedGPU.from_preset("TestGPU-NV", seed=3)
-        ctx = BenchmarkContext(device, PChaseConfig())
-        # A tight budget forces a deep binary descent after the ascent.
-        bounds = find_capacity_bounds(
-            ctx, LoadKind.LD_GLOBAL_CA, 32, 1024, 1 << 20, budget=256
-        )
-        assert bounds is not None
-        stats = ctx.runner.stats
-        # Baseline probe aside, the whole ascent + binary descent runs on
-        # reused warm state: zero additional flush + full warms.
-        assert stats["full_warms"] == 1
-        assert stats["shrink_warms"] >= 1
-        assert device.flush_count == 1
 
     def test_op_serial_still_guards_interleaved_operations(self):
+        # The discovery cache key fingerprints op_serial: every flush and
+        # every accounted kernel operation between two runs must move it.
         device = SimulatedGPU.from_preset("TestGPU-NV", seed=5)
         runner = PChaseRunner(device, PChaseConfig())
-        runner.latencies(LoadKind.LD_GLOBAL_CA, 8192, 32)
-        # An interleaved protocol operation invalidates the token: the
-        # next (shrinking) probe must fall back to a real flush.
+        serials = [device.op_serial]
+        runner.latencies(LoadKind.LD_GLOBAL_CA, 8192, 32)  # flush + run
+        serials.append(device.op_serial)
         runner.warm(LoadKind.LD_GLOBAL_CA, 4096, 32, slot=1)
-        before = device.flush_count
+        serials.append(device.op_serial)
         runner.latencies(LoadKind.LD_GLOBAL_CA, 4096, 32)
-        assert device.flush_count == before + 1
-        assert runner.stats["shrink_warms"] == 0
+        serials.append(device.op_serial)
+        assert [b - a for a, b in zip(serials, serials[1:])] == [2, 1, 2]
+
+    def test_every_fresh_run_is_a_full_warm(self):
+        # perfbench's layer ledger reads both keys.
+        _, stats = self._run("analytic")
+        assert stats["fresh_runs"] == len(self.SIZES)
+        assert stats["full_warms"] == stats["fresh_runs"]

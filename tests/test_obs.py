@@ -444,13 +444,13 @@ class TestProfiler:
         spans = [
             _span("r" * 16, PARENT_ID, 100.0, name="root"),
             _span("a" * 16, "r" * 16, 60.0, element="L1", phase="measure",
-                  runs=5, seconds=0.02, full_warms=1),
+                  runs=5, seconds=0.02),
             _span("b" * 16, "a" * 16, 40.0, element="L1", phase="size_sweep",
-                  runs=5, seconds=0.02, full_warms=1),
+                  runs=5, seconds=0.02),
             # a non-phase leaf (store read) stays inside its phase's row
             _span("c" * 16, "b" * 16, 5.0, name="store.read", bytes=10),
             _span("d" * 16, "r" * 16, 30.0, element="L2", phase="measure",
-                  runs=2, seconds=0.01, full_warms=0),
+                  runs=2, seconds=0.01),
         ]
         table = fold(spans)
         assert table["root"] == "root"
@@ -461,9 +461,9 @@ class TestProfiler:
             ("L2", "measure"),
         }
         inner, outer = rows[("L1", "size_sweep")], rows[("L1", "measure")]
-        # runs and warms land on the innermost phase...
-        assert inner["runs"] == 5 and inner["full_warms"] == 1
-        assert outer["runs"] == 0 and outer["full_warms"] == 0
+        # runs and kernel seconds land on the innermost phase...
+        assert inner["runs"] == 5 and inner["seconds"] == pytest.approx(0.02)
+        assert outer["runs"] == 0 and outer["seconds"] == pytest.approx(0.0)
         # ...and parent rows exclude their children's time
         assert inner["wall_s"] == pytest.approx(0.040)
         assert outer["wall_s"] == pytest.approx(0.020)

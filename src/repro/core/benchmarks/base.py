@@ -101,10 +101,6 @@ class BenchmarkContext:
         self.benchmarks_run += 1
         self._timeline.append((f"{benchmark}:{target}", self.device.elapsed_seconds()))
 
-    def timeline(self) -> list[tuple[str, float]]:
-        """(benchmark:target, cumulative simulated seconds) entries."""
-        return list(self._timeline)
-
     def seconds_per_benchmark(self) -> dict[str, float]:
         """Simulated GPU seconds attributed to each benchmark execution."""
         out: dict[str, float] = {}

@@ -100,23 +100,47 @@ NVIDIA_ELEMENTS = (
 )
 AMD_ELEMENTS = ("vL1", "sL1d", "L2", "L3", "LDS", "DeviceMemory")
 
-_NV_KINDS = {
-    "L1": LoadKind.LD_GLOBAL_CA,
-    "L2": LoadKind.LD_GLOBAL_CG,
-    "Texture": LoadKind.TEX1DFETCH,
-    "Readonly": LoadKind.LDG,
-    "ConstL1": LoadKind.LD_CONST,
-    "ConstL1.5": LoadKind.LD_CONST,
-    "SharedMem": LoadKind.LD_SHARED,
-}
-
 _CONST_BANK = 64 * KiB  # paper Section III-C / footnote 10
 
-_AMD_KINDS = {
-    "vL1": LoadKind.FLAT_LOAD,
-    "sL1d": LoadKind.S_LOAD,
-    "L2": LoadKind.FLAT_LOAD_GLC,
+#: The load instruction that targets each element.  An element without
+#: an entry (the CDNA3 L3) has no load path, so nothing to measure.
+_KINDS = {
+    Vendor.NVIDIA: {
+        "L1": LoadKind.LD_GLOBAL_CA,
+        "L2": LoadKind.LD_GLOBAL_CG,
+        "Texture": LoadKind.TEX1DFETCH,
+        "Readonly": LoadKind.LDG,
+        "ConstL1": LoadKind.LD_CONST,
+        "ConstL1.5": LoadKind.LD_CONST,
+        "SharedMem": LoadKind.LD_SHARED,
+        "DeviceMemory": LoadKind.LD_GLOBAL_CG,
+    },
+    Vendor.AMD: {
+        "vL1": LoadKind.FLAT_LOAD,
+        "sL1d": LoadKind.S_LOAD,
+        "L2": LoadKind.FLAT_LOAD_GLC,
+        "LDS": LoadKind.DS_READ,
+        "DeviceMemory": LoadKind.FLAT_LOAD_GLC,
+    },
 }
+
+#: Access stride of an element whose fetch granularity is inconclusive
+#: (32 B for any element not listed).
+_FG_FALLBACK = {"ConstL1": 64, "ConstL1.5": 256, "vL1": 64, "sL1d": 64}
+
+#: Size-sweep window (lo, hi_cap) of every cache whose capacity is swept.
+#: The other sizes are API values or the bank-capped ConstL1.5 lower
+#: bound, which no re-sweep can improve.
+_SIZE_WINDOWS = {
+    "ConstL1": (256, _CONST_BANK),
+    **dict.fromkeys(
+        ("L1", "Texture", "Readonly", "vL1", "sL1d"), (1 * KiB, 1 * MiB)
+    ),
+}
+
+#: Caches with a cooperative-eviction amount protocol (Section IV-F); the
+#: bank-capped ConstL1.5 and the scalar sL1d have none (Section III-C).
+_EVICTABLE = ("L1", "Texture", "Readonly", "ConstL1", "vL1")
 
 #: Seed offsets of the escalation re-measurements: three independent
 #: noise streams, far from any seed a user would pick deliberately.
@@ -177,6 +201,7 @@ class MT4G:
                     f"valid for {device.vendor.value}: {all_elements}"
                 )
             self.targets = set(targets)
+        self._kinds = _KINDS[device.vendor]
         self._measured_sizes: dict[str, int] = {}
         self._measured_fg: dict[str, int] = {}
         #: raw benchmark artefacts (size grids, reduced latency vectors,
@@ -430,8 +455,26 @@ class MT4G:
                 **m.detail,
             }
 
-    def _fg(self, name: str, default: int = 32) -> int:
-        return self._measured_fg.get(name, default)
+    def _fg(self, name: str) -> int:
+        return self._measured_fg.get(name, _FG_FALLBACK.get(name, 32))
+
+    def _fetch_granularity(
+        self, element: MemoryElementReport, **kwargs: Any
+    ) -> None:
+        fg = measure_fetch_granularity(
+            self.ctx, self._kinds[element.name], element.name, **kwargs
+        )
+        self._bench(element, "fetch_granularity", fg)
+        if fg.conclusive:
+            self._measured_fg[element.name] = int(fg.value)
+
+    def _keep_size(
+        self, element: MemoryElementReport, m: MeasurementResult
+    ) -> MeasurementResult:
+        self._bench(element, "size", m)
+        if m.conclusive:
+            self._measured_sizes[element.name] = int(m.value)
+        return m
 
     def _bandwidth_element(self, element: MemoryElementReport, name: str) -> None:
         with self._phase(name, "bandwidth"):
@@ -440,23 +483,8 @@ class MT4G:
                     element, f"{op}_bandwidth", measure_bandwidth(self.ctx, name, op)
                 )
 
-    def _latency_element(
-        self,
-        element: MemoryElementReport,
-        kind: LoadKind,
-        name: str,
-        array_bytes: int | None = None,
-        cold: bool = False,
-    ) -> None:
-        m = measure_load_latency(
-            self.ctx,
-            kind,
-            name,
-            self._fg(name),
-            array_bytes=array_bytes,
-            cold=cold,
-        )
-        self._bench(element, "load_latency", m)
+    def _latency_element(self, element: MemoryElementReport) -> None:
+        self._bench(element, "load_latency", self._latency(self.ctx, element.name))
 
     @property
     def _props_struct(self) -> str:
@@ -488,6 +516,112 @@ class MT4G:
         element.get("read_bandwidth").note = note
 
     # ------------------------------------------------------------------ #
+    # measurement recipes: one per (element, attribute), run with the     #
+    # pipeline's context and with every escalation context alike         #
+    # ------------------------------------------------------------------ #
+
+    def _latency_array(self, name: str) -> int | None:
+        """Latency-benchmark array size: 256 x FG, capped inside the cache.
+
+        The cap keeps a 10 % margin below the *measured* size so a slight
+        size-benchmark overestimate (one sweep stride, cf. Table III's
+        2.1 KiB Constant L1) cannot push the p-chase into the next level
+        (Section IV-C requires in-cache probing).  Scratchpads take a
+        fixed 4 KiB ring; a ConstL1.5 ring starts above the Constant L1.
+        """
+        if name in ("SharedMem", "LDS"):
+            return 4 * KiB
+        stride = self._fg(name)
+        measured = self._measured_sizes.get(name)
+        cl1 = self._measured_sizes.get("ConstL1", 2 * KiB)
+        if name == "ConstL1.5":
+            # The bank caps the CL1.5 sweep: a size at the cap is only a
+            # lower bound, so the ring then stays at 8 x CL1.
+            if measured is not None and measured < _CONST_BANK:
+                return max(2 * cl1, int(measured * 0.9) // stride * stride)
+            return min(8 * cl1, _CONST_BANK)
+        default = self.ctx.config.latency_array_elems * stride
+        if measured is not None and measured < default:
+            return max(stride, int(measured * 0.9) // stride * stride)
+        # An inconclusive ConstL1 size probes the nominal 2 KiB.
+        return cl1 if name == "ConstL1" else None
+
+    def _latency(self, ctx: BenchmarkContext, name: str) -> MeasurementResult | None:
+        """Load latency (Section IV-C): a warmed p-chase inside the element."""
+        kind = self._kinds.get(name)
+        if kind is None:
+            return None
+        if name == "DeviceMemory":
+            # The cold probe's stride must exceed every cache's sector size
+            # so no access lands in a sector an earlier miss already fetched.
+            return measure_load_latency(
+                ctx, kind, name, fetch_granularity=256, cold=True
+            )
+        return measure_load_latency(
+            ctx, kind, name, self._fg(name), array_bytes=self._latency_array(name)
+        )
+
+    def _size(self, ctx: BenchmarkContext, name: str) -> MeasurementResult | None:
+        """Capacity (Section IV-B): a K-S size sweep over the element's window."""
+        window = _SIZE_WINDOWS.get(name)
+        if window is None:
+            return None
+        lo, hi_cap = window
+        return measure_cache_size(
+            ctx, self._kinds[name], name, self._fg(name), lo=lo, hi_cap=hi_cap
+        )
+
+    def _amount(self, ctx: BenchmarkContext, name: str) -> MeasurementResult | None:
+        """Amount (Section IV-F): the eviction protocol over the measured size.
+
+        The NVIDIA L2 replays the segment-size sweep and aligns it to the
+        API total (Section IV-F.1).  API values and caches without an
+        eviction protocol return None.
+        """
+        if name == "L2" and self.device.vendor is Vendor.NVIDIA:
+            api_total = hip_get_device_properties(self.device).l2CacheSize
+            segment = self._l2_segment(ctx, api_total)
+            if not segment.conclusive:
+                return None
+            return resolve_l2_segments(ctx, int(segment.value), api_total)
+        size = self._measured_sizes.get(name)
+        if name not in _EVICTABLE or size is None:
+            return None
+        return measure_amount(
+            ctx,
+            self._kinds[name],
+            name,
+            size,
+            self._fg(name),
+            spans_all_warps=(name == "L1"),
+        )
+
+    def _l2_segment(self, ctx: BenchmarkContext, api_total: int) -> MeasurementResult:
+        """One NVIDIA L2 segment's size: a sweep that starts above the L1."""
+        l1_size = self._measured_sizes.get("L1", 256 * KiB)
+        return measure_cache_size(
+            ctx,
+            self._kinds["L2"],
+            "L2",
+            self._fg("L2"),
+            lo=max(4 * l1_size, 16 * KiB),
+            hi_cap=2 * api_total,
+        )
+
+    def _sharing_targets(self) -> dict[str, tuple[LoadKind, int, int]]:
+        """The logical spaces the NVIDIA sharing protocol pairs up
+        (Section IV-G): every one whose size was measured."""
+        return {
+            name: (self._kinds[name], self._measured_sizes[name], self._fg(name))
+            for name in ("L1", "Texture", "Readonly", "ConstL1")
+            if self._measured_sizes.get(name)
+        }
+
+    def _sl1d_sharing(self, ctx: BenchmarkContext) -> MeasurementResult:
+        size = self._measured_sizes.get("sL1d", 16 * KiB)
+        return measure_sl1d_sharing(ctx, size, self._fg("sL1d"))
+
+    # ------------------------------------------------------------------ #
     # NVIDIA pipeline                                                     #
     # ------------------------------------------------------------------ #
 
@@ -510,21 +644,15 @@ class MT4G:
                 memory["L2"] = self._nv_l2(props.l2CacheSize)
         if "SharedMem" in self.targets:
             with self._phase("SharedMem", "measure"):
-                memory["SharedMem"] = self._nv_shared(props.sharedMemPerBlock)
+                memory["SharedMem"] = self._scratchpad(
+                    "SharedMem", props.sharedMemPerBlock
+                )
         if "DeviceMemory" in self.targets:
             with self._phase("DeviceMemory", "measure"):
                 memory["DeviceMemory"] = self._device_memory(props.totalGlobalMem)
 
         # --- physical sharing across logical spaces (Section IV-G) -----
-        sharing_targets = {
-            name: (
-                _NV_KINDS[name],
-                self._measured_sizes.get(name, 16 * KiB),
-                self._fg(name),
-            )
-            for name in ("L1", "Texture", "Readonly", "ConstL1")
-            if name in memory and self._measured_sizes.get(name)
-        }
+        sharing_targets = self._sharing_targets()
         if len(sharing_targets) >= 2:
             with self._phase("sharing", "measure"):
                 results = measure_sharing_nvidia(self.ctx, sharing_targets)
@@ -534,55 +662,22 @@ class MT4G:
 
     def _nv_generic_cache(self, name: str) -> MemoryElementReport:
         el = self._new_element(name)
-        kind = _NV_KINDS[name]
         with self._phase(name, "fetch_granularity"):
-            fg = measure_fetch_granularity(self.ctx, kind, name)
-        self._bench(el, "fetch_granularity", fg)
-        if fg.conclusive:
-            self._measured_fg[name] = int(fg.value)
+            self._fetch_granularity(el)
         with self._phase(name, "size_sweep"):
-            size = measure_cache_size(
-                self.ctx, kind, name, self._fg(name), lo=1 * KiB, hi_cap=1 * MiB
-            )
-        self._bench(el, "size", size)
-        if size.conclusive:
-            self._measured_sizes[name] = int(size.value)
+            size = self._keep_size(el, self._size(self.ctx, name))
         with self._phase(name, "latency"):
-            self._latency_element(
-                el, kind, name, array_bytes=self._latency_array(name)
-            )
+            self._latency_element(el)
         if size.conclusive:
             with self._phase(name, "line_size"):
                 line = measure_cache_line_size(
-                    self.ctx, kind, name, int(size.value), self._fg(name)
+                    self.ctx, self._kinds[name], name, int(size.value), self._fg(name)
                 )
             self._bench(el, "cache_line_size", line)
             with self._phase(name, "amount"):
-                amount = measure_amount(
-                    self.ctx,
-                    kind,
-                    name,
-                    int(size.value),
-                    self._fg(name),
-                    spans_all_warps=(name == "L1"),
-                )
-            self._bench(el, "amount", amount)
+                self._bench(el, "amount", self._amount(self.ctx, name))
         self._lowlevel_bandwidth_note(el)
         return el
-
-    def _latency_array(self, name: str) -> int | None:
-        """Latency-benchmark array size: 256 x FG, capped inside the cache.
-
-        The cap keeps a 10 % margin below the *measured* size so a slight
-        size-benchmark overestimate cannot push the p-chase into the next
-        level (Section IV-C requires in-cache probing).
-        """
-        measured = self._measured_sizes.get(name)
-        default = self.ctx.config.latency_array_elems * self._fg(name)
-        if measured is not None and measured < default:
-            stride = self._fg(name)
-            return max(stride, int(measured * 0.9) // stride * stride)
-        return None
 
     def _nv_constant_pair(self) -> dict[str, MemoryElementReport]:
         """The constant hierarchy needs latency-band thresholds (IV-B fn. 10)."""
@@ -612,25 +707,10 @@ class MT4G:
 
         # Fetch granularities: CL1 hits are below the CL1/CL1.5 midpoint;
         # CL1.5 hits below the CL1.5/DRAM midpoint.
-        fg1 = measure_fetch_granularity(
-            ctx, kind, "ConstL1", hit_threshold=(band_cl1 + band_cl15) / 2.0
-        )
-        self._bench(cl1, "fetch_granularity", fg1)
-        if fg1.conclusive:
-            self._measured_fg["ConstL1"] = int(fg1.value)
-        fg15 = measure_fetch_granularity(
-            ctx, kind, "ConstL1.5", hit_threshold=(band_cl15 + band_dram) / 2.0
-        )
-        self._bench(cl15, "fetch_granularity", fg15)
-        if fg15.conclusive:
-            self._measured_fg["ConstL1.5"] = int(fg15.value)
+        self._fetch_granularity(cl1, hit_threshold=(band_cl1 + band_cl15) / 2.0)
+        self._fetch_granularity(cl15, hit_threshold=(band_cl15 + band_dram) / 2.0)
 
-        size1 = measure_cache_size(
-            ctx, kind, "ConstL1", self._fg("ConstL1", 64), lo=256, hi_cap=_CONST_BANK
-        )
-        self._bench(cl1, "size", size1)
-        if size1.conclusive:
-            self._measured_sizes["ConstL1"] = int(size1.value)
+        size1 = self._keep_size(cl1, self._size(ctx, "ConstL1"))
         cl1_size = self._measured_sizes.get("ConstL1", 2 * KiB)
 
         # CL1.5: probe window starts above the CL1 boundary; the constant
@@ -639,23 +719,15 @@ class MT4G:
             ctx,
             kind,
             "ConstL1.5",
-            self._fg("ConstL1.5", 256),
+            self._fg("ConstL1.5"),
             lo=min(4 * cl1_size, _CONST_BANK // 2),
             hi_cap=_CONST_BANK,
         )
-        self._bench(cl15, "size", size15)
-        if size15.conclusive:
-            self._measured_sizes["ConstL1.5"] = int(size15.value)
+        self._keep_size(cl15, size15)
 
-        # Like every other cache, probe 10 % inside the measured size: an
-        # overestimate by one sweep stride would otherwise thrash the ring
-        # and read the next level's latency.
-        self._latency_element(
-            cl1, kind, "ConstL1", array_bytes=self._latency_array("ConstL1") or cl1_size
-        )
-        self._latency_element(
-            cl15, kind, "ConstL1.5", array_bytes=min(8 * cl1_size, _CONST_BANK)
-        )
+        # Both rings probe inside their cache (see ``_latency_array``).
+        self._latency_element(cl1)
+        self._latency_element(cl15)
 
         if size1.conclusive:
             line1 = measure_cache_line_size(
@@ -663,14 +735,11 @@ class MT4G:
                 kind,
                 "ConstL1",
                 int(size1.value),
-                self._fg("ConstL1", 64),
+                self._fg("ConstL1"),
                 max_size_cap=_CONST_BANK,
             )
             self._bench(cl1, "cache_line_size", line1)
-            amount1 = measure_amount(
-                ctx, kind, "ConstL1", int(size1.value), self._fg("ConstL1", 64)
-            )
-            self._bench(cl1, "amount", amount1)
+            self._bench(cl1, "amount", self._amount(ctx, "ConstL1"))
         # The CL1.5 line size is never computed (paper Section V): the
         # size input is capped by the constant bank, and line-skipping
         # strides shrink the probe footprint back into the Constant L1,
@@ -694,27 +763,14 @@ class MT4G:
 
     def _nv_l2(self, api_total: int) -> MemoryElementReport:
         el = self._new_element("L2")
-        kind = LoadKind.LD_GLOBAL_CG
         el.set(
             "size",
             AttributeValue(api_total, "B", 1.0, Source.API, "cudaDeviceProp l2CacheSize"),
         )
         with self._phase("L2", "fetch_granularity"):
-            fg = measure_fetch_granularity(self.ctx, kind, "L2")
-        self._bench(el, "fetch_granularity", fg)
-        if fg.conclusive:
-            self._measured_fg["L2"] = int(fg.value)
-        stride = self._fg("L2")
-        l1_size = self._measured_sizes.get("L1", 256 * KiB)
+            self._fetch_granularity(el)
         with self._phase("L2", "size_sweep"):
-            segment = measure_cache_size(
-                self.ctx,
-                kind,
-                "L2",
-                stride,
-                lo=max(4 * l1_size, 16 * KiB),
-                hi_cap=2 * api_total,
-            )
+            segment = self._l2_segment(self.ctx, api_total)
         if segment.conclusive:
             self._measured_sizes["L2"] = int(segment.value)
             with self._phase("L2", "amount"):
@@ -722,24 +778,35 @@ class MT4G:
             self._bench(el, "amount", segments)
             with self._phase("L2", "line_size"):
                 line = measure_cache_line_size(
-                    self.ctx, kind, "L2", int(segment.value), stride
+                    self.ctx,
+                    self._kinds["L2"],
+                    "L2",
+                    int(segment.value),
+                    self._fg("L2"),
                 )
             self._bench(el, "cache_line_size", line)
         else:
             el.set("amount", AttributeValue.unavailable("count", segment.note))
         with self._phase("L2", "latency"):
-            self._latency_element(el, kind, "L2")
+            self._latency_element(el)
         self._bandwidth_element(el, "L2")
         el.set("shared_with", AttributeValue.not_applicable("elements"))
         return el
 
-    def _nv_shared(self, api_size: int) -> MemoryElementReport:
-        el = self._new_element("SharedMem")
+    def _scratchpad(self, name: str, api_size: int) -> MemoryElementReport:
+        """SharedMem / LDS: the API gives the size, a 4 KiB ring the latency."""
+        el = self._new_element(name)
         el.set(
             "size",
-            AttributeValue(api_size, "B", 1.0, Source.API, "cudaDeviceProp sharedMemPerBlock"),
+            AttributeValue(
+                api_size,
+                "B",
+                1.0,
+                Source.API,
+                f"{self._props_struct} sharedMemPerBlock",
+            ),
         )
-        self._latency_element(el, LoadKind.LD_SHARED, "SharedMem", array_bytes=4 * KiB)
+        self._latency_element(el)
         self._lowlevel_bandwidth_note(el)
         return el
 
@@ -751,17 +818,7 @@ class MT4G:
                 api_size, "B", 1.0, Source.API, f"{self._props_struct} totalGlobalMem"
             ),
         )
-        cold_kind = (
-            LoadKind.LD_GLOBAL_CG
-            if self.device.vendor is Vendor.NVIDIA
-            else LoadKind.FLAT_LOAD_GLC
-        )
-        # The cold probe's stride must exceed every cache's sector size so
-        # no access lands in a sector an earlier miss already fetched.
-        m = measure_load_latency(
-            self.ctx, cold_kind, "DeviceMemory", fetch_granularity=256, cold=True
-        )
-        self._bench(el, "load_latency", m)
+        self._latency_element(el)
         self._bandwidth_element(el, "DeviceMemory")
         return el
 
@@ -777,59 +834,44 @@ class MT4G:
 
         if "vL1" in self.targets:
             with self._phase("vL1", "measure"):
-                memory["vL1"] = self._amd_l1("vL1", LoadKind.FLAT_LOAD, amount=True)
+                memory["vL1"] = self._amd_l1("vL1")
         if "sL1d" in self.targets:
             with self._phase("sL1d", "measure"):
-                memory["sL1d"] = self._amd_l1("sL1d", LoadKind.S_LOAD, amount=False)
-            sl1d_size = self._measured_sizes.get("sL1d", 16 * KiB)
+                memory["sL1d"] = self._amd_l1("sL1d")
             with self._phase("sL1d", "sharing"):
-                sharing = measure_sl1d_sharing(
-                    self.ctx, sl1d_size, self._fg("sL1d", 64)
-                )
+                sharing = self._sl1d_sharing(self.ctx)
             self._bench(memory["sL1d"], "shared_with", sharing)
         if "L2" in self.targets:
             with self._phase("L2", "measure"):
-                memory["L2"] = self._amd_llc("L2", hsa, kfd_lines, latency=True)
+                memory["L2"] = self._amd_llc("L2", hsa, kfd_lines)
         if "L3" in self.targets and self.device.spec.has_cache("L3"):
             with self._phase("L3", "measure"):
-                memory["L3"] = self._amd_llc("L3", hsa, kfd_lines, latency=False)
+                memory["L3"] = self._amd_llc("L3", hsa, kfd_lines)
         if "LDS" in self.targets:
             with self._phase("LDS", "measure"):
-                memory["LDS"] = self._amd_lds(props.sharedMemPerBlock)
+                memory["LDS"] = self._scratchpad("LDS", props.sharedMemPerBlock)
         if "DeviceMemory" in self.targets:
             with self._phase("DeviceMemory", "measure"):
                 memory["DeviceMemory"] = self._device_memory(props.totalGlobalMem)
         return memory
 
-    def _amd_l1(self, name: str, kind: LoadKind, amount: bool) -> MemoryElementReport:
+    def _amd_l1(self, name: str) -> MemoryElementReport:
         el = self._new_element(name)
         with self._phase(name, "fetch_granularity"):
-            fg = measure_fetch_granularity(self.ctx, kind, name)
-        self._bench(el, "fetch_granularity", fg)
-        if fg.conclusive:
-            self._measured_fg[name] = int(fg.value)
+            self._fetch_granularity(el)
         with self._phase(name, "size_sweep"):
-            size = measure_cache_size(
-                self.ctx, kind, name, self._fg(name, 64), lo=1 * KiB, hi_cap=1 * MiB
-            )
-        self._bench(el, "size", size)
+            size = self._keep_size(el, self._size(self.ctx, name))
         if size.conclusive:
-            self._measured_sizes[name] = int(size.value)
             with self._phase(name, "line_size"):
                 line = measure_cache_line_size(
-                    self.ctx, kind, name, int(size.value), self._fg(name, 64)
+                    self.ctx, self._kinds[name], name, int(size.value), self._fg(name)
                 )
             self._bench(el, "cache_line_size", line)
-            if amount:
+            if name in _EVICTABLE:
                 with self._phase(name, "amount"):
-                    amt = measure_amount(
-                        self.ctx, kind, name, int(size.value), self._fg(name, 64)
-                    )
-                self._bench(el, "amount", amt)
+                    self._bench(el, "amount", self._amount(self.ctx, name))
         with self._phase(name, "latency"):
-            self._latency_element(
-                el, kind, name, array_bytes=self._latency_array(name)
-            )
+            self._latency_element(el)
         self._lowlevel_bandwidth_note(el)
         return el
 
@@ -838,7 +880,6 @@ class MT4G:
         name: str,
         hsa: dict[str, dict[str, int]],
         kfd_lines: dict[str, int],
-        latency: bool,
     ) -> MemoryElementReport:
         el = self._new_element(name)
         info = hsa.get(name)
@@ -860,15 +901,11 @@ class MT4G:
                 "cache_line_size",
                 AttributeValue(kfd_lines[name], "B", 1.0, Source.API, "KFD driver files"),
             )
-        if latency:
-            kind = LoadKind.FLAT_LOAD_GLC
+        if name in self._kinds:
             with self._phase(name, "fetch_granularity"):
-                fg = measure_fetch_granularity(self.ctx, kind, name)
-            self._bench(el, "fetch_granularity", fg)
-            if fg.conclusive:
-                self._measured_fg[name] = int(fg.value)
+                self._fetch_granularity(el)
             with self._phase(name, "latency"):
-                self._latency_element(el, kind, name)
+                self._latency_element(el)
         else:
             # Paper Section III-C: no load-latency / fetch-granularity
             # benchmark exists yet for the CDNA3 L3.
@@ -887,35 +924,9 @@ class MT4G:
         self._bandwidth_element(el, name)
         return el
 
-    def _amd_lds(self, api_size: int) -> MemoryElementReport:
-        el = self._new_element("LDS")
-        el.set(
-            "size",
-            AttributeValue(api_size, "B", 1.0, Source.API, "hipDeviceProp sharedMemPerBlock"),
-        )
-        self._latency_element(el, LoadKind.DS_READ, "LDS", array_bytes=4 * KiB)
-        self._lowlevel_bandwidth_note(el)
-        return el
-
     # ------------------------------------------------------------------ #
     # validation escalation (re-measurement backend)                      #
     # ------------------------------------------------------------------ #
-
-    def _kind_for(self, element: str) -> LoadKind | None:
-        """The load instruction that targets ``element``, if one exists."""
-        if element == "SharedMem":
-            return LoadKind.LD_SHARED
-        if element == "LDS":
-            return LoadKind.DS_READ
-        if element == "DeviceMemory":
-            return (
-                LoadKind.LD_GLOBAL_CG
-                if self.device.vendor is Vendor.NVIDIA
-                else LoadKind.FLAT_LOAD_GLC
-            )
-        if self.device.vendor is Vendor.NVIDIA:
-            return _NV_KINDS.get(element)
-        return _AMD_KINDS.get(element)
 
     def _escalation_context(self, seed_offset: int) -> BenchmarkContext:
         """A fresh device (new noise stream) with doubled sample counts."""
@@ -931,109 +942,6 @@ class MT4G:
         self._runner_stats.append(ctx.runner.stats)
         return ctx
 
-    def _remeasure_latency(
-        self, ctx: BenchmarkContext, element: str
-    ) -> MeasurementResult | None:
-        kind = self._kind_for(element)
-        if kind is None:
-            return None
-        if element == "DeviceMemory":
-            return measure_load_latency(
-                ctx, kind, element, fetch_granularity=256, cold=True
-            )
-        if element in ("SharedMem", "LDS"):
-            return measure_load_latency(
-                ctx, kind, element, self._fg(element), array_bytes=4 * KiB
-            )
-        stride = self._fg(element)
-        if element == "ConstL1":
-            # The same 10 % in-cache margin as the pipeline's
-            # ``_latency_array`` (a size one sweep stride too large, cf.
-            # Table III's 2.1 KiB, would thrash the ring); an inconclusive
-            # size falls back to the nominal 2 KiB, also margined.
-            measured = self._measured_sizes.get("ConstL1", 2 * KiB)
-            array = max(stride, int(measured * 0.9) // stride * stride)
-        elif element == "ConstL1.5":
-            cl1 = self._measured_sizes.get("ConstL1", 2 * KiB)
-            cl15 = self._measured_sizes.get("ConstL1.5")
-            if cl15 is not None and cl15 < _CONST_BANK:
-                array = max(
-                    2 * cl1, int(cl15 * 0.9) // stride * stride
-                )
-            else:
-                array = min(8 * cl1, _CONST_BANK)
-        else:
-            array = self._latency_array(element)
-        return measure_load_latency(
-            ctx, kind, element, stride, array_bytes=array
-        )
-
-    def _remeasure_size(
-        self, ctx: BenchmarkContext, element: str
-    ) -> MeasurementResult | None:
-        kind = self._kind_for(element)
-        # L2/L3/ConstL1.5 sizes are API values or capped lower bounds;
-        # re-sweeping them cannot produce a better answer.
-        if kind is None or element in (
-            "L2",
-            "L3",
-            "ConstL1.5",
-            "SharedMem",
-            "LDS",
-            "DeviceMemory",
-        ):
-            return None
-        if element == "ConstL1":
-            return measure_cache_size(
-                ctx, kind, element, self._fg("ConstL1", 64), lo=256, hi_cap=_CONST_BANK
-            )
-        return measure_cache_size(
-            ctx, kind, element, self._fg(element), lo=1 * KiB, hi_cap=1 * MiB
-        )
-
-    def _remeasure_amount(
-        self, ctx: BenchmarkContext, element: str
-    ) -> MeasurementResult | None:
-        """Protocol re-measurement: re-run the eviction amount protocol.
-
-        The L2 special case replays the segment-size sweep and realigns
-        it to the API total (Section IV-F.1); elements whose amount is an
-        API value or structurally unmeasurable return None.
-        """
-        kind = self._kind_for(element)
-        if kind is None:
-            return None
-        if element == "L2":
-            if self.device.vendor is not Vendor.NVIDIA:
-                return None  # AMD L2/L3 segment counts are API values
-            api_total = hip_get_device_properties(self.device).l2CacheSize
-            l1_size = self._measured_sizes.get("L1", 256 * KiB)
-            segment = measure_cache_size(
-                ctx,
-                kind,
-                "L2",
-                self._fg("L2"),
-                lo=max(4 * l1_size, 16 * KiB),
-                hi_cap=2 * api_total,
-            )
-            if not segment.conclusive:
-                return None
-            return resolve_l2_segments(ctx, int(segment.value), api_total)
-        if element in ("ConstL1.5", "sL1d", "L3", "SharedMem", "LDS", "DeviceMemory"):
-            return None  # no eviction protocol exists for these (Section III-C)
-        size = self._measured_sizes.get(element)
-        if size is None:
-            return None
-        default_fg = 64 if element in ("ConstL1", "vL1") else 32
-        return measure_amount(
-            ctx,
-            kind,
-            element,
-            size,
-            self._fg(element, default_fg),
-            spans_all_warps=(element == "L1"),
-        )
-
     def _remeasure_sharing(
         self, ctx: BenchmarkContext, element: str
     ) -> MeasurementResult | None:
@@ -1045,11 +953,7 @@ class MT4G:
         requested element's row; AMD re-runs the sL1d CU-pair sweep.
         """
         if self.device.vendor is Vendor.NVIDIA:
-            targets = {
-                name: (_NV_KINDS[name], self._measured_sizes[name], self._fg(name))
-                for name in ("L1", "Texture", "Readonly", "ConstL1")
-                if self._measured_sizes.get(name)
-            }
+            targets = self._sharing_targets()
             if element not in targets or len(targets) < 2:
                 return None
             # One matrix per (escalation seed, target geometry): other
@@ -1065,30 +969,28 @@ class MT4G:
                 self._sharing_remeasure_cache[key] = matrix
             # A copy, so the escalation note never mutates the cached row.
             return dataclasses.replace(matrix[element])
-        if element == "sL1d":
-            size = self._measured_sizes.get("sL1d", 16 * KiB)
-            return measure_sl1d_sharing(ctx, size, self._fg("sL1d", 64))
-        return None
+        return self._sl1d_sharing(ctx) if element == "sL1d" else None
 
     def _escalate_measurement(
         self, element: str, attribute: str
     ) -> MeasurementResult | None:
         """Re-measure one attribute across fresh seeds and keep one run.
 
-        The validator calls this when a check fails.  Numeric results
-        (latency, size, bandwidth, and the integer amount — re-run via
-        its full eviction protocol) keep the median run; ``shared_with``
-        re-runs the sharing protocol and keeps the majority outcome —
-        a partner tuple has no meaningful median.  Returns None when the
-        attribute has no re-measurement path (API values) — the failure
-        then stands as recorded.
+        The validator calls this when a check fails.  Each attribute
+        re-runs the pipeline's own recipe on a fresh context.  Numeric
+        results (latency, size, bandwidth, and the integer amount — re-run
+        via its full eviction protocol) keep the median run; ``shared_with``
+        re-runs the sharing protocol and keeps the majority outcome — a
+        partner tuple has no meaningful median.  Returns None when the
+        recipe has no re-measurement path (API values, bank-capped bounds)
+        — the failure then stands as recorded.
         """
         handlers = {
-            "load_latency": self._remeasure_latency,
-            "size": self._remeasure_size,
+            "load_latency": self._latency,
+            "size": self._size,
             "read_bandwidth": lambda ctx, el: measure_bandwidth(ctx, el, "read"),
             "write_bandwidth": lambda ctx, el: measure_bandwidth(ctx, el, "write"),
-            "amount": self._remeasure_amount,
+            "amount": self._amount,
             "shared_with": self._remeasure_sharing,
         }
         handler = handlers.get(attribute)

@@ -34,17 +34,8 @@ class TransientError(ReproError):
     """
 
 
-class DeadlineExceededError(TransientError):
-    """An operation ran past its configured deadline."""
-
-
 class WorkerCrashError(TransientError):
     """A discovery worker died (or was made to die) mid-measurement."""
-
-
-class CircuitOpenError(TransientError):
-    """A per-key circuit breaker is open: the key failed repeatedly and
-    new attempts are refused until the cooldown elapses."""
 
 
 class InjectedFaultError(ReproError):

@@ -76,10 +76,6 @@ class KernelLaunch:
         if self.blocks <= 0 or self.threads_per_block <= 0:
             raise SimulationError("launch dimensions must be positive")
 
-    @property
-    def total_threads(self) -> int:
-        return self.blocks * self.threads_per_block
-
 
 def pchase_addresses(
     base: int, nbytes: int, stride: int, limit: int | None = None

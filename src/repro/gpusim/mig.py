@@ -52,9 +52,6 @@ class MIGState:
     def visible_dram_read_bandwidth(self, spec: GPUSpec) -> float:
         return spec.memory.read_bandwidth * self.memory_fraction
 
-    def visible_dram_write_bandwidth(self, spec: GPUSpec) -> float:
-        return spec.memory.write_bandwidth * self.memory_fraction
-
     def visible_l2_total(self, spec: GPUSpec) -> int:
         """L2 capacity assigned to the instance (all its slices)."""
         l2 = spec.cache("L2")

@@ -319,10 +319,6 @@ class GPUSpec:
     def has_cache(self, name: str) -> bool:
         return any(c.name == name for c in self.caches)
 
-    @property
-    def cache_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.caches)
-
     def effective_l1_size(self, cache_config: str = "PreferL1") -> int:
         """L1 capacity under a runtime carveout configuration.
 

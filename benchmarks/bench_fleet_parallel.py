@@ -13,12 +13,20 @@ alongside the walls so the number is interpretable.  The speedup floor
 is only asserted where parallelism is physically possible (>= 2 cores —
 on a single-core host the pool can only add overhead, and the record
 documents that honestly).
+
+The record also carries a host stamp, as ``BENCH_discovery.json`` does:
+the mean of ``perfbench/hostspeed.calibration_seconds()`` taken before,
+between and after the two fleet runs.  Dividing the sequential wall by
+it and multiplying by ``hostspeed.REFERENCE_S`` gives reference-host
+seconds; the pool's wall keeps both cores busy and does not follow the
+calibration that closely (see ``hostspeed``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -26,10 +34,15 @@ import pytest
 
 from repro.validate.fleet import discover_fleet
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from hostspeed import calibration_seconds  # noqa: E402
+
 SEED = 0
 #: >= 4 presets, mixing both vendors and both report shapes.
 PRESETS = ("TestGPU-NV", "TestGPU-NV-2SEG", "TestGPU-AMD", "TestGPU-AMD-L3")
-OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+OUT_PATH = ROOT / "BENCH_fleet.json"
 
 #: With >= 2 cores the pool must recover at least this fraction of the
 #: sequential wall (conservative: worker startup and pickling cost real
@@ -43,13 +56,16 @@ def _reports_digest(result) -> str:
 
 @pytest.fixture(scope="module")
 def results():
+    calibrations = [calibration_seconds()]
     t0 = time.perf_counter()
     sequential = discover_fleet(PRESETS, seed=SEED, validate=True, jobs=1)
     sequential_wall = time.perf_counter() - t0
+    calibrations.append(calibration_seconds())
 
     t0 = time.perf_counter()
     concurrent = discover_fleet(PRESETS, seed=SEED, validate=True, jobs=len(PRESETS))
     concurrent_wall = time.perf_counter() - t0
+    calibrations.append(calibration_seconds())
 
     out = {
         "seed": SEED,
@@ -61,6 +77,7 @@ def results():
         "speedup": round(sequential_wall / concurrent_wall, 2),
         "reports_identical": _reports_digest(sequential) == _reports_digest(concurrent),
         "verdicts": concurrent.verdicts(),
+        "host_calibration_seconds": round(sum(calibrations) / len(calibrations), 5),
     }
     if (os.cpu_count() or 1) < 2:
         out["note"] = (
@@ -98,3 +115,8 @@ def test_wall_clock_recorded_and_speedup_where_possible(results):
             f"fleet pool only {results['speedup']}x faster on a "
             f"{os.cpu_count()}-core host (floor {MIN_SPEEDUP_MULTICORE}x)"
         )
+
+
+def test_host_stamp_recorded(results):
+    """The record carries the host calibration taken beside its walls."""
+    assert results["host_calibration_seconds"] > 0

@@ -19,6 +19,16 @@ also exposes CUs whose partners are fused off and who therefore own the
 whole sL1d (the optimization opportunity of Section IV-H).  Under
 virtualization (MI300X VF) blocks cannot be pinned and the benchmark
 returns an honest no-result.
+
+Every round starts with a device flush, the two rings sit at fixed
+addresses, and the probe reads only CU a's load path.  So what a round
+observes depends only on which of a's caches are also on b's path (same
+sL1d group or not; the L2 is always shared), and rounds of one such class
+are equivalent: :meth:`PChaseRunner.pair_rounds` simulates one round per
+class and replays the rest.  The replayed rounds still charge their
+simulated time and take their probe's noise draws, because those advance
+the device clock and generator that every later measurement reads; the
+report and the device state come out as if every round had run.
 """
 
 from __future__ import annotations
@@ -136,13 +146,11 @@ def measure_sl1d_sharing(
         ctx.count("physical_sharing", "sL1d")
         return MeasurementResult.no_result("physical_sharing", "sL1d", "cu-map", str(exc))
 
+    pairs = list(itertools.combinations(range(num_cus), 2))
+    misses = ctx.runner.pair_rounds(LoadKind.S_LOAD, nbytes, stride, pairs)
     partners: dict[int, list[int]] = {cu: [] for cu in range(num_cus)}
-    for cu_a, cu_b in itertools.combinations(range(num_cus), 2):
-        device.flush_caches()
-        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
-        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_b, slot=1)
-        hits, _ = ctx.runner.probe(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
-        if float(np.mean(~hits)) > _MISS_FRACTION:
+    for (cu_a, cu_b), miss in zip(pairs, misses):
+        if miss > _MISS_FRACTION:
             partners[cu_a].append(cu_b)
             partners[cu_b].append(cu_a)
 

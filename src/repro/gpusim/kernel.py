@@ -10,6 +10,10 @@ MT4G launches (paper Section IV):
 * :func:`warm` / :func:`probe_hits` — the building blocks of the
   cooperative protocols (Amount, Physical-Sharing; Sections IV-F..H),
   which interleave warm-ups and probe passes from different cores/CUs;
+* :func:`pair_rounds` — the all-pairs warm-A / warm-B / probe-A rounds
+  of the AMD sL1d sharing protocol (Section IV-H): the first round of
+  each cache-aliasing class is simulated, every other round replays its
+  accounting and noise draws;
 * :func:`run_stream_kernel` — the Section IV-I bandwidth kernel: vector
   loads from maximal occupancy, timed with event records.
 
@@ -55,6 +59,7 @@ __all__ = [
     "run_pchase_ex",
     "warm",
     "probe_hits",
+    "pair_rounds",
     "run_stream_kernel",
 ]
 
@@ -260,11 +265,51 @@ def warm(
             cache.warm_cyclic_lazy(int(addrs[0]), n_ring * stride, stride)
         else:
             cache.warm_cyclic(addrs, stride=stride)
+    device.account_loads(n_ring, _warm_cycles(path, n_ring))
+
+
+def _warm_cycles(path: LoadPath, n_ring: int) -> float:
+    """Cycles charged for one protocol warm of an ``n_ring``-load ring.
+
+    Protocol warms are charged at first-level hit latency irrespective
+    of cache state (the run_pchase cold-warm miss surcharge relies on
+    knowing a flush preceded; a standalone warm cannot know that).
+    """
     first_latency = path.levels[0][1] if path.levels else path.terminal_latency
-    # Protocol warms are charged at first-level hit latency irrespective
-    # of cache state (the run_pchase cold-warm miss surcharge relies on
-    # knowing a flush preceded; this standalone warm cannot know that).
-    device.account_loads(n_ring, n_ring * first_latency)
+    return n_ring * first_latency
+
+
+def _probe_walk(
+    path: LoadPath, addrs: np.ndarray, stride: int | None, engine: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """One probe pass down a path: (first-level hits, noise-free latencies).
+
+    The analytic engine batches the pass level by level (see
+    :func:`probe_hits`); the exact engine, or a sequence the batch walker
+    cannot replay, walks every load.
+    """
+    n = len(addrs)
+    if not path.levels:
+        return np.ones(n, dtype=bool), np.full(n, float(path.terminal_latency))
+    if engine == "analytic":
+        lat, first_hits = _walk_many(
+            path,
+            np.asarray(addrs, dtype=np.int64),
+            n,
+            warmed=None,
+            stride=stride,
+            preserve_warm_state=False,
+        )
+        if lat is not None:
+            return first_hits, lat
+    hits = np.empty(n, dtype=bool)
+    base = np.empty(n, dtype=np.float64)
+    first_cache = path.levels[0][0]
+    for i, addr in enumerate(addrs):
+        addr = int(addr)
+        hits[i] = first_cache.probe(addr)
+        base[i] = _walk(path, addr)
+    return hits, base
 
 
 def probe_hits(
@@ -296,35 +341,104 @@ def probe_hits(
     sequences fall back to the per-load loop.
     """
     path = device.resolve_path(kind, sm, core)
-    n = len(addrs)
-    hits = np.empty(n, dtype=bool)
-    base = np.empty(n, dtype=np.float64)
-    if not path.levels:
-        hits[:] = True
-        base[:] = path.terminal_latency
-    else:
-        done = False
-        if engine == "analytic":
-            lat, first_hits = _walk_many(
-                path,
-                np.asarray(addrs, dtype=np.int64),
-                n,
-                warmed=None,
-                stride=stride,
-                preserve_warm_state=False,
-            )
-            if lat is not None:
-                base = lat
-                hits = first_hits
-                done = True
-        if not done:
-            first_cache = path.levels[0][0]
-            for i, addr in enumerate(addrs):
-                addr = int(addr)
-                hits[i] = first_cache.probe(addr)
-                base[i] = _walk(path, addr)
-    device.account_loads(n, float(base.sum()))
+    hits, base = _probe_walk(path, addrs, stride, engine)
+    device.account_loads(len(addrs), float(base.sum()))
     return hits, device.noise.perturb(base)
+
+
+def _class_parts(path: LoadPath) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """One SM/CU's share of a pair's aliasing class (see :func:`pair_rounds`).
+
+    Returns the path's signature as the probing side A (per cache its
+    geometry and hit latency, then the terminal latency), as the warming
+    side B (its level and terminal latencies: B's warm is charged at its
+    first-level latency), and the identities of its caches.
+    """
+    caches = [c for c, _ in path.levels] + list(path.side_effects)
+    lats = [lat for _, lat in path.levels] + [None] * len(path.side_effects)
+    as_a = tuple(
+        (c.size, c.line_size, c.fetch_granularity, c.ways, lat)
+        for c, lat in zip(caches, lats)
+    ) + (path.terminal_latency,)
+    as_b = tuple(lat for _, lat in path.levels) + (path.terminal_latency,)
+    return as_a, as_b, tuple(id(c) for c in caches)
+
+
+def pair_rounds(
+    device: SimulatedGPU,
+    kind: LoadKind,
+    base_a: int,
+    base_b: int,
+    nbytes: int,
+    stride: int,
+    pairs: list[tuple[int, int]],
+    n_samples: int = DEFAULT_SAMPLES,
+    engine: str = "analytic",
+) -> np.ndarray:
+    """Cooperative rounds over SM/CU pairs: first-level miss fraction per pair.
+
+    Round ``(a, b)`` is the Section IV-H protocol step: flush the device,
+    warm ring A (``base_a``) from ``a``, warm ring B (``base_b``, same
+    size and stride) from ``b``, then probe the first ``n_samples`` loads
+    of ring A from ``a``.  The result is the share of probe loads that
+    missed the first cache of ``a``'s path.
+
+    After the flush, a round's probe outcome and its charged cycles are a
+    function of the pair's *aliasing class* alone: for each cache on
+    ``a``'s path, its geometry and latency and which cache on ``b``'s path
+    (if any) is the same object, plus both paths' latencies.  Two pairs of
+    one class start from empty caches and replay the same loads into equal
+    caches.  So the first round of each class is simulated, and every
+    later round of that class replays only what it leaves observable, in
+    the original order: the flush's ``op_serial`` bump, the three
+    :meth:`SimulatedGPU.account_loads` charges with the representative's
+    exact floats, and one ``device.noise.perturb`` of the probe's samples,
+    whose output the protocol discards but whose draws advance the device
+    generator.  The last pair always runs for real, so the caches end in
+    the state the literal per-round loop leaves.
+
+    Every path must be fixed per SM (:meth:`SimulatedGPU.resolve_path`
+    stores it); a path that re-draws side effects on each resolve, like
+    the P6000 constant path, has no classes.
+    """
+    out = np.empty(len(pairs), dtype=np.float64)
+    if not pairs:
+        return out
+    count = nbytes // stride
+    if count == 0:
+        raise SimulationError("probe array smaller than one stride")
+    n = min(int(n_samples), count)
+    probe_addrs = base_a + np.arange(n, dtype=np.int64) * stride
+    head_a = np.array([base_a], dtype=np.int64)
+    head_b = np.array([base_b], dtype=np.int64)
+    # Resolve in the order the literal loop first touches each SM/CU.
+    order = dict.fromkeys(sm for pair in pairs for sm in pair)
+    paths = {sm: device.resolve_path(kind, sm) for sm in order}
+    parts = {sm: _class_parts(path) for sm, path in paths.items()}
+    slots = {sm: {c: j for j, c in enumerate(ids)} for sm, (_, _, ids) in parts.items()}
+    warm_cycles = {sm: _warm_cycles(path, count) for sm, path in paths.items()}
+    classes: dict[tuple, tuple[float, np.ndarray, float]] = {}
+    last = len(pairs) - 1
+    for i, (a, b) in enumerate(pairs):
+        as_a, _, ids_a = parts[a]
+        _, as_b, _ = parts[b]
+        key = (as_a, as_b, tuple(map(slots[b].get, ids_a)))
+        known = classes.get(key)
+        if known is None or i == last:
+            device.flush_caches()
+            warm(device, kind, head_a, sm=a, stride=stride, engine=engine, ring=count)
+            warm(device, kind, head_b, sm=b, stride=stride, engine=engine, ring=count)
+            hits, base = _probe_walk(paths[a], probe_addrs, stride, engine)
+            known = classes[key] = (float(np.mean(~hits)), base, float(base.sum()))
+        else:
+            device.op_serial += 1  # the flush
+            device.account_loads(count, warm_cycles[a])
+            device.account_loads(count, warm_cycles[b])
+        miss, base, probe_cycles = known
+        device.account_loads(n, probe_cycles)
+        device.noise.perturb(base)
+        out[i] = miss
+    return out
 
 
 def run_pchase(

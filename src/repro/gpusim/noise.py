@@ -90,7 +90,3 @@ class NoiseModel:
             else:
                 i += 1
         return out
-
-    def perturb_scalar(self, base_latency: float) -> float:
-        """Convenience wrapper for a single sample."""
-        return float(self.perturb(np.array([base_latency]))[0])

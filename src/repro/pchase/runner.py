@@ -6,7 +6,8 @@ measurement primitives every Section-IV benchmark builds on:
 
 * :meth:`PChaseRunner.latencies` — one fine-grained p-chase run;
 * :meth:`PChaseRunner.sweep` — a latency matrix over array sizes;
-* :meth:`PChaseRunner.probe` — cold/warm probe passes for the protocols.
+* :meth:`PChaseRunner.probe` — cold/warm probe passes for the protocols;
+  :meth:`PChaseRunner.pair_rounds` runs a whole all-pairs protocol.
 
 **Fresh runs** follow the paper's recipe literally: flush the device,
 warm every cache of the load path, then the timed pass.  On the analytic
@@ -34,7 +35,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
-from repro.gpusim.kernel import probe_hits, run_pchase_ex, warm
+from repro.gpusim.kernel import pair_rounds, probe_hits, run_pchase_ex, warm
 from repro.pchase.config import PChaseConfig
 
 __all__ = ["PChaseRunner"]
@@ -218,5 +219,32 @@ class PChaseRunner:
             sm=sm,
             core=core,
             stride=stride,
+            engine=self.config.engine,
+        )
+
+    def pair_rounds(
+        self,
+        kind: LoadKind,
+        nbytes: int,
+        stride: int,
+        pairs: list[tuple[int, int]],
+    ) -> np.ndarray:
+        """Warm-A / warm-B / probe-A rounds over (sm, sm) pairs.
+
+        Ring A is slot 0 and ring B slot 1, both ``nbytes`` long; returns
+        the probe's first-level miss fraction per pair (see
+        :func:`repro.gpusim.kernel.pair_rounds`).
+        """
+        if not pairs:
+            return np.empty(0, dtype=np.float64)
+        return pair_rounds(
+            self.device,
+            kind,
+            self.buffer(kind, nbytes, 0),
+            self.buffer(kind, nbytes, 1),
+            nbytes,
+            stride,
+            pairs,
+            n_samples=self.config.n_samples,
             engine=self.config.engine,
         )

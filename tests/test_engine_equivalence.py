@@ -6,6 +6,7 @@ vectors, identical simulated-time accounting and — end to end —
 byte-identical :class:`TopologyReport` dictionaries at a fixed seed.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -13,7 +14,11 @@ import pytest
 
 from repro import MT4G, SimulatedGPU
 from repro.core.benchmarks.base import BenchmarkContext
-from repro.core.benchmarks.sharing import measure_sl1d_sharing
+from repro.core.benchmarks.sharing import (
+    _MISS_FRACTION,
+    _working_set,
+    measure_sl1d_sharing,
+)
 from repro.gpusim.isa import LoadKind
 from repro.gpusim.kernel import pchase_addresses, probe_hits, run_pchase, warm
 from repro.pchase import PChaseConfig, PChaseRunner
@@ -171,6 +176,99 @@ class TestProbeEquivalence:
             )
         assert results["analytic"] == results["exact"]
         assert any(results["analytic"][0].values())  # some CUs do share
+
+
+def literal_sl1d_partners(ctx, cache_size, fetch_granularity, max_cus=None):
+    """The all-pairs sL1d protocol with every round run in full.
+
+    One flush, warm of CU a, warm of CU b and probe of CU a per pair, as
+    the paper states the protocol; the oracle for the per-class replay.
+    """
+    device = ctx.device
+    num_cus = min(max_cus or device.spec.compute.num_sms, device.spec.compute.num_sms)
+    stride = int(fetch_granularity)
+    nbytes = _working_set(int(cache_size), stride)
+    partners = {cu: [] for cu in range(num_cus)}
+    for cu_a, cu_b in itertools.combinations(range(num_cus), 2):
+        device.flush_caches()
+        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
+        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_b, slot=1)
+        hits, _ = ctx.runner.probe(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
+        if float(np.mean(~hits)) > _MISS_FRACTION:
+            partners[cu_a].append(cu_b)
+            partners[cu_b].append(cu_a)
+    return {cu: tuple(p) for cu, p in partners.items()}
+
+
+def device_state(device):
+    """Everything a later measurement or a cache key can observe."""
+    caches = {
+        **{("sm", i, *k): c for i, sm in device._sms.items() for k, c in sm._caches.items()},
+        **{("gpu", *k): c for k, c in device._gpu_caches.items()},
+        **{("group", g): c for g, c in device._cu_group_caches.items()},
+    }
+    return (
+        device.elapsed_seconds(),
+        device.total_loads,
+        device.op_serial,
+        {key: cache.snapshot() for key, cache in caches.items()},
+        device.rng.random(),
+    )
+
+
+class TestPairRoundsOracle:
+    """Per-class replay of the sL1d pair rounds against the literal loop."""
+
+    @pytest.mark.parametrize("engine", ["analytic", "exact"])
+    @pytest.mark.parametrize("contention", [0.0, 2.0])
+    @pytest.mark.parametrize(
+        "preset,max_cus",
+        [("TestGPU-AMD", None), ("TestGPU-AMD-L3", None), ("MI210", 12), ("MI100", 12)],
+    )
+    def test_replay_matches_literal_rounds(self, preset, max_cus, contention, engine):
+        results = []
+        for replay in (True, False):
+            device = SimulatedGPU.from_preset(preset, seed=11, contention=contention)
+            ctx = BenchmarkContext(device, PChaseConfig(engine=engine))
+            sl1d = device.spec.cache("sL1d")
+            if replay:
+                m = measure_sl1d_sharing(
+                    ctx, sl1d.size, sl1d.fetch_granularity, max_cus=max_cus
+                )
+                partners = m.value
+            else:
+                partners = literal_sl1d_partners(
+                    ctx, sl1d.size, sl1d.fetch_granularity, max_cus=max_cus
+                )
+            results.append((partners, *device_state(device)))
+        assert results[0] == results[1]
+        assert any(results[0][0].values())  # some CUs do share
+
+    @pytest.mark.parametrize("preset", ["MI210", "MI100"])
+    def test_one_full_round_per_class_plus_the_last(self, preset):
+        device = SimulatedGPU.from_preset(preset, seed=0)
+        ctx = BenchmarkContext(device)
+        names = [n for n in ("sL1d", "L2", "L3") if device.spec.has_cache(n)]
+        cus = range(device.spec.compute.num_sms)
+        classes = {
+            tuple(
+                device.cache_instance(n, a) is device.cache_instance(n, b)
+                for n in names
+            )
+            for a, b in itertools.combinations(cus, 2)
+        }
+        flushes = 0
+        flush = device.flush_caches
+
+        def counting_flush():
+            nonlocal flushes
+            flushes += 1
+            flush()
+
+        device.flush_caches = counting_flush
+        sl1d = device.spec.cache("sL1d")
+        measure_sl1d_sharing(ctx, sl1d.size, sl1d.fetch_granularity)
+        assert flushes <= len(classes) + 1
 
 
 class TestRunnerEquivalence:

@@ -66,9 +66,9 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(NoiseSpec(), np.random.default_rng(0), contention_factor=-1.0)
 
-    def test_scalar_helper(self):
+    def test_single_sample_gets_overhead_only(self):
         nm = make_noise(jitter_sigma=0.0, outlier_probability=0.0)
-        assert nm.perturb_scalar(10.0) == pytest.approx(16.0)
+        assert nm.perturb(np.array([10.0]))[0] == pytest.approx(16.0)
 
 
 class TestCycleClock:

@@ -16,10 +16,12 @@ tight budget), feeds the (stride, apparent capacity) pairs into
 power-of-two-snapped median vote with its agreement confidence.
 
 This is the discovery pipeline's heaviest consumer of huge p-chase
-arrays (probes up to 8x the cache size per stride): line-skipping
-strides exceed the cache line, so the analytic engine's rank cache
-(:mod:`repro.gpusim.cache`) and deferred warms keep the per-probe cost
-at O(samples) instead of O(array).
+arrays (probes up to 8x the cache size per stride).  The analytic
+engine (:mod:`repro.gpusim.cache`) never builds them: each warm is a
+deferred descriptor, the per-set line counts of a line-skipping ring
+are closed form, and the levels below the probed cache are answered
+from their descriptors while every load reaching them hits, so a probe
+costs O(samples) instead of O(array).
 """
 
 from __future__ import annotations

@@ -42,6 +42,17 @@ p-chase passes, some over 50 MB L2 footprints):
   at most ``num_sets * ways`` lines at a stride within the line size, no
   set is over-subscribed and the answer is closed form — every load
   hits (the capacity cliff) — with no per-load or per-set work at all;
+* the per-set ring line counts behind that analysis are closed form for
+  uniform strides: consecutive lines below the line size, and above it
+  (the cache-line-size benchmark's line-skipping rings, up to 8x the
+  cache) ``q = line / gcd(stride, line)`` arithmetic progressions of line
+  indices, each counted per set with a modular inverse — O(q) per
+  queried line instead of one O(ring) pass over the whole ring, which
+  remains only where ``q`` is large;
+* :meth:`fixed_point_hits` answers a lower level of a fresh warmed
+  p-chase — it sees only the loads that missed above it — from the
+  deferred descriptor: when no such load lies in an over-subscribed set
+  every one hits the fixed point, and no row is materialised;
 * :meth:`pass_monotone` is the batch equivalent of a monotone
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
@@ -56,6 +67,8 @@ automatically.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -445,9 +458,12 @@ class SimCache:
         """Ring-wide per-set line counts, looked up for ``query_lines``.
 
         ``addrs`` may be a prefix of the ``ring``-load ring (``stride``
-        given).  For uniform strides at or below the line size the counts
-        follow from arithmetic (O(len(query_lines))); otherwise the whole
-        ring is built if need be and one O(ring) counting pass is made.
+        given).  For uniform strides the counts follow from arithmetic:
+        O(len(query_lines)) at or below the line size, and
+        O(q * len(query_lines)) above it, ``q = line / gcd(stride, line)``
+        (see :meth:`_skip_set_counts`).  Otherwise — or when ``q`` makes
+        the arithmetic dearer than the ring — the whole ring is built if
+        need be and one O(ring) counting pass is made.
         """
         line = self.line_size
         sets_total = self.num_sets
@@ -457,6 +473,12 @@ class SimCache:
             m = (a0 + (ring - 1) * stride) // line - l0 + 1
             offs = (query_lines - l0) % sets_total
             return m // sets_total + (offs < m % sets_total)
+        if (
+            stride is not None
+            and stride > line
+            and line // math.gcd(stride, line) * query_lines.size < ring
+        ):
+            return self._skip_set_counts(a0, ring, stride, query_lines)
         if addrs.size < ring:
             addrs = a0 + np.arange(ring, dtype=np.int64) * stride
         lines = addrs // line
@@ -470,6 +492,37 @@ class SimCache:
             uniq = lines[np.flatnonzero(change)]
         counts_per_set = np.bincount(uniq % sets_total, minlength=sets_total)
         return counts_per_set[query_lines % sets_total]
+
+    def _skip_set_counts(
+        self, a0: int, ring: int, stride: int, query_lines: np.ndarray
+    ) -> np.ndarray:
+        """Closed-form ring-wide per-set line counts for ``stride > line``.
+
+        Every load of such a ring is its own line.  With ``q = line /
+        gcd(stride, line)``, loads ``t, t + q, t + 2q, ...`` (``t < q``)
+        advance by exactly ``step = stride * q / line`` lines, so the
+        ring splits into ``q`` arithmetic progressions of line indices
+        ``c_t + j * step``.  A progression reaches set ``r`` only when
+        ``r ≡ c_t`` modulo ``d = gcd(step, num_sets)``; its indices ``j``
+        that land there form one residue class modulo ``num_sets / d``,
+        found with a modular inverse, and are counted in O(1).
+        """
+        line = self.line_size
+        sets_total = self.num_sets
+        q = line // math.gcd(stride, line)
+        step = stride * q // line
+        d = math.gcd(step, sets_total)
+        period = sets_total // d
+        inv = pow(step // d, -1, period)
+        sets = query_lines % sets_total
+        counts = np.zeros(query_lines.size, dtype=np.int64)
+        for t in range(min(q, ring)):
+            c = (a0 + t * stride) // line
+            n_t = (ring - t + q - 1) // q
+            diff = sets - c % sets_total
+            j0 = (diff // d) % period * inv % period
+            counts += (diff % d == 0) * (n_t // period + (j0 < n_t % period))
+        return counts
 
     def _ring_fits(self, a0: int, ring: int, stride: int) -> bool:
         """True when a ``stride <= line_size`` ring over-subscribes no set.
@@ -873,6 +926,36 @@ class SimCache:
                     sub, rem, lines, bits, run_first, run_ids, uniq, counts
                 )
         return hits
+
+    def fixed_point_hits(
+        self, addrs: np.ndarray, ring: int, stride: int, pending: np.ndarray
+    ) -> np.ndarray | None:
+        """Hits of the ``pending`` loads of a timed pass, from the descriptor.
+
+        The pass is the cyclic walk ``addrs[i % ring]`` (``addrs`` holds
+        the first ``min(ring, len(pending))`` addresses) and only the
+        loads flagged in ``pending`` reach this cache — a lower level of
+        a fresh warmed p-chase.  When the state is this ring's deferred
+        warm fixed point (:meth:`holds_fixed_point`) and no pending load
+        lies in a set holding more than ``ways`` ring lines, the fixed
+        point holds every ring line of those sets with the ring's own
+        sector bits, and the pass only promotes: every pending load hits.
+        The pending mask is returned, ``hits`` grows by its count and the
+        descriptor stays deferred — the caller keeps the fixed point, as
+        :meth:`chase_cyclic` does with ``update_state=False``.
+
+        Otherwise returns ``None`` without changing anything.
+        """
+        if not self.holds_fixed_point(int(addrs[0]), ring * stride, stride):
+            return None
+        idx = np.flatnonzero(pending)
+        if idx.size:
+            lines = np.unique(addrs[idx % addrs.size] // self.line_size)
+            counts = self._ring_set_counts(addrs, ring, stride, lines)
+            if (counts > self.ways).any():
+                return None
+        self.hits += int(idx.size)
+        return pending.copy()
 
     def _cold_rank(self, stride: int | None, uniq: np.ndarray) -> np.ndarray:
         """Per-line insertion rank within its set over the cold wrap."""

@@ -24,7 +24,14 @@ by ``benchmarks/bench_discovery_speed.py``):
   :meth:`SimCache.chase_cyclic` / :meth:`SimCache.pass_monotone` — a
   fully vectorised hit/latency computation with zero per-load Python —
   falling back to exact per-load simulation whenever a sequence or cache
-  state falls outside the analytic preconditions;
+  state falls outside the analytic preconditions.  On a fresh warmed
+  run every level is answered from its deferred warm descriptor where it
+  can be: the first level by :meth:`SimCache.chase_cyclic`, whose per-set
+  ring line counts are closed form for strides below *and* above the
+  line size, and each lower level — which sees only the loads that
+  missed above it — by :meth:`SimCache.fixed_point_hits`, which proves
+  every such load hits when none lies in an over-subscribed set.  Only
+  the remaining levels install their rows and replay the filtered loads;
 * ``engine="exact"`` walks every load through the per-access simulator
   (the reference implementation the property tests compare against).
 
@@ -169,8 +176,10 @@ def _walk_many(
     Returns ``(latencies, first_level_hits)``.  With
     ``preserve_warm_state`` a *fresh* warmed pass (``warmed=True``,
     uniform stride) leaves every cache at the ring's warm fixed point: a
-    level routed through the filtered batch walker — its hit results are
-    computed exactly on the materialised state — re-declares the ring's
+    level that sees only some loads is answered from the descriptor by
+    :meth:`SimCache.fixed_point_hits` when all of them hit; otherwise it
+    takes the filtered batch walker — its hit results are computed
+    exactly on the materialised state — and re-declares the ring's
     deferred fixed point afterwards.  On unknown prior state
     (``warmed=None``) a cache that provably still holds this ring's
     deferred fixed point (:meth:`SimCache.holds_fixed_point` — a protocol
@@ -209,6 +218,10 @@ def _walk_many(
         return None
 
     def filtered(cache, mask: np.ndarray) -> np.ndarray | None:
+        if restorable:
+            h = cache.fixed_point_hits(addrs, ring, stride, mask)
+            if h is not None:
+                return h
         h = _pass_filtered(cache, addrs, n, mask)
         if h is not None and restorable:
             cache.warm_fixed_point(int(addrs[0]), ring_nbytes, stride)

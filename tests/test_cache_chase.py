@@ -16,8 +16,14 @@ prefix of its ring must be indistinguishable from one handed the whole
 ring, a warm that skips the per-set replay for lines outside the
 resident [min, max] tag bound must still land on the exact end state,
 and a warmed pass over a ring that fits the cache, answered in closed
-form, must be indistinguishable from the general per-set analysis.
+form, must be indistinguishable from the general per-set analysis.  A
+lower level answered from its warm descriptor must match the filtered
+walk on materialised rows, and the closed-form per-set line counts of
+a ring strided above the line size must match counting the whole ring.
+Set counts include non-powers of two, as real caches have.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +33,7 @@ from hypothesis import strategies as st
 from repro.gpusim.cache import SimCache
 from repro.gpusim.device import LoadPath, SimulatedGPU
 from repro.gpusim.isa import LoadKind
-from repro.gpusim.kernel import _walk_many, probe_hits, warm
+from repro.gpusim.kernel import _pass_filtered, _walk_many, probe_hits, warm
 
 
 def strided_ring(nbytes: int, stride: int, base: int = 0) -> np.ndarray:
@@ -46,12 +52,17 @@ def chase_reference(cache: SimCache, addrs: np.ndarray, n: int) -> np.ndarray:
     )
 
 
+#: Powers of two and the non-powers real parts have (A100: 368 L1 sets,
+#: 10240 L2 sets per segment).
+SET_COUNTS = [2, 3, 4, 6, 8, 16, 23, 46]
+
+
 @st.composite
 def geometry_and_ring(draw):
     line = draw(st.sampled_from([32, 64, 128]))
     fg = line // draw(st.sampled_from([1, 2, 4]))
     ways = draw(st.sampled_from([1, 2, 4, 8]))
-    sets = draw(st.sampled_from([2, 4, 8, 16]))
+    sets = draw(st.sampled_from(SET_COUNTS))
     size = sets * line * ways
     stride = draw(
         st.sampled_from([max(4, fg // 2), fg, 2 * fg, 3 * fg, line, 2 * line])
@@ -615,7 +626,7 @@ def fitting_edge_ring(draw):
     line = draw(st.sampled_from([32, 64, 128]))
     fg = line // draw(st.sampled_from([1, 2, 4]))
     ways = draw(st.sampled_from([1, 2, 4, 8]))
-    sets = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    sets = draw(st.sampled_from([1, *SET_COUNTS]))
     stride = draw(st.sampled_from([max(4, fg // 2), fg, (fg + line) // 8 * 4, line]))
     lines = max(1, sets * ways + draw(st.sampled_from([-1, 0, 1])))
     a0 = 4 * draw(st.integers(min_value=0, max_value=4 * line))
@@ -689,3 +700,127 @@ class TestFittingRing:
         self.run(SimCache, geom, 128, 0, 16, 100, "descriptor", False)
         self.run(SimCache, geom, 32, 0, 64, 100, "descriptor", True)
         assert counted == [66, 16, 64]
+
+
+class TestFixedPointHits:
+    """A lower level of a fresh warmed p-chase, answered from its descriptor.
+
+    :meth:`SimCache.fixed_point_hits` must do what the filtered walker
+    does on the materialised fixed point — replay the pending loads
+    through :meth:`SimCache.pass_monotone`, then re-declare the fixed
+    point — and must decline, leaving everything as it was, whenever a
+    pending load lies in an over-subscribed set.
+    """
+
+    @staticmethod
+    def at_fixed_point(geom, ring_addrs, stride):
+        cache = SimCache(*geom)
+        cache.warm_fixed_point(int(ring_addrs[0]), len(ring_addrs) * stride, stride)
+        return cache
+
+    @settings(max_examples=200, deadline=None)
+    @given(geometry_and_ring(), st.data())
+    def test_matches_materialised_filtered_walk(self, params, data):
+        size, line, fg, ways, stride, ring_addrs = params
+        geom = (size, line, fg, ways)
+        sets = size // (line * ways)
+        ring = len(ring_addrs)
+        n = data.draw(samples_for(ring))
+        addrs = ring_addrs[: min(ring, n)]
+        per_set = np.bincount(np.unique(ring_addrs // line) % sets, minlength=sets)
+        fits = (per_set <= ways)[(addrs // line) % sets][np.arange(n) % addrs.size]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pending = rng.random(n) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        if data.draw(st.booleans()):
+            pending &= fits
+        fast = self.at_fixed_point(geom, ring_addrs, stride)
+        slow = self.at_fixed_point(geom, ring_addrs, stride)
+        got = fast.fixed_point_hits(addrs, ring, stride, pending)
+        assert fast.holds_fixed_point(int(addrs[0]), ring * stride, stride)
+        assert fast._valid_sets == 0
+        if (pending & ~fits).any():
+            assert got is None
+            assert stats(fast) == (0, 0, 0, 0)
+            return
+        want = _pass_filtered(slow, addrs, n, pending)
+        slow.warm_fixed_point(int(addrs[0]), ring * stride, stride)
+        assert got is not None
+        assert np.array_equal(got, want)
+        assert fast.hits == slow.hits == int(pending.sum())
+        assert fast.snapshot() == slow.snapshot()
+
+    def test_declines_an_oversubscribed_set_untouched(self):
+        cache = SimCache(2048, 64, 32, 2)  # 16 sets x 2 ways
+        addrs = strided_ring(3 * 1024, 1024)  # three lines, all in set 0
+        cache.warm_fixed_point(0, 3 * 1024, 1024)
+        pending = np.array([False, True, False, False])  # one wrap + 1
+        assert cache.fixed_point_hits(addrs, 3, 1024, pending) is None
+        assert cache.holds_fixed_point(0, 3 * 1024, 1024)
+        assert cache._valid_sets == 0
+        assert stats(cache) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("state", ["other_stride", "two_rings", "materialised", "cold"])
+    def test_declines_without_the_descriptor(self, state):
+        cache = SimCache(2048, 64, 32, 2)
+        addrs = strided_ring(1024, 64)  # 16 lines: fits
+        if state == "other_stride":
+            cache.warm_fixed_point(0, 2048, 128)
+        elif state == "two_rings":
+            cache.warm_fixed_point(0, 1024, 64)
+            cache.warm_cyclic_lazy(4096, 1024, 64)
+        elif state == "materialised":
+            cache.warm_fixed_point(0, 1024, 64)
+            cache.resident_lines()
+        before = cache._virtual, cache._valid_sets, stats(cache)
+        assert cache.fixed_point_hits(addrs, 16, 64, np.ones(16, dtype=bool)) is None
+        assert (cache._virtual, cache._valid_sets, stats(cache)) == before
+
+
+class TestSkipSetCounts:
+    """Ring-wide per-set line counts for strides above the line size,
+    counted per arithmetic progression instead of over the whole ring."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([32, 64, 128]),
+        st.sampled_from([1, *SET_COUNTS, 368]),
+        st.sampled_from([1, 2, 4]),
+        st.data(),
+    )
+    def test_matches_bincount_of_the_ring(self, line, sets, ways, data):
+        stride = data.draw(
+            st.one_of(
+                st.integers(min_value=line + 1, max_value=9 * line),
+                st.sampled_from([3 * line // 2, 5 * line // 4, 2 * line, 3 * line, 8 * line]),
+            )
+        )
+        ring = data.draw(st.integers(min_value=1, max_value=3000))
+        a0 = data.draw(st.integers(min_value=0, max_value=1 << 20))
+        prefix = data.draw(st.integers(min_value=1, max_value=ring))
+        cache = SimCache(sets * line * ways, line, line, ways)
+        full = a0 + np.arange(ring, dtype=np.int64) * stride
+        want = np.bincount((full // line) % sets, minlength=sets)
+        query = full[:prefix] // line
+        got = cache._ring_set_counts(full[:prefix], ring, stride, query)
+        assert np.array_equal(got, want[query % sets])
+        every_set = a0 // line + np.arange(sets, dtype=np.int64)
+        closed = cache._skip_set_counts(a0, ring, stride, every_set)
+        assert np.array_equal(closed, want[every_set % sets])
+
+    def test_a100_l2_ring_is_not_built(self):
+        """A 2^20-load line-size ring on an A100 L2 segment: the whole
+        ring would take 8 MiB; the counts come from its sampled prefix."""
+        cache = SimCache(20 << 20, 128, 32, 16)  # 10240 sets
+        ring, stride = 1 << 20, 384
+        prefix = 4096 + np.arange(384, dtype=np.int64) * stride
+        query = prefix // 128
+        tracemalloc.start()
+        try:
+            got = cache._ring_set_counts(prefix, ring, stride, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        full = 4096 + np.arange(ring, dtype=np.int64) * stride
+        want = np.bincount((full // 128) % cache.num_sets, minlength=cache.num_sets)
+        assert np.array_equal(got, want[query % cache.num_sets])

@@ -33,7 +33,7 @@ def cache_and_ring(draw):
     fg_div = draw(st.sampled_from([1, 2, 4]))
     fg = line // fg_div
     ways = draw(st.sampled_from([1, 2, 4]))
-    sets = draw(st.sampled_from([4, 8, 16]))
+    sets = draw(st.sampled_from([4, 6, 8, 16, 23, 46]))  # A100's L1: 368 sets
     size = sets * line * ways
     stride = draw(st.sampled_from([fg // 2, fg, 2 * fg, line, 2 * line]))
     stride = max(stride, 4)

@@ -5,7 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.benchmarks.base import BenchmarkContext
+from repro.core.benchmarks.cacheline import measure_cache_line_size
+from repro.core.benchmarks.size import measure_cache_size
 from repro.errors import SimulationError
+from repro.gpusim.cache import SimCache
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
 from repro.gpusim.kernel import (
@@ -70,6 +74,35 @@ class TestAddressGeneration:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert [lat.shape for lat in lats] == [(DEFAULT_SAMPLES,)] * 4
+
+    def test_fresh_l1_runs_leave_l2_deferred(self, monkeypatch):
+        """A100 L1 size and line-size runs never install L2 rows.
+
+        The L1 rings (up to 8x its 184 KiB) fit the 40 MiB L2 segment, so
+        every load that misses L1 hits the L2's warm fixed point: the L2
+        answers from its deferred descriptor, still holds the last run's
+        ring and has no materialised set.
+        """
+        materialised = []
+        original = SimCache._materialize
+
+        def spy(self):
+            if self._virtual is not None:
+                materialised.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(SimCache, "_materialize", spy)
+        dev = SimulatedGPU.from_preset("A100", seed=0)
+        kind = LoadKind.LD_GLOBAL_CA
+        (l1, _), (l2, _) = dev.resolve_path(kind).levels
+        assert l2.name == "L2.0"
+        ctx = BenchmarkContext(dev)
+        size = measure_cache_size(ctx, kind, "L1", 32, lo=1 << 10, hi_cap=1 << 20)
+        line = measure_cache_line_size(ctx, kind, "L1", int(size.value), 32)
+        assert (size.value, line.value) == (188352, 128)
+        assert materialised == []
+        assert l2.holds_fixed_point(*l1._fixed_point_ring())
+        assert l2._valid_sets == 0
 
 
 class TestRunPchase:

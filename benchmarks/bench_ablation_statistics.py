@@ -17,7 +17,7 @@ from repro.core.benchmarks.base import BenchmarkContext
 from repro.core.benchmarks.size import measure_cache_size
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind
-from repro.gpusim.kernel import run_pchase
+from repro.gpusim.kernel import run_pchase_ex
 from repro.stats.changepoint import detect_change_point
 from repro.stats.outliers import scrub_outliers
 from repro.stats.reduction import geometric_reduction
@@ -115,7 +115,7 @@ class TestWarmupAblation:
             fits = {}
             for warmup in (1, 0):
                 device.flush_caches()
-                lat = run_pchase(
+                lat = run_pchase_ex(
                     device, LoadKind.LD_GLOBAL_CA, base, 2048, 32,
                     warmup_passes=warmup, flush=True,
                 )

@@ -60,10 +60,11 @@ __all__ = [
     "peer_fetch",
 ]
 
-#: Memory-tier budget.  Report entries pickle to 14-35 KiB (seed 0:
-#: TestGPU-AMD 14 KiB, MI210 17 KiB, A100 29 KiB, TestGPU-NV 33 KiB), so
-#: this holds several thousand hot reports — plenty for 14 presets times
-#: a realistic seed spread — without mattering next to anything else on
+#: Memory-tier budget.  Report entries pickle to 14-41 KiB (unvalidated
+#: at seed 0: TestGPU-AMD 14 KiB, MI210 17 KiB, A100 29 KiB, TestGPU-NV
+#: 33 KiB; validated TestGPU-NV at seed 3: 41 KiB), so this holds
+#: several thousand hot reports — plenty for 14 presets times a
+#: realistic seed spread — without mattering next to anything else on
 #: the host.
 MEMORY_TIER_BYTES = 256 << 20  # 256 MiB
 

@@ -60,10 +60,12 @@ p-chase passes, some over 50 MB L2 footprints):
 * :meth:`probe_many` is a vectorised, non-mutating bulk :meth:`probe`.
 
 Every analytic path is access-for-access equivalent to the exact
-:meth:`access` loop (asserted by property tests in
-``tests/test_cache_chase.py`` and ``tests/test_cache_warm.py``);
-sequences the analysis cannot cover fall back to exact simulation
-automatically.
+:meth:`access` loop — same hit vector, same end state (asserted by
+property tests in ``tests/test_cache_chase.py`` and
+``tests/test_cache_warm.py``); sequences the analysis cannot cover fall
+back to exact simulation automatically.  The model keeps cache state
+only, no access statistics: the microbenchmarks observe nothing but
+per-load latencies (hit or miss, Section IV-A).
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ class SimCache:
         "_line_max",
         "_line_gen",
         "_virtual",
-        "hits",
-        "sector_misses",
-        "line_misses",
-        "evictions",
     )
 
     def __init__(
@@ -175,10 +173,6 @@ class SimCache:
         # Cooperative protocols warm caches they never probe — those warms
         # are discarded for free by the next flush.
         self._virtual: tuple[bool, list[tuple[int, int, int]]] | None = None
-        self.hits = 0
-        self.sector_misses = 0
-        self.line_misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------ #
     # internal helpers                                                    #
@@ -310,19 +304,12 @@ class SimCache:
                 masks[hit_way:-1] = masks[hit_way + 1 :]
                 tags[ways - 1] = line
             masks[ways - 1] = new_mask
-            if hit:
-                self.hits += 1
-                return True
-            self.sector_misses += 1
-            return False
+            return hit
         # Line miss: evict the LRU slot (slot 0; empties pack there).
-        if tags[0] != -1:
-            self.evictions += 1
         tags[:-1] = tags[1:]
         masks[:-1] = masks[1:]
         tags[ways - 1] = line
         masks[ways - 1] = sector_bit
-        self.line_misses += 1
         self._note_lines(line, line)
         return False
 
@@ -641,8 +628,7 @@ class SimCache:
         touched: np.ndarray,
         inc_tags: np.ndarray,
         inc_masks: np.ndarray,
-        inserted_counts: np.ndarray | None = None,
-    ) -> np.ndarray | None:
+    ) -> None:
         """Pure-insert incoming lines into the rows of ``touched`` sets.
 
         The end state per set is the last ``ways`` entries of
@@ -650,13 +636,10 @@ class SimCache:
         guarantee no incoming line is resident (lines above the
         generation's tag bound, or thrash semantics where any old copy is
         provably evicted before its truncation slot).
-
-        Returns per-set eviction counts when ``inserted_counts`` (the
-        *uncapped* number of inserts per set) is given, else ``None``.
         """
         ws = self.ways
         valid_inc = inc_tags != -1
-        if inserted_counts is None and bool(valid_inc.all()):
+        if bool(valid_inc.all()):
             # Every touched set receives a full complement of lines none
             # of which can be resident: a plain overwrite scatter.
             stale = self._set_gen[touched] != self._gen
@@ -665,13 +648,9 @@ class SimCache:
             self._set_gen[touched] = self._gen
             self._valid_sets += int(stale.sum())
             self._note_lines(int(inc_tags.min()), int(inc_tags.max()))
-            return None
+            return
         old_tags, old_masks, stale = self._gather_rows(touched)
         surv = old_tags != -1
-        evictions = None
-        if inserted_counts is not None:
-            free = ws - surv.sum(axis=1)
-            evictions = np.maximum(0, inserted_counts - free)
         # A set receiving a full complement of incoming lines keeps none of
         # its old entries — a plain scatter, no survivor shuffle needed.
         full = valid_inc.all(axis=1)
@@ -698,7 +677,6 @@ class SimCache:
         self._set_gen[touched] = self._gen
         self._valid_sets += int(stale.sum())
         self._note_lines(int(inc_tags[valid_inc].min()), int(inc_tags.max()))
-        return evictions
 
     def _promote_rows(
         self,
@@ -751,7 +729,6 @@ class SimCache:
             self.access_many(addrs)
             return
         uniq, masks, sets, from_end, touched = self._ring_structure(addrs, stride)
-        total_lines = int(uniq.size)
         if self._valid_sets == 0:
             self._fresh_install(uniq, masks, sets, from_end, touched)
         else:
@@ -781,7 +758,6 @@ class SimCache:
                     uniq, masks, sets, from_end, touched
                 )
                 self._merge_rows(touched, inc_tags, inc_masks)
-        self.line_misses += total_lines  # at least one fetch per line
 
     # ------------------------------------------------------------------ #
     # analytic timed p-chase                                              #
@@ -822,7 +798,7 @@ class SimCache:
           of this exact ring (flush + :meth:`warm_cyclic`);
         * ``warmed=False``: the cache is flushed (verified internally).
 
-        ``update_state=False`` computes hits and statistics but leaves the
+        ``update_state=False`` computes the hits but leaves the
         cache at the warm fixed point — used by fresh p-chase runs, whose
         successor flushes and re-warms anyway.
 
@@ -832,11 +808,10 @@ class SimCache:
         (:meth:`holds_fixed_point`) without materialising rows.  If its
         stride is at most the line size and the ring spans at most
         ``num_sets * ways`` lines (:meth:`_ring_fits`), every load hits:
-        the pass returns all-True in O(1), adding ``n_samples`` hits and
-        nothing else to the counters.
+        the pass returns all-True in O(1).
 
-        Equivalence with the exact loop (hits, end state, statistics) is
-        pinned by property tests.
+        Equivalence with the exact loop (hits, end state) is pinned by
+        property tests.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         ring = int(addrs.size) if ring is None else int(ring)
@@ -859,7 +834,6 @@ class SimCache:
             and self._ring_fits(int(addrs[0]), ring, stride)
         ):
             # No set is over-subscribed: every load hits the fixed point.
-            self.hits += n
             return np.ones(n, dtype=bool)
         ws = self.ways
         pattern_len = ring if wraps >= 1 else rem
@@ -891,26 +865,8 @@ class SimCache:
                 return wrap1[:n]
             return np.concatenate([wrap1, np.resize(pattern, n - ring)])
 
-        if warmed:
-            hits = assemble(steady, None)
-            line_miss_v = assemble(thrash & run_first, None)
-            sector_miss_v = assemble(thrash & ~run_first & ~dup, None)
-            evict_v = line_miss_v  # thrashing rows are always full
-        else:
-            # Cold wrap 1: first touch of each (line, sector) misses; the
-            # first ``ways`` inserts per set land in empty slots.
-            rank = self._cold_rank(stride, uniq)
-            wrap1_evict = run_first & (rank >= ws)[run_ids]
-            hits = assemble(steady, dup)
-            line_miss_v = assemble(thrash & run_first, run_first)
-            sector_miss_v = assemble(
-                thrash & ~run_first & ~dup, ~run_first & ~dup
-            )
-            evict_v = assemble(thrash & run_first, wrap1_evict)
-        self.hits += int(hits.sum())
-        self.line_misses += int(line_miss_v.sum())
-        self.sector_misses += int(sector_miss_v.sum())
-        self.evictions += int(evict_v.sum())
+        # Cold wrap 1: only the repeats of a (line, sector) hit.
+        hits = assemble(steady, None if warmed else dup)
 
         if update_state:
             if not warmed:
@@ -940,9 +896,9 @@ class SimCache:
         lies in a set holding more than ``ways`` ring lines, the fixed
         point holds every ring line of those sets with the ring's own
         sector bits, and the pass only promotes: every pending load hits.
-        The pending mask is returned, ``hits`` grows by its count and the
-        descriptor stays deferred — the caller keeps the fixed point, as
-        :meth:`chase_cyclic` does with ``update_state=False``.
+        The pending mask is returned and the descriptor stays deferred —
+        the caller keeps the fixed point, as :meth:`chase_cyclic` does with
+        ``update_state=False``.
 
         Otherwise returns ``None`` without changing anything.
         """
@@ -954,18 +910,7 @@ class SimCache:
             counts = self._ring_set_counts(addrs, ring, stride, lines)
             if (counts > self.ways).any():
                 return None
-        self.hits += int(idx.size)
         return pending.copy()
-
-    def _cold_rank(self, stride: int | None, uniq: np.ndarray) -> np.ndarray:
-        """Per-line insertion rank within its set over the cold wrap."""
-        sets_total = self.num_sets
-        m = uniq.size
-        if stride is not None and 0 < stride <= self.line_size:
-            # Consecutive lines: each set is touched once per num_sets lines.
-            return np.arange(m, dtype=np.int64) // sets_total
-        _, _, _, rank, _ = _group_rank(uniq % sets_total)
-        return rank
 
     def _apply_warm_prefix(
         self,
@@ -1081,8 +1026,6 @@ class SimCache:
                 (bits[addr_sel] & start_masks[run_ids[addr_sel]]) != 0
             )
             hits[addr_sel] = hit_sel
-            self.hits += int(hit_sel.sum())
-            self.sector_misses += int((~hit_sel).sum())
             touched = np.unique(set_ids[sel])
             row_idx = np.searchsorted(touched, set_ids[sel])
             self._promote_rows(
@@ -1091,28 +1034,13 @@ class SimCache:
         sel = none_found
         if sel.any():
             addr_sel = sel[run_ids]
-            hit_sel = dup[addr_sel]
-            hits[addr_sel] = hit_sel
-            self.hits += int(hit_sel.sum())
-            self.line_misses += int(sel.sum())
-            self.sector_misses += int(
-                (~hit_sel & ~run_first[addr_sel]).sum()
-            )
+            hits[addr_sel] = dup[addr_sel]
             touched = np.unique(set_ids[sel])
             from_end = gsize_line[sel] - 1 - rank[sel]
             inc_tags, inc_masks = self._incoming_rows(
                 uniq[sel], run_masks[sel], set_ids[sel], from_end, touched
             )
-            inserted = np.bincount(
-                np.searchsorted(touched, set_ids[sel]), minlength=touched.size
-            )
-            evictions = self._merge_rows(
-                touched,
-                inc_tags,
-                inc_masks,
-                inserted_counts=inserted,
-            )
-            self.evictions += int(evictions.sum())
+            self._merge_rows(touched, inc_tags, inc_masks)
         if mixed.any():
             addr_sel = mixed[run_ids]
             idx = np.flatnonzero(addr_sel)
@@ -1130,17 +1058,6 @@ class SimCache:
         self._virtual = None
         self._gen += 1
         self._valid_sets = 0
-
-    def reset_stats(self) -> None:
-        self.hits = self.sector_misses = self.line_misses = self.evictions = 0
-
-    @property
-    def misses(self) -> int:
-        return self.sector_misses + self.line_misses
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
 
     def resident_lines(self) -> int:
         """Number of valid lines currently cached — test helper."""

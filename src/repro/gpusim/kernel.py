@@ -3,7 +3,7 @@
 These functions are the simulator-side counterparts of the GPU kernels
 MT4G launches (paper Section IV):
 
-* :func:`run_pchase` — the fine-grained pointer-chase of Section IV-A:
+* :func:`run_pchase_ex` — the fine-grained pointer-chase of Section IV-A:
   a warm-up pass populates the target memory element, then the timed pass
   records the latency of each of the first N dependent loads (the paper
   stores only the first N results because the pattern repeats);
@@ -62,7 +62,6 @@ from repro.gpusim.isa import LoadKind, VECTOR_LOAD_BYTES
 __all__ = [
     "KernelLaunch",
     "pchase_addresses",
-    "run_pchase",
     "run_pchase_ex",
     "warm",
     "probe_hits",
@@ -285,7 +284,7 @@ def _warm_cycles(path: LoadPath, n_ring: int) -> float:
     """Cycles charged for one protocol warm of an ``n_ring``-load ring.
 
     Protocol warms are charged at first-level hit latency irrespective
-    of cache state (the run_pchase cold-warm miss surcharge relies on
+    of cache state (the run_pchase_ex cold-warm miss surcharge relies on
     knowing a flush preceded; a standalone warm cannot know that).
     """
     first_latency = path.levels[0][1] if path.levels else path.terminal_latency
@@ -454,42 +453,6 @@ def pair_rounds(
     return out
 
 
-def run_pchase(
-    device: SimulatedGPU,
-    kind: LoadKind,
-    base: int,
-    nbytes: int,
-    stride: int,
-    n_samples: int = DEFAULT_SAMPLES,
-    sm: int = 0,
-    core: int = 0,
-    warmup_passes: int = 1,
-    flush: bool = False,
-    engine: str = "analytic",
-) -> np.ndarray:
-    """Fine-grained p-chase: returns the first ``n_samples`` load latencies.
-
-    Follows the paper's recipe: optional cache flush, ``warmup_passes``
-    untimed passes over the whole ring (ensuring the array is resident in
-    the benchmarked element), then a timed pass whose first N per-load
-    latencies are recorded (wrapping around the ring if N exceeds the
-    element count).
-    """
-    return run_pchase_ex(
-        device,
-        kind,
-        base,
-        nbytes,
-        stride,
-        n_samples=n_samples,
-        sm=sm,
-        core=core,
-        warmup_passes=warmup_passes,
-        flush=flush,
-        engine=engine,
-    )
-
-
 def run_pchase_ex(
     device: SimulatedGPU,
     kind: LoadKind,
@@ -504,7 +467,13 @@ def run_pchase_ex(
     engine: str = "analytic",
     preserve_warm_state: bool = False,
 ) -> np.ndarray:
-    """:func:`run_pchase` plus the driver's warm-state switch.
+    """Fine-grained p-chase: returns the first ``n_samples`` load latencies.
+
+    Follows the paper's recipe: optional cache flush, ``warmup_passes``
+    untimed passes over the whole ring (ensuring the array is resident in
+    the benchmarked element), then a timed pass whose first N per-load
+    latencies are recorded (wrapping around the ring if N exceeds the
+    element count).
 
     ``preserve_warm_state`` asks the analytic timed pass of a fresh,
     warmed run to leave every cache at the ring's warm fixed point

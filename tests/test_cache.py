@@ -33,20 +33,24 @@ class TestConstruction:
 class TestBasicAccess:
     def test_first_access_misses(self):
         c = make_cache()
+        assert c.probe(0) is False
         assert c.access(0) is False
-        assert c.line_misses == 1
+        assert c.probe(0) is True
+        assert c.resident_lines() == 1
 
     def test_second_access_same_sector_hits(self):
         c = make_cache()
         c.access(0)
         assert c.access(4) is True
-        assert c.hits == 1
+        assert c.probe(0) is True
+        assert c.resident_lines() == 1
 
     def test_other_sector_is_sector_miss(self):
         c = make_cache()
         c.access(0)
+        assert c.probe(32) is False
         assert c.access(32) is False  # same line, second sector
-        assert c.sector_misses == 1
+        assert c.resident_lines() == 1  # a sector miss installs no line
         assert c.access(32) is True  # now fetched
 
     def test_sector_miss_does_not_evict(self):
@@ -72,7 +76,6 @@ class TestLRUEviction:
         assert c.probe(0) is False
         assert c.probe(2 * 64) is True
         assert c.probe(4 * 64) is True
-        assert c.evictions == 1
 
     def test_lru_promotion_on_hit(self):
         c = make_cache(size=256, line=64, fg=64, ways=2)
@@ -129,17 +132,6 @@ class TestFlush:
 
 
 class TestStats:
-    def test_counters(self):
-        c = make_cache()
-        c.access(0)
-        c.access(0)
-        c.access(32)
-        assert c.accesses == 3
-        assert c.hits == 1
-        assert c.misses == 2
-        c.reset_stats()
-        assert c.accesses == 0
-
     def test_access_many(self):
         c = make_cache()
         hits = c.access_many(np.array([0, 0, 64, 64]))

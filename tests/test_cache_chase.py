@@ -5,11 +5,11 @@ The analytic primitives — :meth:`SimCache.chase_cyclic`,
 warm state (:meth:`warm_fixed_point` / :meth:`warm_cyclic_lazy`) and the
 incremental suffix-extension warm — must be *access-for-access*
 equivalent to the exact :meth:`SimCache.access` loop: same hit/miss
-vector, same end state (snapshot), same statistics counters.  These
-tests pin that equivalence over randomized cache geometries, strides,
-ring sizes, sample counts (including multi-wrap chases), warm/cold
-starts and post-flush generations, plus the automatic exact fallback on
-non-monotone sequences.  A protocol probe answered from the deferred
+vector, same end state (snapshot).  These tests pin that equivalence
+over randomized cache geometries, strides, ring sizes, sample counts
+(including multi-wrap chases), warm/cold starts and post-flush
+generations, plus the automatic exact fallback on non-monotone
+sequences.  A protocol probe answered from the deferred
 warm descriptor must be indistinguishable from one that materialises
 the rows and replays the ring, a timed pass handed only the sampled
 prefix of its ring must be indistinguishable from one handed the whole
@@ -38,10 +38,6 @@ from repro.gpusim.kernel import _pass_filtered, _walk_many, probe_hits, warm
 
 def strided_ring(nbytes: int, stride: int, base: int = 0) -> np.ndarray:
     return base + np.arange(max(1, nbytes // stride), dtype=np.int64) * stride
-
-
-def stats(cache: SimCache) -> tuple[int, int, int, int]:
-    return (cache.hits, cache.sector_misses, cache.line_misses, cache.evictions)
 
 
 def chase_reference(cache: SimCache, addrs: np.ndarray, n: int) -> np.ndarray:
@@ -76,14 +72,12 @@ class TestChaseCyclic:
     @settings(max_examples=150, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=900), st.booleans())
     def test_warmed_equivalence(self, params, n_samples, hint):
-        """Warmed chase == exact loop: hits, end state and statistics."""
+        """Warmed chase == exact loop: hits and end state."""
         size, line, fg, ways, stride, addrs = params
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
         analytic.warm_cyclic(addrs, stride=stride)
         exact.warm_cyclic(addrs, stride=stride)
-        analytic.reset_stats()
-        exact.reset_stats()
         hits = analytic.chase_cyclic(
             addrs, n_samples, warmed=True, stride=stride if hint else None
         )
@@ -91,7 +85,6 @@ class TestChaseCyclic:
         assert hits is not None
         assert (hits == ref).all()
         assert analytic.snapshot() == exact.snapshot()
-        assert stats(analytic) == stats(exact)
 
     @settings(max_examples=100, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=900))
@@ -105,7 +98,6 @@ class TestChaseCyclic:
         assert hits is not None
         assert (hits == ref).all()
         assert analytic.snapshot() == exact.snapshot()
-        assert stats(analytic) == stats(exact)
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=400))
@@ -169,14 +161,11 @@ class TestPassMonotone:
             # Same state on both sides, built by the same (exact) machinery.
             analytic.access_many(pr)
             exact.access_many(pr)
-        analytic.reset_stats()
-        exact.reset_stats()
         hits = analytic.pass_monotone(addrs)
         ref = exact.access_many(addrs)
         assert hits is not None
         assert (hits == ref).all()
         assert analytic.snapshot() == exact.snapshot()
-        assert stats(analytic) == stats(exact)
 
     def test_non_monotone_returns_none(self):
         cache = SimCache(1024, 64, 32, 2)
@@ -300,8 +289,6 @@ class TestLazyWarmList:
             lazy.warm_cyclic_lazy(int(ring[0]), len(ring) * stride, stride)
             eager.warm_cyclic(ring, stride=stride)
         assert lazy.snapshot() == eager.snapshot()
-        # ...and statistics catch up at materialisation time.
-        assert lazy.line_misses == eager.line_misses
 
 
 @pytest.mark.parametrize("stride", [16, 32, 64, 96, 128, 256])
@@ -326,7 +313,7 @@ class TestProbeFromDescriptor:
     (:meth:`SimCache.chase_cyclic`) instead of materialising its rows and
     replaying the ring through :meth:`SimCache.pass_monotone`.  The two
     routes must be indistinguishable: hits, noisy latencies, simulated
-    time, statistics counters and the end state.
+    time and the end state.
     """
 
     KIND = LoadKind.S_LOAD
@@ -355,7 +342,7 @@ class TestProbeFromDescriptor:
         held_before = l1.holds_fixed_point(*warm_ring)
         hits, lat = probe_hits(dev, self.KIND, probe_addrs, stride=stride_hint)
         held_after = l1.holds_fixed_point(*warm_ring)
-        snaps = (l1.snapshot(), l2.snapshot())  # materialises: stats catch up
+        snaps = (l1.snapshot(), l2.snapshot())
         return {
             # Only the descriptor-answered probe leaves the warm ring deferred.
             "fired": held_before and held_after,
@@ -363,7 +350,6 @@ class TestProbeFromDescriptor:
             "lat": lat,
             "elapsed": dev.elapsed_seconds(),
             "loads": dev.total_loads,
-            "stats": (stats(l1), stats(l2)),
             "snapshots": snaps,
             "next_draw": dev.noise.rng.random(),
         }
@@ -371,7 +357,7 @@ class TestProbeFromDescriptor:
     def assert_same(self, fast, slow):
         assert np.array_equal(fast["hits"], slow["hits"])
         assert np.array_equal(fast["lat"], slow["lat"])
-        for key in ("elapsed", "loads", "stats", "snapshots", "next_draw"):
+        for key in ("elapsed", "loads", "snapshots", "next_draw"):
             assert fast[key] == slow[key], key
 
     @settings(max_examples=120, deadline=None)
@@ -493,7 +479,6 @@ class TestSampledPrefix:
             "lat": lat,
             "first": first,
             "noisy": noisy,
-            "stats": (stats(l1), stats(l2)),
             "snapshots": (l1.snapshot(), l2.snapshot()),
             "elapsed": dev.elapsed_seconds(),
             "next_draw": dev.noise.rng.random(),
@@ -517,7 +502,7 @@ class TestSampledPrefix:
             assert (got[key] is None) == (ref[key] is None), key
             if ref[key] is not None:
                 assert np.array_equal(got[key], ref[key]), key
-        for key in ("stats", "snapshots", "elapsed", "next_draw"):
+        for key in ("snapshots", "elapsed", "next_draw"):
             assert got[key] == ref[key], key
 
     @settings(max_examples=100, deadline=None)
@@ -535,7 +520,6 @@ class TestSampledPrefix:
                 cache.chase_cyclic(arg, n, warmed=warmed, stride=stride, ring=ring_arg)
             )
         assert np.array_equal(hits[0], hits[1])
-        assert stats(caches[0]) == stats(caches[1])
         assert caches[0].snapshot() == caches[1].snapshot()
 
 
@@ -551,9 +535,9 @@ class TestLineBound:
 
     Every resident line lies inside the generation's tag bound, so a ring
     wholly below, wholly above, or straddling the resident lines must
-    reach the exact :meth:`SimCache.access` end state, and the same
-    counters as a warm that replays every set.  Re-warming a ring placed
-    below the first one catches a bound whose minimum never moves.
+    reach the exact :meth:`SimCache.access` end state — the same as a
+    warm that replays every set.  Re-warming a ring placed below the
+    first one catches a bound whose minimum never moves.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -593,7 +577,6 @@ class TestLineBound:
             prev = addrs
         assert caches[0].snapshot() == exact.snapshot()
         assert caches[0].snapshot() == caches[1].snapshot()
-        assert stats(caches[0]) == stats(caches[1])
 
     def test_ring_below_resident_lines_is_not_replayed(self, monkeypatch):
         replayed = []
@@ -641,7 +624,7 @@ def fitting_edge_ring(draw):
 class TestFittingRing:
     """A warmed pass over a ring of at most ``num_sets*ways`` lines hits
     on every load (the capacity cliff), answered without the per-set
-    analysis: hits, counters and end state equal the general path's."""
+    analysis: hits and end state equal the general path's."""
 
     @staticmethod
     def run(cls, geom, stride, a0, ring, n, state, update_state):
@@ -655,8 +638,7 @@ class TestFittingRing:
             addrs, n, warmed=state != "cold", stride=stride,
             update_state=update_state, ring=ring,
         )
-        counted = stats(cache)
-        return hits, counted, cache.snapshot(), stats(cache)
+        return hits, cache.snapshot()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -675,8 +657,7 @@ class TestFittingRing:
         fast = self.run(SimCache, *args)
         slow = self.run(GeneralPath, *args)
         assert np.array_equal(fast[0], slow[0])
-        for got, want in zip(fast[1:], slow[1:]):
-            assert got == want
+        assert fast[1] == slow[1]
         sets, ways = geom[0] // (geom[1] * geom[3]), geom[3]
         if state != "cold" and lines <= sets * ways:
             assert fast[0].all()
@@ -740,13 +721,11 @@ class TestFixedPointHits:
         assert fast._valid_sets == 0
         if (pending & ~fits).any():
             assert got is None
-            assert stats(fast) == (0, 0, 0, 0)
             return
         want = _pass_filtered(slow, addrs, n, pending)
         slow.warm_fixed_point(int(addrs[0]), ring * stride, stride)
         assert got is not None
         assert np.array_equal(got, want)
-        assert fast.hits == slow.hits == int(pending.sum())
         assert fast.snapshot() == slow.snapshot()
 
     def test_declines_an_oversubscribed_set_untouched(self):
@@ -757,7 +736,6 @@ class TestFixedPointHits:
         assert cache.fixed_point_hits(addrs, 3, 1024, pending) is None
         assert cache.holds_fixed_point(0, 3 * 1024, 1024)
         assert cache._valid_sets == 0
-        assert stats(cache) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("state", ["other_stride", "two_rings", "materialised", "cold"])
     def test_declines_without_the_descriptor(self, state):
@@ -771,9 +749,9 @@ class TestFixedPointHits:
         elif state == "materialised":
             cache.warm_fixed_point(0, 1024, 64)
             cache.resident_lines()
-        before = cache._virtual, cache._valid_sets, stats(cache)
+        before = cache._virtual, cache._valid_sets
         assert cache.fixed_point_hits(addrs, 16, 64, np.ones(16, dtype=bool)) is None
-        assert (cache._virtual, cache._valid_sets, stats(cache)) == before
+        assert (cache._virtual, cache._valid_sets) == before
 
 
 class TestSkipSetCounts:

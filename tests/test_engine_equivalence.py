@@ -20,7 +20,7 @@ from repro.core.benchmarks.sharing import (
     measure_sl1d_sharing,
 )
 from repro.gpusim.isa import LoadKind
-from repro.gpusim.kernel import pchase_addresses, probe_hits, run_pchase, warm
+from repro.gpusim.kernel import pchase_addresses, probe_hits, run_pchase_ex, warm
 from repro.pchase import PChaseConfig, PChaseRunner
 
 
@@ -49,7 +49,7 @@ class TestRunPchaseEquivalence:
         for engine in ("analytic", "exact"):
             device = fresh()
             base = device.alloc(kind, alloc)
-            lat = run_pchase(
+            lat = run_pchase_ex(
                 device,
                 kind,
                 base,
@@ -71,7 +71,7 @@ class TestRunPchaseEquivalence:
         for passes in (1, 3):
             device = fresh()
             base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 20)
-            lat = run_pchase(
+            lat = run_pchase_ex(
                 device, LoadKind.LD_GLOBAL_CA, base, 4096, 32,
                 warmup_passes=passes, flush=True,
             )
@@ -88,7 +88,7 @@ class TestRunPchaseEquivalence:
         base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 20)
         n_ring = 4096 // 32
         before = device.clock.cycles
-        run_pchase(device, LoadKind.LD_GLOBAL_CA, base, 4096, 32, flush=True)
+        run_pchase_ex(device, LoadKind.LD_GLOBAL_CA, base, 4096, 32, flush=True)
         spent = device.clock.cycles - before
         path = device.resolve_path(LoadKind.LD_GLOBAL_CA)
         hit_only_warm = n_ring * path.levels[0][1]

@@ -17,7 +17,6 @@ from repro.gpusim.kernel import (
     KernelLaunch,
     pchase_addresses,
     probe_hits,
-    run_pchase,
     run_pchase_ex,
     run_stream_kernel,
     warm,
@@ -108,19 +107,19 @@ class TestAddressGeneration:
 class TestRunPchase:
     def test_in_cache_latencies_near_l1(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, flush=True)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, flush=True)
         expected = nv.spec.cache("L1").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 4
 
     def test_over_capacity_latencies_near_l2(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32, flush=True)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32, flush=True)
         expected = nv.spec.cache("L2").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 6
 
     def test_no_warmup_cold_misses(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CG, 1 << 20)
-        lat = run_pchase(
+        lat = run_pchase_ex(
             nv, LoadKind.LD_GLOBAL_CG, base, 384 * 64, 64,
             warmup_passes=0, flush=True,
         )
@@ -128,19 +127,19 @@ class TestRunPchase:
         assert abs(lat.mean() - expected) < 8
 
     def test_scratchpad_constant_latency(self, nv):
-        lat = run_pchase(nv, LoadKind.LD_SHARED, 1 << 28, 2048, 32)
+        lat = run_pchase_ex(nv, LoadKind.LD_SHARED, 1 << 28, 2048, 32)
         expected = nv.spec.scratchpad.load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 3
 
     def test_sample_count(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, n_samples=100)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, n_samples=100)
         assert lat.shape == (100,)
 
     def test_accounts_time(self, nv):
         before = nv.elapsed_seconds()
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        run_pchase(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32)
+        run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32)
         assert nv.elapsed_seconds() > before
 
     def test_warm_and_probe(self, nv):

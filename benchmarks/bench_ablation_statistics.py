@@ -114,10 +114,9 @@ class TestWarmupAblation:
             base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
             fits = {}
             for warmup in (1, 0):
-                device.flush_caches()
                 lat = run_pchase_ex(
                     device, LoadKind.LD_GLOBAL_CA, base, 2048, 32,
-                    warmup_passes=warmup, flush=True,
+                    warmup_passes=warmup,
                 )
                 fits[warmup] = float(lat.mean())
             return fits

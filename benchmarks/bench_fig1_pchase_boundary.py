@@ -30,7 +30,7 @@ def run_boundary_experiment() -> dict[int, np.ndarray]:
             ways=WAYS,
         )
         addrs = np.arange(n_lines, dtype=np.int64) * LINE
-        cache.warm_cyclic(addrs)  # the figure's warm-up rows
+        cache.warm_cyclic(addrs, stride=LINE)  # the figure's warm-up rows
         traces[n_lines] = cache.access_many(addrs)  # the timed p-chase row
     return traces
 
@@ -56,7 +56,7 @@ def test_fig1_miss_localisation():
     """The misses of the 9-line case hit exactly the oversubscribed set."""
     cache = SimCache(SETS * LINE * WAYS, LINE, LINE, WAYS)
     addrs = np.arange(9, dtype=np.int64) * LINE
-    cache.warm_cyclic(addrs)
+    cache.warm_cyclic(addrs, stride=LINE)
     hits = cache.access_many(addrs)
     missed_sets = {int(a // LINE % SETS) for a in addrs[~hits]}
     assert missed_sets == {0}  # lines 0, 4, 8 collide in set 0

@@ -54,7 +54,6 @@ def measure_load_latency(
         nbytes,
         stride,
         sm=sm,
-        fresh=True,
         warmup=not cold,
     )
     stats = summarize(latencies)

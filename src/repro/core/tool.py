@@ -691,17 +691,17 @@ class MT4G:
         # probe sizes (an array that overruns CL1.5 would report the next
         # level instead); a cold un-warmed run gives the DRAM band.
         band_cl1 = float(
-            ctx.runner.latencies(kind, 512, 64, fresh=True, warmup=True).mean()
+            ctx.runner.latencies(kind, 512, 64, warmup=True).mean()
         )
         mid_candidates = [
-            float(ctx.runner.latencies(kind, nb, 64, fresh=True, warmup=True).mean())
+            float(ctx.runner.latencies(kind, nb, 64, warmup=True).mean())
             for nb in (4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB)
         ]
         elevated = [m for m in mid_candidates if m > band_cl1 + 10.0]
         band_cl15 = min(elevated) if elevated else max(mid_candidates)
         band_dram = float(
             ctx.runner.latencies(
-                LoadKind.LD_GLOBAL_CG, 64 * KiB, 256, fresh=True, warmup=False
+                LoadKind.LD_GLOBAL_CG, 64 * KiB, 256, warmup=False
             ).mean()
         )
 

@@ -56,16 +56,18 @@ p-chase passes, some over 50 MB L2 footprints):
 * :meth:`pass_monotone` is the batch equivalent of a monotone
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
-  vectorised, mixed sets fall back to the exact per-access loop;
-* :meth:`probe_many` is a vectorised, non-mutating bulk :meth:`probe`.
+  vectorised, mixed sets fall back to the exact per-access loop.
 
 Every analytic path is access-for-access equivalent to the exact
 :meth:`access` loop — same hit vector, same end state (asserted by
 property tests in ``tests/test_cache_chase.py`` and
-``tests/test_cache_warm.py``); sequences the analysis cannot cover fall
-back to exact simulation automatically.  The model keeps cache state
-only, no access statistics: the microbenchmarks observe nothing but
-per-load latencies (hit or miss, Section IV-A).
+``tests/test_cache_warm.py``).  The ring primitives (:meth:`warm_cyclic`,
+:meth:`chase_cyclic`) take the ring's stride and cover every uniform
+strided ring; only :meth:`pass_monotone`, which replays filtered subsets
+of a ring, declines a sequence (a non-monotone one) so that its caller
+walks it load by load.  The model keeps cache state only, no access
+statistics: the microbenchmarks observe nothing but per-load latencies
+(hit or miss, Section IV-A).
 """
 
 from __future__ import annotations
@@ -335,25 +337,6 @@ class SimCache:
                 return bool(int(self._masks[set_id, w]) & sector_bit)
         return False
 
-    def probe_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorised, non-mutating bulk :meth:`probe`."""
-        if self._virtual is not None:
-            self._materialize()
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return np.zeros(0, dtype=bool)
-        lines = addrs // self.line_size
-        bits = np.int64(1) << (
-            (addrs % self.line_size) // self.fetch_granularity
-        ).astype(np.int64)
-        sets = lines % self.num_sets
-        fresh = self._set_gen[sets] == self._gen
-        eq = (self._tags[sets] == lines[:, None]) & fresh[:, None]
-        found = eq.any(axis=1)
-        way = eq.argmax(axis=1)
-        masks = self._masks[sets, way]
-        return found & ((masks & bits) != 0)
-
     # ------------------------------------------------------------------ #
     # ring analysis (shared by warm / chase)                              #
     # ------------------------------------------------------------------ #
@@ -367,9 +350,9 @@ class SimCache:
         return lines, bits
 
     def _ring_structure(
-        self, addrs: np.ndarray, stride: int | None
+        self, addrs: np.ndarray, stride: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-line structure of a monotone address sequence.
+        """Per-line structure of a ring strided by ``stride``.
 
         Returns ``(uniq_lines, line_masks, set_ids, from_end, touched)``:
         one entry per distinct line in first-touch order, with
@@ -377,15 +360,15 @@ class SimCache:
         per-set group (0 == most recently touched line of its set) and
         ``touched`` the sorted unique set ids.
 
-        ``stride`` is a caller-supplied uniform-stride hint: it certifies
-        monotonicity and, for ``stride <= line_size``, makes the grouping
-        a pure counting pass (consecutive lines — no ``argsort``).
+        At or below the line size the grouping is a pure counting pass
+        (consecutive lines — no ``argsort``); above it every address is
+        its own line with a single sector.
         """
         sets_total = self.num_sets
         line = self.line_size
         fg = self.fetch_granularity
         a0 = int(addrs[0])
-        if stride is not None and 0 < stride <= line:
+        if stride <= line:
             # Uniform stride at or below the line size: every line between
             # the first and last address is touched, in consecutive order.
             l0 = a0 // line
@@ -421,16 +404,6 @@ class SimCache:
                 touched = np.sort(set_ids)
             return uniq_lines, line_masks, set_ids, from_end, touched
         lines, bits = self._addr_parts(addrs)
-        if stride is None or stride < line:
-            # Generic monotone sequence: collapse each line's run of loads.
-            # (A uniform stride above the line size gives every address
-            # its own line and single sector, so there are no runs.)
-            change = np.empty(lines.size, dtype=bool)
-            change[0] = True
-            np.not_equal(lines[1:], lines[:-1], out=change[1:])
-            run_starts = np.flatnonzero(change)
-            lines = lines[run_starts]
-            bits = np.bitwise_or.reduceat(bits, run_starts)
         set_ids = lines % sets_total
         order, gstarts, _, rank, size = _group_rank(set_ids)
         return lines, bits, set_ids, size - 1 - rank, set_ids[order][gstarts]
@@ -439,45 +412,31 @@ class SimCache:
         self,
         addrs: np.ndarray,
         ring: int,
-        stride: int | None,
+        stride: int,
         query_lines: np.ndarray,
     ) -> np.ndarray:
         """Ring-wide per-set line counts, looked up for ``query_lines``.
 
-        ``addrs`` may be a prefix of the ``ring``-load ring (``stride``
-        given).  For uniform strides the counts follow from arithmetic:
-        O(len(query_lines)) at or below the line size, and
-        O(q * len(query_lines)) above it, ``q = line / gcd(stride, line)``
-        (see :meth:`_skip_set_counts`).  Otherwise — or when ``q`` makes
-        the arithmetic dearer than the ring — the whole ring is built if
-        need be and one O(ring) counting pass is made.
+        ``addrs`` starts the ``ring``-load ring (a prefix is enough).  The
+        counts follow from arithmetic: O(len(query_lines)) at or below the
+        line size, and O(q * len(query_lines)) above it, ``q = line /
+        gcd(stride, line)`` (see :meth:`_skip_set_counts`).  Where ``q``
+        makes the arithmetic dearer than the ring, the ring is built from
+        its first address and one O(ring) counting pass is made.
         """
         line = self.line_size
         sets_total = self.num_sets
         a0 = int(addrs[0])
-        if stride is not None and 0 < stride <= line:
+        if stride <= line:
             l0 = a0 // line
             m = (a0 + (ring - 1) * stride) // line - l0 + 1
             offs = (query_lines - l0) % sets_total
             return m // sets_total + (offs < m % sets_total)
-        if (
-            stride is not None
-            and stride > line
-            and line // math.gcd(stride, line) * query_lines.size < ring
-        ):
+        if line // math.gcd(stride, line) * query_lines.size < ring:
             return self._skip_set_counts(a0, ring, stride, query_lines)
-        if addrs.size < ring:
-            addrs = a0 + np.arange(ring, dtype=np.int64) * stride
-        lines = addrs // line
-        if stride is not None and stride >= line:
-            # Every address is a distinct line — no run detection needed.
-            uniq = lines
-        else:
-            change = np.empty(lines.size, dtype=bool)
-            change[0] = True
-            np.not_equal(lines[1:], lines[:-1], out=change[1:])
-            uniq = lines[np.flatnonzero(change)]
-        counts_per_set = np.bincount(uniq % sets_total, minlength=sets_total)
+        # Every load of a ring strided above the line size is its own line.
+        lines = (a0 + np.arange(ring, dtype=np.int64) * stride) // line
+        counts_per_set = np.bincount(lines % sets_total, minlength=sets_total)
         return counts_per_set[query_lines % sets_total]
 
     def _skip_set_counts(
@@ -705,14 +664,11 @@ class SimCache:
     # analytic cyclic warm-up                                             #
     # ------------------------------------------------------------------ #
 
-    def warm_cyclic(self, addrs: np.ndarray, stride: int | None = None) -> None:
+    def warm_cyclic(self, addrs: np.ndarray, *, stride: int) -> None:
         """Install the end state of one full pass over ``addrs``.
 
-        ``addrs`` must be monotonically non-decreasing (the p-chase arrays
-        of Section IV-A are sequential strided rings); arbitrary sequences
-        fall back to exact simulation.  ``stride`` is an optional uniform
-        stride hint that certifies monotonicity and enables the pure
-        counting-pass grouping.
+        ``addrs`` is a ring strided by ``stride`` (the p-chase arrays of
+        Section IV-A are sequential strided rings).
 
         The end state equals exact per-load simulation on *any* prior
         cache state (sets whose lines may re-access resident content are
@@ -724,9 +680,6 @@ class SimCache:
             self._materialize()
         addrs = np.asarray(addrs, dtype=np.int64)
         if addrs.size == 0:
-            return
-        if stride is None and addrs.size > 1 and not (np.diff(addrs) >= 0).all():
-            self.access_many(addrs)
             return
         uniq, masks, sets, from_end, touched = self._ring_structure(addrs, stride)
         if self._valid_sets == 0:
@@ -769,18 +722,18 @@ class SimCache:
         n_samples: int,
         *,
         warmed: bool = True,
-        stride: int | None = None,
+        stride: int,
         update_state: bool = True,
         ring: int | None = None,
     ) -> np.ndarray | None:
-        """Analytic timed pass of a cyclic monotone p-chase.
+        """Analytic timed pass of a cyclic strided p-chase.
 
         Computes the hit/miss vector of the first ``n_samples`` loads of
-        the cyclic walk ``addrs[i % ring]`` directly from per-set
-        occupancy, with zero per-load Python.  ``ring`` is the ring
-        length; ``None`` means ``len(addrs)``.  Only the first
-        ``min(ring, n_samples)`` addresses are ever read, so with
-        ``stride`` given ``addrs`` may hold just that sampled prefix (a
+        the cyclic walk ``addrs[i % ring]`` over a ring strided by
+        ``stride`` directly from per-set occupancy, with zero per-load
+        Python.  ``ring`` is the ring length; ``None`` means
+        ``len(addrs)``.  Only the first ``min(ring, n_samples)`` addresses
+        are ever read, so ``addrs`` may hold just that sampled prefix (a
         p-chase stores only its first N latencies, Section IV-A):
 
         * a set holding ``k <= ways`` ring lines serves every access from
@@ -793,7 +746,6 @@ class SimCache:
         Preconditions (the caller's contract; ``None`` means "fall back
         to exact simulation"):
 
-        * ``addrs`` is monotone non-decreasing (certified by ``stride``);
         * ``warmed=True``: the cache state is the *fresh* warm fixed point
           of this exact ring (flush + :meth:`warm_cyclic`);
         * ``warmed=False``: the cache is flushed (verified internally).
@@ -802,7 +754,7 @@ class SimCache:
         cache at the warm fixed point — used by fresh p-chase runs, whose
         successor flushes and re-warms anyway.
 
-        A warmed, stride-certified pass that leaves the state alone
+        A warmed pass that leaves the state alone
         (``update_state=False``, or only full wraps — the identity on the
         fixed point) is answered from the deferred descriptor
         (:meth:`holds_fixed_point`) without materialising rows.  If its
@@ -817,11 +769,9 @@ class SimCache:
         ring = int(addrs.size) if ring is None else int(ring)
         if ring == 0 or n_samples <= 0:
             return None
-        if stride is None and ring > 1 and not (np.diff(addrs) >= 0).all():
-            return None
         n = int(n_samples)
         wraps, rem = divmod(n, ring)
-        keeps_state = warmed and stride is not None and not (update_state and rem)
+        keeps_state = warmed and not (update_state and rem)
         if self._virtual is not None and not (
             keeps_state and self.holds_fixed_point(int(addrs[0]), ring * stride, stride)
         ):
@@ -830,7 +780,7 @@ class SimCache:
             return None
         if (
             keeps_state
-            and 0 < stride <= self.line_size
+            and stride <= self.line_size
             and self._ring_fits(int(addrs[0]), ring, stride)
         ):
             # No set is over-subscribed: every load hits the fixed point.

@@ -22,28 +22,32 @@ by ``benchmarks/bench_discovery_speed.py``):
 
 * ``engine="analytic"`` (default) drives the timed pass through
   :meth:`SimCache.chase_cyclic` / :meth:`SimCache.pass_monotone` — a
-  fully vectorised hit/latency computation with zero per-load Python —
-  falling back to exact per-load simulation whenever a sequence or cache
-  state falls outside the analytic preconditions.  On a fresh warmed
-  run every level is answered from its deferred warm descriptor where it
-  can be: the first level by :meth:`SimCache.chase_cyclic`, whose per-set
-  ring line counts are closed form for strides below *and* above the
-  line size, and each lower level — which sees only the loads that
-  missed above it — by :meth:`SimCache.fixed_point_hits`, which proves
-  every such load hits when none lies in an over-subscribed set.  Only
-  the remaining levels install their rows and replay the filtered loads;
+  fully vectorised hit/latency computation with zero per-load Python.
+  On a warmed run every level is answered from its deferred warm
+  descriptor where it can be: the first level by
+  :meth:`SimCache.chase_cyclic`, whose per-set ring line counts are
+  closed form for strides below *and* above the line size, and each
+  lower level — which sees only the loads that missed above it — by
+  :meth:`SimCache.fixed_point_hits`, which proves every such load hits
+  when none lies in an over-subscribed set.  Only the remaining levels
+  install their rows and replay the filtered loads;
 * ``engine="exact"`` walks every load through the per-access simulator
   (the reference implementation the property tests compare against).
 
-Every fresh p-chase follows one path: flush the device, warm each cache
-of the load path, then the timed pass.  Warm-up passes are executed once
-per cache regardless of ``warmup_passes`` — a repeated cyclic warm is an
-LRU fixed point, which the analytic engine records after a flush as an
-O(1) deferred descriptor (:meth:`SimCache.warm_fixed_point`) — while
-the simulated run-time model still charges every requested pass, with the
-first pass after a flush charged at *miss* latency (the loads of a cold
-warm-up traverse to the terminal level; charging them at hit latency
-would understate the Section V-A run-time report).
+Every p-chase follows one path: flush the device, warm each cache of
+the load path, then the timed pass over a uniform strided ring.  Every
+ring carries its stride: the warm, probe and timed passes take it, and
+the analytic primitives need it.  Warm-up passes are executed once per
+cache regardless of ``warmup_passes`` — a repeated cyclic warm is an
+LRU fixed point, which the analytic engine records after the flush as
+an O(1) deferred descriptor (:meth:`SimCache.warm_fixed_point`) — while
+the simulated run-time model still charges every requested pass, with
+the first pass after the flush charged at *miss* latency (the loads of
+a cold warm-up traverse to the terminal level; charging them at hit
+latency would understate the Section V-A run-time report).  The
+analytic timed pass of a warmed run leaves every cache at that fixed
+point instead of applying its own state updates: the next run flushes
+anyway.
 
 All functions account simulated GPU time on the device so the Section V-A
 run-time model can report per-benchmark durations.
@@ -156,49 +160,46 @@ def _walk_many(
     addrs: np.ndarray,
     n_samples: int,
     warmed: bool | None,
-    stride: int | None,
-    preserve_warm_state: bool,
+    stride: int,
     ring: int | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Batch timed pass over a cyclic ring: per-load latency vector.
 
-    ``ring`` is the ring length when ``addrs`` holds only the sampled
-    prefix (its first ``min(ring, n_samples)`` addresses; needs
-    ``stride``); ``None`` means ``addrs`` is the whole ring.
+    ``addrs`` starts a ring strided by ``stride``; ``ring`` is the ring
+    length when ``addrs`` holds only the sampled prefix (its first
+    ``min(ring, n_samples)`` addresses); ``None`` means ``addrs`` is the
+    whole ring.
 
     Combines the per-level analytic hit vectors into one latency vector:
     a load observes the latency of the first level it hits, and levels
     below a hit are not accessed (the ``pending`` cascade).  ``warmed``
     mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
-    unknown state, use the arbitrary-state batch walker throughout).
+    unknown state, a protocol probe).
 
-    Returns ``(latencies, first_level_hits)``.  With
-    ``preserve_warm_state`` a *fresh* warmed pass (``warmed=True``,
-    uniform stride) leaves every cache at the ring's warm fixed point: a
-    level that sees only some loads is answered from the descriptor by
+    Returns ``(latencies, first_level_hits)``.  A warmed pass
+    (``warmed=True``, right after a flush and one warm) leaves every
+    cache at the ring's warm fixed point: a level that sees only some
+    loads is answered from the descriptor by
     :meth:`SimCache.fixed_point_hits` when all of them hit; otherwise it
     takes the filtered batch walker — its hit results are computed
     exactly on the materialised state — and re-declares the ring's
-    deferred fixed point afterwards.  On unknown prior state
-    (``warmed=None``) a cache that provably still holds this ring's
-    deferred fixed point (:meth:`SimCache.holds_fixed_point` — a protocol
-    probe right after its own warm) is answered by the warmed analytic
-    chase, from the descriptor alone when the pass is whole wraps; every
-    other level takes the filtered walker.
+    deferred fixed point afterwards.  A cold pass (``warmed=False``)
+    applies its state updates.  On unknown prior state (``warmed=None``)
+    a cache that provably still holds this ring's deferred fixed point
+    (:meth:`SimCache.holds_fixed_point` — a protocol probe right after
+    its own warm) is answered by the warmed analytic chase, from the
+    descriptor alone when the pass is whole wraps; every other level
+    takes the filtered walker.
     """
     n = int(n_samples)
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     first_hits: np.ndarray | None = None
     ring = len(addrs) if ring is None else int(ring)
-    ring_nbytes = ring * stride if stride is not None else 0
-    restorable = (
-        preserve_warm_state and warmed is True and stride is not None and ring > 0
-    )
+    ring_nbytes = ring * stride
+    restorable = warmed is True
     fixed_point = (
-        (int(addrs[0]), ring_nbytes, stride)
-        if warmed is None and stride is not None and ring > 0
-        else None
+        (int(addrs[0]), ring_nbytes, stride) if warmed is None and ring > 0 else None
     )
 
     def chase(cache) -> np.ndarray | None:
@@ -209,7 +210,7 @@ def _walk_many(
                 n,
                 warmed=warmed,
                 stride=stride,
-                update_state=not preserve_warm_state,
+                update_state=not warmed,
                 ring=ring,
             )
         if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
@@ -252,30 +253,33 @@ def warm(
     addrs: np.ndarray,
     sm: int = 0,
     core: int = 0,
-    stride: int | None = None,
+    *,
+    stride: int,
     engine: str = "analytic",
     ring: int | None = None,
 ) -> None:
-    """One untimed pass: populate every cache on the path (Section IV-A).
+    """One untimed pass over a strided ring: populate every cache on the path.
 
-    With the analytic engine and a uniform-stride ring the warm is
-    deferred per cache (:meth:`SimCache.warm_cyclic_lazy`): protocols warm
-    caches on the whole path but typically probe only the first level, and
-    the next flush discards the untouched warms for free.  The deferred
-    warm needs only ``addrs[0]`` and the ring length, so ``addrs`` may be
-    a prefix when ``ring`` (with ``stride``) gives the true length; the
-    whole ring is built only for a warm that replays it.
+    The analytic engine defers the warm per cache
+    (:meth:`SimCache.warm_cyclic_lazy`): protocols warm caches on the
+    whole path but typically probe only the first level, and the next
+    flush discards the untouched warms for free.  The deferred warm needs
+    only ``addrs[0]`` and the ring length, so ``addrs`` may be a prefix
+    when ``ring`` gives the true length; the exact engine builds the
+    whole ring and replays it.
     """
-    path = device.resolve_path(kind, sm, core)
     n_ring = len(addrs) if ring is None else int(ring)
-    lazy = engine == "analytic" and stride is not None and n_ring > 0
-    if not lazy and len(addrs) < n_ring:
-        addrs = pchase_addresses(int(addrs[0]), n_ring * stride, stride)
+    if n_ring == 0:
+        raise SimulationError("warm ring is empty")
+    path = device.resolve_path(kind, sm, core)
     caches = [c for c, _ in path.levels] + list(path.side_effects)
-    for cache in caches:
-        if lazy:
+    if engine == "analytic":
+        for cache in caches:
             cache.warm_cyclic_lazy(int(addrs[0]), n_ring * stride, stride)
-        else:
+    else:
+        if len(addrs) < n_ring:
+            addrs = pchase_addresses(int(addrs[0]), n_ring * stride, stride)
+        for cache in caches:
             cache.warm_cyclic(addrs, stride=stride)
     device.account_loads(n_ring, _warm_cycles(path, n_ring))
 
@@ -292,7 +296,7 @@ def _warm_cycles(path: LoadPath, n_ring: int) -> float:
 
 
 def _probe_walk(
-    path: LoadPath, addrs: np.ndarray, stride: int | None, engine: str
+    path: LoadPath, addrs: np.ndarray, stride: int, engine: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """One probe pass down a path: (first-level hits, noise-free latencies).
 
@@ -310,7 +314,6 @@ def _probe_walk(
             n,
             warmed=None,
             stride=stride,
-            preserve_warm_state=False,
         )
         if lat is not None:
             return first_hits, lat
@@ -330,7 +333,8 @@ def probe_hits(
     addrs: np.ndarray,
     sm: int = 0,
     core: int = 0,
-    stride: int | None = None,
+    *,
+    stride: int,
     engine: str = "analytic",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timed probe pass: per-load (first-level hit?, observed latency).
@@ -340,11 +344,11 @@ def probe_hits(
     The observed latencies include measurement noise, exactly what a real
     evaluation would have to threshold.
 
-    The analytic engine batches the pass level by level.  ``stride`` is a
-    uniform-stride hint (the same one :func:`warm` takes): with it, a
-    level whose cache still holds the deferred warm fixed point of
-    exactly this ring — the usual protocol round, warm A then probe A
-    with B warmed elsewhere — is answered from the descriptor by
+    The analytic engine batches the pass level by level.  ``addrs`` is
+    a ring strided by ``stride`` (the one :func:`warm` takes): a level
+    whose cache still holds the deferred warm fixed point of exactly
+    this ring — the usual protocol round, warm A then probe A with B
+    warmed elsewhere — is answered from the descriptor by
     :meth:`SimCache.chase_cyclic` without materialising any rows.  Every
     other level replays the loads it sees through
     :meth:`SimCache.pass_monotone` on whatever state the cache is in; a
@@ -463,28 +467,20 @@ def run_pchase_ex(
     sm: int = 0,
     core: int = 0,
     warmup_passes: int = 1,
-    flush: bool = False,
     engine: str = "analytic",
-    preserve_warm_state: bool = False,
 ) -> np.ndarray:
     """Fine-grained p-chase: returns the first ``n_samples`` load latencies.
 
-    Follows the paper's recipe: optional cache flush, ``warmup_passes``
-    untimed passes over the whole ring (ensuring the array is resident in
-    the benchmarked element), then a timed pass whose first N per-load
-    latencies are recorded (wrapping around the ring if N exceeds the
-    element count).
-
-    ``preserve_warm_state`` asks the analytic timed pass of a fresh,
-    warmed run to leave every cache at the ring's warm fixed point
-    instead of applying the timed pass's state updates: the next fresh
-    run flushes and re-warms anyway, so that work would be thrown away.
+    Follows the paper's recipe: flush the device's caches,
+    ``warmup_passes`` untimed passes over the whole ring (ensuring the
+    array is resident in the benchmarked element), then a timed pass
+    whose first N per-load latencies are recorded (wrapping around the
+    ring if N exceeds the element count).
 
     Only the sampled addresses are generated: the timed pass reads at
     most the first ``min(ring, n_samples)`` of them, and the ring length
     ``nbytes // stride`` travels separately.  The whole ring is built
-    only for a warm that replays it load by load (the exact engine, or a
-    warm onto unflushed state).
+    only for the exact engine's warm, which replays it load by load.
     """
     if n_samples <= 0:
         raise SimulationError("n_samples must be positive")
@@ -492,12 +488,7 @@ def run_pchase_ex(
         raise SimulationError(f"unknown engine {engine!r}; valid: {ENGINES}")
     device.sm(sm).pin_core(core)
     analytic = engine == "analytic"
-    # There is no warm fixed point to preserve without a warm-up pass: a
-    # cold timed pass must apply its state mutations like the exact engine.
-    if warmup_passes <= 0:
-        preserve_warm_state = False
-    if flush:
-        device.flush_caches()
+    device.flush_caches()
     path = device.resolve_path(kind, sm, core)
     if not path.levels:
         # Scratchpad: constant latency, no cache dynamics.
@@ -508,39 +499,33 @@ def run_pchase_ex(
     addrs = pchase_addresses(base, nbytes, stride, limit=n_samples)
     n_ring = nbytes // stride
     caches = [c for c, _ in path.levels] + list(path.side_effects)
-    if warmup_passes > 0:
+    warmed = warmup_passes > 0
+    if warmed:
         # One executed pass stands in for all requested passes: a repeated
         # cyclic warm is an LRU fixed point (property-tested).
-        if analytic and flush:
-            # Fresh warm after a flush: record the fixed point as a
-            # deferred descriptor — O(1).
+        if analytic:
+            # The warm after the flush is a deferred descriptor — O(1).
             for cache in caches:
                 cache.warm_fixed_point(base, nbytes, stride)
         else:
-            # Exact engine, or a warm onto unknown (unflushed) state.
             ring_addrs = pchase_addresses(base, nbytes, stride)
             for cache in caches:
                 cache.warm_cyclic(ring_addrs, stride=stride)
 
     base_lat = None
     if analytic:
-        # After a flush the state is known (warmed or cold); otherwise the
-        # arbitrary-state batch walk handles the unknown prior state.
-        warmed: bool | None = warmup_passes > 0 if flush else None
-        base_lat, _ = _walk_many(
-            path, addrs, n_samples, warmed, stride, preserve_warm_state, n_ring
-        )
+        base_lat, _ = _walk_many(path, addrs, n_samples, warmed, stride, n_ring)
     if base_lat is None:
         base_lat = np.empty(n_samples, dtype=np.float64)
         for i in range(n_samples):
             base_lat[i] = _walk(path, int(addrs[i % n_ring]))
 
     # Run-time model (Section V-A): charge every requested warm pass; the
-    # first pass after a flush runs against cold caches and is charged at
+    # first pass after the flush runs against cold caches and is charged at
     # terminal (miss) latency, later passes at first-level hit latency.
     first_latency = path.levels[0][1]
     warm_cycles = warmup_passes * n_ring * first_latency
-    if flush and warmup_passes > 0:
+    if warmed:
         warm_cycles += n_ring * (path.terminal_latency - first_latency)
     device.account_loads(
         n_samples + warmup_passes * n_ring, float(base_lat.sum()) + warm_cycles

@@ -9,19 +9,18 @@ measurement primitives every Section-IV benchmark builds on:
 * :meth:`PChaseRunner.probe` — cold/warm probe passes for the protocols;
   :meth:`PChaseRunner.pair_rounds` runs a whole all-pairs protocol.
 
-**Fresh runs** follow the paper's recipe literally: flush the device,
+**Every run** follows the paper's recipe literally: flush the device,
 warm every cache of the load path, then the timed pass.  On the analytic
-engine the warm after a flush is an O(1) deferred descriptor
-(:meth:`SimCache.warm_fixed_point`), and the timed pass of a fresh,
-warmed run leaves the caches at that fixed point instead of applying its
-own state updates (``preserve_warm_state``): the next fresh run flushes
-them anyway.
+engine the warm after the flush is an O(1) deferred descriptor
+(:meth:`SimCache.warm_fixed_point`), and the timed pass of a warmed run
+leaves the caches at that fixed point instead of applying its own state
+updates: the next run flushes them anyway.
 
-One caveat the benchmarks satisfy by construction: a preserved run leaves
+One caveat the benchmarks satisfy by construction: a warmed run leaves
 the path's caches at the warm fixed point rather than the exact engine's
-post-timed-pass state.  Measurements are unaffected (every fresh run
-starts from the same provably-identical state), but a caller that *reads*
-cache state after ``latencies(fresh=True)`` without flushing first — no
+post-timed-pass state.  Measurements are unaffected (every run starts
+from the same provably-identical state), but a caller that *reads* cache
+state after :meth:`PChaseRunner.latencies` without flushing first — no
 benchmark does — would observe the fixed point; use
 ``PChaseConfig(engine="exact")`` when that distinction matters.
 """
@@ -43,6 +42,14 @@ __all__ = ["PChaseRunner"]
 _SHARED_BASE = 1 << 28
 
 
+def _ring_count(nbytes: int, stride: int) -> int:
+    """Loads in one pass over a ``nbytes`` ring; an empty ring is an error."""
+    count = nbytes // stride
+    if count == 0:
+        raise SimulationError("probe array smaller than one stride")
+    return count
+
+
 class PChaseRunner:
     """Stateful driver bound to one simulated device."""
 
@@ -51,10 +58,10 @@ class PChaseRunner:
         self.config = config or PChaseConfig()
         self._buffers: dict[tuple[MemorySpace, int], tuple[int, int]] = {}
         #: Run accounting: ``runs`` counts every :meth:`latencies` call
-        #: and ``seconds`` the wall time spent inside the kernel;
-        #: ``fresh_runs`` counts the runs that flushed first, each of which
-        #: is one ``full_warms`` flush + warm.  Discovery phase spans carry
-        #: the ``runs`` and ``seconds`` deltas.
+        #: and ``seconds`` the wall time spent inside the kernel.  Every
+        #: run flushes first and is one flush + warm, so ``fresh_runs``
+        #: and ``full_warms`` equal ``runs``; the layer ledger reads them.
+        #: Discovery phase spans carry the ``runs`` and ``seconds`` deltas.
         self.stats = {"runs": 0, "seconds": 0.0, "fresh_runs": 0, "full_warms": 0}
 
     # ------------------------------------------------------------------ #
@@ -122,14 +129,12 @@ class PChaseRunner:
         stride: int,
         sm: int = 0,
         core: int = 0,
-        fresh: bool = True,
         warmup: bool = True,
         n_samples: int | None = None,
         slot: int = 0,
     ) -> np.ndarray:
-        """One p-chase run; returns the first-N observed latencies."""
+        """One flushed p-chase run; returns the first-N observed latencies."""
         base = self.buffer(kind, nbytes, slot)
-        engine = self.config.engine
         stats = self.stats
         run_start = perf_counter()
         lat = run_pchase_ex(
@@ -142,15 +147,12 @@ class PChaseRunner:
             sm=sm,
             core=core,
             warmup_passes=self.config.warmup_passes if warmup else 0,
-            flush=fresh,
-            engine=engine,
-            preserve_warm_state=fresh and warmup and engine == "analytic",
+            engine=self.config.engine,
         )
         stats["seconds"] += perf_counter() - run_start
         stats["runs"] += 1
-        if fresh:
-            stats["fresh_runs"] += 1
-            stats["full_warms"] += 1
+        stats["fresh_runs"] += 1
+        stats["full_warms"] += 1
         return lat
 
     def sweep(
@@ -181,13 +183,13 @@ class PChaseRunner:
     ) -> None:
         """Untimed warm pass over a buffer (protocol building block)."""
         base = self.buffer(kind, nbytes, slot)
-        count = nbytes // stride
+        count = _ring_count(nbytes, stride)
         # The first address and the ring length describe the ring; the
         # kernel builds the rest only for a warm that replays every load.
         warm(
             self.device,
             kind,
-            base + np.arange(min(count, 1), dtype=np.int64) * stride,
+            np.array([base], dtype=np.int64),
             sm=sm,
             core=core,
             stride=stride,
@@ -207,10 +209,7 @@ class PChaseRunner:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Timed probe pass (no warm-up): (first-level hits, latencies)."""
         base = self.buffer(kind, nbytes, slot)
-        count = nbytes // stride
-        if count == 0:
-            raise SimulationError("probe array smaller than one stride")
-        n = min(n_samples or self.config.n_samples, count)
+        n = min(n_samples or self.config.n_samples, _ring_count(nbytes, stride))
         addrs = base + np.arange(n, dtype=np.int64) * stride
         return probe_hits(
             self.device,

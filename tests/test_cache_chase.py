@@ -1,15 +1,14 @@
 """Property tests for the batch/analytic measurement engine.
 
 The analytic primitives — :meth:`SimCache.chase_cyclic`,
-:meth:`SimCache.pass_monotone`, :meth:`SimCache.probe_many`, the deferred
-warm state (:meth:`warm_fixed_point` / :meth:`warm_cyclic_lazy`) and the
+:meth:`SimCache.pass_monotone`, the deferred warm state
+(:meth:`warm_fixed_point` / :meth:`warm_cyclic_lazy`) and the
 incremental suffix-extension warm — must be *access-for-access*
 equivalent to the exact :meth:`SimCache.access` loop: same hit/miss
 vector, same end state (snapshot).  These tests pin that equivalence
 over randomized cache geometries, strides, ring sizes, sample counts
 (including multi-wrap chases), warm/cold starts and post-flush
-generations, plus the automatic exact fallback on non-monotone
-sequences.  A protocol probe answered from the deferred
+generations.  A protocol probe answered from the deferred
 warm descriptor must be indistinguishable from one that materialises
 the rows and replays the ring, a timed pass handed only the sampled
 prefix of its ring must be indistinguishable from one handed the whole
@@ -70,17 +69,15 @@ def geometry_and_ring(draw):
 
 class TestChaseCyclic:
     @settings(max_examples=150, deadline=None)
-    @given(geometry_and_ring(), st.integers(min_value=1, max_value=900), st.booleans())
-    def test_warmed_equivalence(self, params, n_samples, hint):
+    @given(geometry_and_ring(), st.integers(min_value=1, max_value=900))
+    def test_warmed_equivalence(self, params, n_samples):
         """Warmed chase == exact loop: hits and end state."""
         size, line, fg, ways, stride, addrs = params
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
         analytic.warm_cyclic(addrs, stride=stride)
         exact.warm_cyclic(addrs, stride=stride)
-        hits = analytic.chase_cyclic(
-            addrs, n_samples, warmed=True, stride=stride if hint else None
-        )
+        hits = analytic.chase_cyclic(addrs, n_samples, warmed=True, stride=stride)
         ref = chase_reference(exact, addrs, n_samples)
         assert hits is not None
         assert (hits == ref).all()
@@ -108,8 +105,8 @@ class TestChaseCyclic:
         exact = SimCache(size, line, fg, ways)
         # Dirty both caches with an unrelated footprint, then flush.
         junk = strided_ring(2 * size, line, base=8 * size + 4)
-        analytic.warm_cyclic(junk)
-        exact.warm_cyclic(junk)
+        analytic.warm_cyclic(junk, stride=line)
+        exact.warm_cyclic(junk, stride=line)
         analytic.flush()
         exact.flush()
         analytic.warm_cyclic(addrs, stride=stride)
@@ -120,17 +117,12 @@ class TestChaseCyclic:
         assert (hits == ref).all()
         assert analytic.snapshot() == exact.snapshot()
 
-    def test_non_monotone_returns_none_without_mutating(self):
-        addrs = np.array([256, 0, 128, 64], dtype=np.int64)
-        cache = SimCache(1024, 64, 32, 2)
-        before = cache.snapshot()
-        assert cache.chase_cyclic(addrs, 10, warmed=False) is None
-        assert cache.snapshot() == before
-
     def test_cold_mode_rejects_dirty_cache(self):
         cache = SimCache(1024, 64, 32, 2)
         cache.access(0)
-        assert cache.chase_cyclic(strided_ring(512, 32), 8, warmed=False) is None
+        assert (
+            cache.chase_cyclic(strided_ring(512, 32), 8, warmed=False, stride=32) is None
+        )
 
     def test_preserve_fixed_point(self):
         """update_state=False leaves the warm fixed point untouched."""
@@ -186,30 +178,6 @@ class TestPassMonotone:
         assert cache.snapshot() == exact.snapshot()
 
 
-class TestProbeMany:
-    @settings(max_examples=80, deadline=None)
-    @given(geometry_and_ring())
-    def test_matches_scalar_probe(self, params):
-        size, line, fg, ways, stride, addrs = params
-        cache = SimCache(size, line, fg, ways)
-        cache.warm_cyclic(addrs[: max(1, len(addrs) // 2)])
-        queries = np.sort(
-            np.unique(np.concatenate([addrs, addrs + line, addrs[:1] + 8 * size]))
-        )
-        got = cache.probe_many(queries)
-        ref = np.fromiter(
-            (cache.probe(int(q)) for q in queries), dtype=bool, count=len(queries)
-        )
-        assert (got == ref).all()
-
-    def test_does_not_mutate(self):
-        cache = SimCache(1024, 64, 32, 2)
-        cache.warm_cyclic(strided_ring(512, 32))
-        before = cache.snapshot()
-        cache.probe_many(strided_ring(2048, 32))
-        assert cache.snapshot() == before
-
-
 class TestOverlappingMerge:
     @settings(max_examples=120, deadline=None)
     @given(geometry_and_ring(), geometry_and_ring())
@@ -224,13 +192,13 @@ class TestOverlappingMerge:
         *_, stride_b, addrs_b = params_b
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
-        # Same prior state on both sides; the second (overlapping) pass
-        # goes through warm_cyclic vs. the exact loop.
+        # Same prior state on both sides; the second pass — ring B moved
+        # to start inside ring A — goes through warm_cyclic vs. the exact
+        # loop.
         analytic.access_many(addrs_a)
         exact.access_many(addrs_a)
-        overlap = addrs_b % (2 * max(int(addrs_a[-1]), 1) + line)
-        overlap = np.sort(overlap)
-        analytic.warm_cyclic(overlap)
+        overlap = addrs_b - int(addrs_b[0]) + int(addrs_a[len(addrs_a) // 2])
+        analytic.warm_cyclic(overlap, stride=stride_b)
         exact.access_many(overlap)
         assert analytic.snapshot() == exact.snapshot()
 
@@ -247,7 +215,7 @@ class TestOverlappingMerge:
         # Monotone pass over lines 1, 5, 9 (k=3 > ways): line 1 evicts 5,
         # so 5 and 9 refetch with only the accessed sector.
         pass_addrs = np.array([1 * 32, 5 * 32, 9 * 32], dtype=np.int64)
-        cache.warm_cyclic(pass_addrs)
+        cache.warm_cyclic(pass_addrs, stride=4 * 32)
         exact.access_many(pass_addrs)
         assert cache.snapshot() == exact.snapshot()
 
@@ -305,15 +273,20 @@ def test_chase_multi_wrap_exactness(stride):
     assert cache.snapshot() == exact.snapshot()
 
 
+#: Installs a cache's deferred rows (a test helper that reads them).
+materialise = SimCache.resident_lines
+
+
 class TestProbeFromDescriptor:
     """A protocol probe answered from the deferred warm fixed point.
 
-    ``probe_hits(..., stride=)`` lets a cache that still holds exactly the
-    probed ring's deferred fixed point answer from the descriptor
+    :func:`probe_hits` lets a cache that still holds exactly the probed
+    ring's deferred fixed point answer from the descriptor
     (:meth:`SimCache.chase_cyclic`) instead of materialising its rows and
     replaying the ring through :meth:`SimCache.pass_monotone`.  The two
-    routes must be indistinguishable: hits, noisy latencies, simulated
-    time and the end state.
+    routes — the second taken by materialising the first level's rows
+    before the probe — must be indistinguishable: hits, noisy latencies,
+    simulated time and the end state.
     """
 
     KIND = LoadKind.S_LOAD
@@ -326,7 +299,7 @@ class TestProbeFromDescriptor:
         dev.resolve_path = lambda kind, sm=0, core=0: path
         return dev
 
-    def probe(self, geom, warms, probe_addrs, stride_hint, prepare=None):
+    def probe(self, geom, warms, probe_addrs, probe_stride, prepare=None):
         """Warm the listed rings, then probe; returns everything observable."""
         size, line, fg, ways = geom
         l1 = SimCache(size, line, fg, ways)
@@ -340,7 +313,7 @@ class TestProbeFromDescriptor:
         ring, stride = warms[0]
         warm_ring = (int(ring[0]), len(ring) * stride, stride)
         held_before = l1.holds_fixed_point(*warm_ring)
-        hits, lat = probe_hits(dev, self.KIND, probe_addrs, stride=stride_hint)
+        hits, lat = probe_hits(dev, self.KIND, probe_addrs, stride=probe_stride)
         held_after = l1.holds_fixed_point(*warm_ring)
         snaps = (l1.snapshot(), l2.snapshot())
         return {
@@ -367,7 +340,7 @@ class TestProbeFromDescriptor:
         size, line, fg, ways, stride, addrs = params
         geom = (size, line, fg, ways)
         fast = self.probe(geom, [(addrs, stride)], addrs, stride)
-        slow = self.probe(geom, [(addrs, stride)], addrs, None)
+        slow = self.probe(geom, [(addrs, stride)], addrs, stride, materialise)
         assert fast["fired"]
         assert not slow["fired"]
         self.assert_same(fast, slow)
@@ -407,11 +380,11 @@ class TestProbeFromDescriptor:
         elif case == "two_rings":
             warms = [(addrs, stride), (addrs + 64 * size, stride)]
         else:
-            prepare = SimCache.resident_lines  # forces materialisation
-        hinted = self.probe(geom, warms, probe_addrs, stride, prepare)
-        unhinted = self.probe(geom, warms, probe_addrs, None, prepare)
-        assert not hinted["fired"]
-        self.assert_same(hinted, unhinted)
+            prepare = materialise
+        probed = self.probe(geom, warms, probe_addrs, stride, prepare)
+        replayed = self.probe(geom, warms, probe_addrs, stride, materialise)
+        assert not probed["fired"]
+        self.assert_same(probed, replayed)
 
     def test_partial_wrap_does_not_fire(self):
         """``n % ring != 0``: the cut prefix would move the state."""
@@ -421,7 +394,7 @@ class TestProbeFromDescriptor:
         l1.warm_fixed_point(0, 1536, 32)
         l2.warm_fixed_point(0, 1536, 32)
         path = LoadPath(self.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
-        _walk_many(path, addrs, len(addrs) + 3, None, 32, False)
+        _walk_many(path, addrs, len(addrs) + 3, None, 32)
         assert not l1.holds_fixed_point(0, 1536, 32)
         l1.warm_fixed_point(0, 1536, 32)
         l1.chase_cyclic(addrs, len(addrs) + 3, warmed=True, stride=32)
@@ -440,12 +413,12 @@ class TestSampledPrefix:
     passes the ring length separately; ``_walk_many`` — and through it
     :meth:`SimCache.chase_cyclic` and the filtered walker — must behave
     exactly as when handed the whole ring, in every cache state a timed
-    pass can start from.
+    pass or a protocol probe can start from.
     """
 
     KIND = LoadKind.S_LOAD
 
-    def run(self, geom, addrs, stride, n, state, update_state, prefix):
+    def run(self, geom, addrs, stride, n, state, prefix):
         size, line, fg, ways = geom
         l1 = SimCache(size, line, fg, ways)
         l2 = SimCache(4 * size, line, fg, 2 * ways)
@@ -458,7 +431,8 @@ class TestSampledPrefix:
             elif state == "unknown":
                 # Foreign lines overlapping the ring's start, then one
                 # unflushed warm of the ring: a mixed arbitrary state.
-                cache.warm_cyclic(strided_ring(2 * size, line, max(0, base - size)))
+                foreign = strided_ring(2 * size, line, max(0, base - size))
+                cache.warm_cyclic(foreign, stride=line)
                 cache.warm_cyclic(addrs, stride=stride)
         warmed = {"fixed_point": True, "cold": False}.get(state)
         ring = len(addrs)
@@ -468,7 +442,6 @@ class TestSampledPrefix:
             n,
             warmed,
             stride,
-            not update_state,
             ring if prefix else None,
         )
         noisy = None
@@ -489,15 +462,14 @@ class TestSampledPrefix:
         geometry_and_ring(),
         st.data(),
         st.sampled_from(["fixed_point", "cold", "unknown", "unknown_descriptor"]),
-        st.booleans(),
     )
-    def test_prefix_matches_whole_ring(self, params, data, state, update_state):
+    def test_prefix_matches_whole_ring(self, params, data, state):
         """Rings shorter and longer than n; strides below, at, above a line."""
         size, line, fg, ways, stride, addrs = params
         n = data.draw(samples_for(len(addrs)))
         geom = (size, line, fg, ways)
-        got = self.run(geom, addrs, stride, n, state, update_state, prefix=True)
-        ref = self.run(geom, addrs, stride, n, state, update_state, prefix=False)
+        got = self.run(geom, addrs, stride, n, state, prefix=True)
+        ref = self.run(geom, addrs, stride, n, state, prefix=False)
         for key in ("lat", "first", "noisy"):
             assert (got[key] is None) == (ref[key] is None), key
             if ref[key] is not None:

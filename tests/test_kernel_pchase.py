@@ -63,9 +63,7 @@ class TestAddressGeneration:
         tracemalloc.start()
         try:
             lats = [
-                run_pchase_ex(
-                    dev, kind, base, mib << 20, 32, flush=True, preserve_warm_state=True
-                )
+                run_pchase_ex(dev, kind, base, mib << 20, 32)
                 for mib in (32, 36, 40, 44)
             ]
             _, peak = tracemalloc.get_traced_memory()
@@ -107,21 +105,20 @@ class TestAddressGeneration:
 class TestRunPchase:
     def test_in_cache_latencies_near_l1(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, flush=True)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32)
         expected = nv.spec.cache("L1").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 4
 
     def test_over_capacity_latencies_near_l2(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32, flush=True)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32)
         expected = nv.spec.cache("L2").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 6
 
     def test_no_warmup_cold_misses(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CG, 1 << 20)
         lat = run_pchase_ex(
-            nv, LoadKind.LD_GLOBAL_CG, base, 384 * 64, 64,
-            warmup_passes=0, flush=True,
+            nv, LoadKind.LD_GLOBAL_CG, base, 384 * 64, 64, warmup_passes=0
         )
         expected = nv.spec.memory.load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 8
@@ -146,8 +143,8 @@ class TestRunPchase:
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
         addrs = pchase_addresses(base, 2048, 32)
         nv.flush_caches()
-        warm(nv, LoadKind.LD_GLOBAL_CA, addrs)
-        hits, lat = probe_hits(nv, LoadKind.LD_GLOBAL_CA, addrs)
+        warm(nv, LoadKind.LD_GLOBAL_CA, addrs, stride=32)
+        hits, lat = probe_hits(nv, LoadKind.LD_GLOBAL_CA, addrs, stride=32)
         assert hits.all()
         assert lat.shape == addrs.shape
 
@@ -257,6 +254,17 @@ class TestRunnerMeasurements:
         nv.flush_caches()
         hits, _ = runner.probe(LoadKind.LD_GLOBAL_CA, 4096, 64)
         assert not hits.any()
+
+    @pytest.mark.parametrize("engine", ["analytic", "exact"])
+    def test_ring_smaller_than_one_stride_rejected(self, nv, engine):
+        runner = PChaseRunner(nv, PChaseConfig(engine=engine))
+        with pytest.raises(SimulationError, match="smaller than one stride"):
+            runner.warm(LoadKind.LD_GLOBAL_CA, 32, 64)
+        with pytest.raises(SimulationError, match="smaller than one stride"):
+            runner.probe(LoadKind.LD_GLOBAL_CA, 32, 64)
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(SimulationError, match="warm ring is empty"):
+            warm(nv, LoadKind.LD_GLOBAL_CA, empty, stride=64, engine=engine)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

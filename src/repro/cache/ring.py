@@ -128,9 +128,6 @@ class HashRing:
         """The member that owns ``key`` — where cold discoveries run."""
         return self.preference(key)[0]
 
-    def is_owner(self, key: str) -> bool:
-        return self.owner(key) == self.self_node
-
     def preference(self, key: str, count: int | None = None) -> list[str]:
         """The first ``count`` *distinct* members clockwise from ``key``.
 

@@ -180,10 +180,6 @@ class PeerTier:
     def stats(self) -> dict[str, Any]:
         return {**counter_stats(self), "inflight": self.inflight}
 
-    def open_peers(self) -> list[str]:
-        """Peers currently blocked by their breaker (for /metrics)."""
-        return sorted(self.breaker.open_names())
-
     def candidates(self, key: str) -> list[str]:
         if self.ring is None:
             return []

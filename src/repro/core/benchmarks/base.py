@@ -66,21 +66,6 @@ class MeasurementResult:
             note=note,
         )
 
-    @classmethod
-    def from_api(
-        cls, benchmark: str, target: str, value: Any, unit: str, note: str = ""
-    ) -> "MeasurementResult":
-        """An attribute served by a vendor interface (not benchmarked)."""
-        return cls(
-            benchmark=benchmark,
-            target=target,
-            value=value,
-            unit=unit,
-            confidence=1.0,
-            source=Source.API,
-            note=note,
-        )
-
 
 class BenchmarkContext:
     """Everything a benchmark needs: device, runner, config.

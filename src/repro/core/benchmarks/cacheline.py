@@ -35,6 +35,9 @@ from repro.stats.heuristics import estimate_cache_line_size
 
 __all__ = ["measure_cache_line_size"]
 
+#: Largest line size the stride grid is built to detect.
+_MAX_LINE = 1024
+
 
 def measure_cache_line_size(
     ctx: BenchmarkContext,
@@ -43,20 +46,19 @@ def measure_cache_line_size(
     cache_size: int,
     fetch_granularity: int,
     sm: int = 0,
-    max_line: int = 1024,
     max_size_cap: int | None = None,
 ) -> MeasurementResult:
     """Estimate the line size of a cache of known capacity.
 
     ``cache_size`` comes from the size benchmark (or an API); the stride
     grid is multiples of the fetch granularity up to a small multiple of
-    ``max_line`` (a line holds at least one sector, so the granularity is
-    the natural pivot).  ``max_size_cap`` bounds probe arrays (the 64 KiB
-    constant bank).
+    :data:`_MAX_LINE` (a line holds at least one sector, so the
+    granularity is the natural pivot).  ``max_size_cap`` bounds probe
+    arrays (the 64 KiB constant bank).
     """
     fg = int(fetch_granularity)
     cache_size = int(cache_size)
-    top = min(3 * max_line, max(cache_size // 4, 2 * fg))
+    top = min(3 * _MAX_LINE, max(cache_size // 4, 2 * fg))
 
     strides: list[int] = []
     apparent: list[float] = []

@@ -33,12 +33,11 @@ p-chase passes, some over 50 MB L2 footprints):
   the generation's resident [min, max] tag bound are replayed per line;
 * :meth:`chase_cyclic` computes the hit/miss vector of the *timed* pass
   of a p-chase analytically from per-set occupancy (line counts vs.
-  associativity, per-sector valid masks) — zero per-load Python — and
-  applies the exact end state for the sampled prefix; it reads only
-  the first ``min(ring, n_samples)`` addresses (the ring length is
-  passed separately, so callers need not build the whole ring), and a
-  warmed pass that leaves the state alone is answered from the deferred
-  warm descriptor (no rows materialised); when that pass walks a ring of
+  associativity, per-sector valid masks) — zero per-load Python; it
+  reads only the first ``min(ring, n_samples)`` addresses (the ring
+  length is passed separately, so callers need not build the whole
+  ring), and a warmed pass is answered from the deferred warm
+  descriptor (no rows materialised); when that pass walks a ring of
   at most ``num_sets * ways`` lines at a stride within the line size, no
   set is over-subscribed and the answer is closed form — every load
   hits (the capacity cliff) — with no per-load or per-set work at all;
@@ -53,21 +52,21 @@ p-chase passes, some over 50 MB L2 footprints):
   p-chase — it sees only the loads that missed above it — from the
   deferred descriptor: when no such load lies in an over-subscribed set
   every one hits the fixed point, and no row is materialised;
-* :meth:`pass_monotone` is the batch equivalent of a monotone
+* :meth:`pass_monotone` is the batch equivalent of an ascending
   ``access`` sequence on *arbitrary* cache state: sets whose touched
   lines are uniformly resident or uniformly absent are handled
   vectorised, mixed sets fall back to the exact per-access loop.
 
-Every analytic path is access-for-access equivalent to the exact
-:meth:`access` loop — same hit vector, same end state (asserted by
-property tests in ``tests/test_cache_chase.py`` and
-``tests/test_cache_warm.py``).  The ring primitives (:meth:`warm_cyclic`,
-:meth:`chase_cyclic`) take the ring's stride and cover every uniform
-strided ring; only :meth:`pass_monotone`, which replays filtered subsets
-of a ring, declines a sequence (a non-monotone one) so that its caller
-walks it load by load.  The model keeps cache state only, no access
-statistics: the microbenchmarks observe nothing but per-load latencies
-(hit or miss, Section IV-A).
+Every analytic path gives the exact :meth:`access` loop's hit vector,
+and every warm and :meth:`pass_monotone` also leave the loop's end state
+(asserted by property tests in ``tests/test_cache_chase.py`` and
+``tests/test_cache_warm.py``).  A timed pass answered by
+:meth:`chase_cyclic` or :meth:`fixed_point_hits` returns its hits only:
+the cache state it leaves is unspecified until the next flush, because
+every microbenchmark observes nothing but the per-load latencies (hit
+or miss, Section IV-A) of one pass after a flush and its warm-ups.  The
+ring primitives take the ring's stride and cover every uniform strided
+ring.  The model keeps cache state only, no access statistics.
 """
 
 from __future__ import annotations
@@ -723,7 +722,6 @@ class SimCache:
         *,
         warmed: bool = True,
         stride: int,
-        update_state: bool = True,
         ring: int | None = None,
     ) -> np.ndarray | None:
         """Analytic timed pass of a cyclic strided p-chase.
@@ -743,26 +741,24 @@ class SimCache:
           monotone walk under LRU always evicts a line exactly one
           revolution before re-accessing it.
 
-        Preconditions (the caller's contract; ``None`` means "fall back
-        to exact simulation"):
+        Preconditions (the caller's contract; ``None`` means "walk the
+        pass another way"):
 
         * ``warmed=True``: the cache state is the *fresh* warm fixed point
           of this exact ring (flush + :meth:`warm_cyclic`);
         * ``warmed=False``: the cache is flushed (verified internally).
 
-        ``update_state=False`` computes the hits but leaves the
-        cache at the warm fixed point — used by fresh p-chase runs, whose
-        successor flushes and re-warms anyway.
+        The pass returns its hits only: afterwards the cache state is
+        unspecified until the next flush (every caller flushes before it
+        warms again).  A warmed pass over a cache that holds this ring's
+        deferred descriptor (:meth:`holds_fixed_point`) is answered from
+        it without materialising rows, and a cold pass leaves the cache
+        as it found it.  If a warmed pass's stride is at most the line
+        size and the ring spans at most ``num_sets * ways`` lines
+        (:meth:`_ring_fits`), every load hits: the pass returns all-True
+        in O(1).
 
-        A warmed pass that leaves the state alone
-        (``update_state=False``, or only full wraps — the identity on the
-        fixed point) is answered from the deferred descriptor
-        (:meth:`holds_fixed_point`) without materialising rows.  If its
-        stride is at most the line size and the ring spans at most
-        ``num_sets * ways`` lines (:meth:`_ring_fits`), every load hits:
-        the pass returns all-True in O(1).
-
-        Equivalence with the exact loop (hits, end state) is pinned by
+        Equivalence of the hit vector with the exact loop is pinned by
         property tests.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
@@ -771,30 +767,24 @@ class SimCache:
             return None
         n = int(n_samples)
         wraps, rem = divmod(n, ring)
-        keeps_state = warmed and not (update_state and rem)
+        a0 = int(addrs[0])
         if self._virtual is not None and not (
-            keeps_state and self.holds_fixed_point(int(addrs[0]), ring * stride, stride)
+            warmed and self.holds_fixed_point(a0, ring * stride, stride)
         ):
             self._materialize()
         if not warmed and self._valid_sets != 0:
             return None
-        if (
-            keeps_state
-            and stride <= self.line_size
-            and self._ring_fits(int(addrs[0]), ring, stride)
-        ):
+        if warmed and stride <= self.line_size and self._ring_fits(a0, ring, stride):
             # No set is over-subscribed: every load hits the fixed point.
             return np.ones(n, dtype=bool)
-        ws = self.ways
         pattern_len = ring if wraps >= 1 else rem
         sub = addrs[:pattern_len]
-        lines, bits = self._addr_parts(sub)
+        lines = sub // self.line_size
         run_first = np.empty(pattern_len, dtype=bool)
         run_first[0] = True
         np.not_equal(lines[1:], lines[:-1], out=run_first[1:])
-        run_starts = np.flatnonzero(run_first)
         run_ids = np.cumsum(run_first) - 1
-        uniq = lines[run_starts]
+        uniq = lines[run_first]
         # Same (line, sector) repeats are contiguous in a monotone walk.
         sec_key = lines * self.sectors_per_line + (
             (sub % self.line_size) // self.fetch_granularity
@@ -804,34 +794,13 @@ class SimCache:
         np.equal(sec_key[1:], sec_key[:-1], out=dup[1:])
 
         counts = self._ring_set_counts(addrs, ring, stride, uniq)
-        thrash_line = counts > ws
-        thrash = thrash_line[run_ids]
-        steady = ~thrash | dup
-
-        def assemble(pattern: np.ndarray, wrap1: np.ndarray | None) -> np.ndarray:
-            if wrap1 is None:  # warmed: every wrap shows the steady pattern
-                return pattern[:n] if wraps == 0 else np.resize(pattern, n)
-            if wraps == 0:
-                return wrap1[:n]
-            return np.concatenate([wrap1, np.resize(pattern, n - ring)])
-
+        steady = (counts <= self.ways)[run_ids] | dup
+        if warmed:  # every wrap shows the steady pattern
+            return steady if wraps == 0 else np.resize(steady, n)
         # Cold wrap 1: only the repeats of a (line, sector) hit.
-        hits = assemble(steady, None if warmed else dup)
-
-        if update_state:
-            if not warmed:
-                # With a wrap the sampled prefix is the whole ring.
-                u, m, s, fe, t = self._ring_structure(sub, stride)
-                self._fresh_install(u, m, s, fe, t)
-                if wraps >= 1 and rem:
-                    self._apply_warm_prefix(
-                        sub, rem, lines, bits, run_first, run_ids, uniq, counts
-                    )
-            elif rem:
-                self._apply_warm_prefix(
-                    sub, rem, lines, bits, run_first, run_ids, uniq, counts
-                )
-        return hits
+        if wraps == 0:
+            return dup
+        return np.concatenate([dup, np.resize(steady, n - ring)])
 
     def fixed_point_hits(
         self, addrs: np.ndarray, ring: int, stride: int, pending: np.ndarray
@@ -846,9 +815,8 @@ class SimCache:
         lies in a set holding more than ``ways`` ring lines, the fixed
         point holds every ring line of those sets with the ring's own
         sector bits, and the pass only promotes: every pending load hits.
-        The pending mask is returned and the descriptor stays deferred —
-        the caller keeps the fixed point, as :meth:`chase_cyclic` does with
-        ``update_state=False``.
+        The pending mask is returned and the descriptor stays deferred,
+        as it does after a warmed :meth:`chase_cyclic`.
 
         Otherwise returns ``None`` without changing anything.
         """
@@ -862,76 +830,26 @@ class SimCache:
                 return None
         return pending.copy()
 
-    def _apply_warm_prefix(
-        self,
-        sub: np.ndarray,
-        rem: int,
-        lines: np.ndarray,
-        bits: np.ndarray,
-        run_first: np.ndarray,
-        run_ids: np.ndarray,
-        uniq: np.ndarray,
-        counts: np.ndarray,
-    ) -> None:
-        """Apply the first ``rem`` timed loads to a fresh-warmed state.
-
-        Full wraps are identity on the warm fixed point; only the cut
-        prefix moves the state.  Sets that fit (``k <= ways``) see pure
-        promotions (a rotation of the freshly-warmed row); thrashing sets
-        see pure inserts of their prefix lines.
-        """
-        ws = self.ways
-        n_runs = int(run_ids[rem - 1]) + 1
-        pre_lines = uniq[:n_runs]
-        pre_sets = pre_lines % self.num_sets
-        pre_counts = counts[:n_runs]
-        # Sector mask of each prefix run, truncated at the cut.
-        starts = np.flatnonzero(run_first[:rem])
-        pre_masks = np.bitwise_or.reduceat(bits[:rem], starts)
-        # Group prefix runs by set (tiny arrays — bounded by n_samples).
-        _, _, _, rank, gsize_line = _group_rank(pre_sets)
-        thrash_line = pre_counts > ws
-
-        fit = ~thrash_line
-        if fit.any():
-            touched = np.unique(pre_sets[fit])
-            row_idx = np.searchsorted(touched, pre_sets[fit])
-            # Fresh-warm rows hold the k ring lines at ways [ways-k..); the
-            # j-th prefix line of a set is its j-th ring line.
-            ways_idx = ws - pre_counts[fit] + rank[fit]
-            self._promote_rows(
-                touched, row_idx, ways_idx, rank[fit], pre_masks[fit]
-            )
-        if thrash_line.any():
-            sel = thrash_line
-            touched = np.unique(pre_sets[sel])
-            from_end = gsize_line[sel] - 1 - rank[sel]
-            inc_tags, inc_masks = self._incoming_rows(
-                pre_lines[sel], pre_masks[sel], pre_sets[sel], from_end, touched
-            )
-            self._merge_rows(touched, inc_tags, inc_masks)
-
     # ------------------------------------------------------------------ #
     # batch monotone pass on arbitrary state                              #
     # ------------------------------------------------------------------ #
 
-    def pass_monotone(self, addrs: np.ndarray) -> np.ndarray | None:
+    def pass_monotone(self, addrs: np.ndarray) -> np.ndarray:
         """Exact batch equivalent of ``[self.access(a) for a in addrs]``.
 
-        ``addrs`` must be monotone non-decreasing (``None`` is returned
-        otherwise, *before* any mutation).  Works on arbitrary cache
-        state: sets whose touched lines are uniformly resident see pure
-        promotions, sets with no resident touched line see pure inserts —
-        both vectorised; mixed sets are replayed through the exact
-        :meth:`access` loop.  Used by the probe protocols and by filtered
-        (multi-level) p-chase walks.
+        ``addrs`` must be ascending: its callers hand it the loads of one
+        revolution of a strided ring that reach this cache.  Works on
+        arbitrary cache state, and leaves the exact end state: sets whose
+        touched lines are uniformly resident see pure promotions, sets
+        with no resident touched line see pure inserts — both vectorised;
+        mixed sets are replayed through the exact :meth:`access` loop.
+        Used by the probe protocols and by filtered (multi-level) p-chase
+        walks, whose later revolutions read the state earlier ones leave.
         """
         addrs = np.asarray(addrs, dtype=np.int64)
         n = int(addrs.size)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if n > 1 and not (np.diff(addrs) >= 0).all():
-            return None
         if self._virtual is not None:
             self._materialize()
         lines, bits = self._addr_parts(addrs)

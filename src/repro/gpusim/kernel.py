@@ -44,10 +44,14 @@ an O(1) deferred descriptor (:meth:`SimCache.warm_fixed_point`) — while
 the simulated run-time model still charges every requested pass, with
 the first pass after the flush charged at *miss* latency (the loads of
 a cold warm-up traverse to the terminal level; charging them at hit
-latency would understate the Section V-A run-time report).  The
-analytic timed pass of a warmed run leaves every cache at that fixed
-point instead of applying its own state updates: the next run flushes
-anyway.
+latency would understate the Section V-A run-time report).
+
+Engine contract: after a timed pass or a probe the cache state is
+unspecified until the next flush.  Every caller flushes before it warms
+again, so only the latencies of a pass are data.  The analytic engine
+therefore keeps only the state a pass reads while it runs (a filtered
+walk over several ring revolutions) and does not walk side-effect
+caches; :func:`warm` still fills them, since a protocol reads them.
 
 All functions account simulated GPU time on the device so the Section V-A
 run-time model can report per-benchmark durations.
@@ -130,28 +134,22 @@ def _walk(path: LoadPath, addr: int) -> float:
 
 def _pass_filtered(
     cache, addrs: np.ndarray, n_samples: int, pending: np.ndarray
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Batch-walk the pending subset of a cyclic sequence through a cache.
 
-    The pending positions of each ring revolution form a monotone
+    The pending positions of each ring revolution form an ascending
     subsequence, which :meth:`SimCache.pass_monotone` replays exactly on
     whatever state the cache is in.  ``addrs`` may be the sampled prefix
     of a longer ring: a ring longer than ``n_samples`` is never wrapped,
     so its first ``n_samples`` addresses are the whole walk.  Returns a
-    full-length hit vector (False at non-pending positions), or ``None``
-    if a segment cannot be replayed in batch.
+    full-length hit vector (False at non-pending positions).
     """
     ring = len(addrs)
     out = np.zeros(n_samples, dtype=bool)
     for seg in range(0, n_samples, ring):
-        pm = pending[seg : seg + ring]
-        idx = np.flatnonzero(pm)
-        if idx.size == 0:
-            continue
-        h = cache.pass_monotone(addrs[idx])
-        if h is None:
-            return None
-        out[seg + idx] = h
+        idx = np.flatnonzero(pending[seg : seg + ring])
+        if idx.size:
+            out[seg + idx] = cache.pass_monotone(addrs[idx])
     return out
 
 
@@ -162,7 +160,7 @@ def _walk_many(
     warmed: bool | None,
     stride: int,
     ring: int | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Batch timed pass over a cyclic ring: per-load latency vector.
 
     ``addrs`` starts a ring strided by ``stride``; ``ring`` is the ring
@@ -176,74 +174,52 @@ def _walk_many(
     mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
     unknown state, a protocol probe).
 
-    Returns ``(latencies, first_level_hits)``.  A warmed pass
-    (``warmed=True``, right after a flush and one warm) leaves every
-    cache at the ring's warm fixed point: a level that sees only some
-    loads is answered from the descriptor by
-    :meth:`SimCache.fixed_point_hits` when all of them hit; otherwise it
-    takes the filtered batch walker — its hit results are computed
-    exactly on the materialised state — and re-declares the ring's
-    deferred fixed point afterwards.  A cold pass (``warmed=False``)
-    applies its state updates.  On unknown prior state (``warmed=None``)
-    a cache that provably still holds this ring's deferred fixed point
-    (:meth:`SimCache.holds_fixed_point` — a protocol probe right after
-    its own warm) is answered by the warmed analytic chase, from the
-    descriptor alone when the pass is whole wraps; every other level
-    takes the filtered walker.
+    The path has at least one level.  Returns ``(latencies,
+    first_level_hits)``; the caches are left in an unspecified state,
+    which the next flush discards.  On a warmed pass
+    (``warmed=True``, right after a flush and one warm) a level that sees
+    only some loads is answered from its descriptor by
+    :meth:`SimCache.fixed_point_hits` when all of them hit; every other
+    such level takes the filtered batch walker, which computes its hits
+    exactly on the materialised state.  On unknown prior state
+    (``warmed=None``) a cache that provably still holds this ring's
+    deferred fixed point (:meth:`SimCache.holds_fixed_point` — a protocol
+    probe right after its own warm) is answered by the warmed analytic
+    chase from the descriptor alone; every other level takes the
+    filtered walker.  Side-effect caches are not walked: nothing reads
+    what a timed pass would leave in them.
     """
     n = int(n_samples)
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
-    first_hits: np.ndarray | None = None
+    first_hits = None
     ring = len(addrs) if ring is None else int(ring)
-    ring_nbytes = ring * stride
-    restorable = warmed is True
     fixed_point = (
-        (int(addrs[0]), ring_nbytes, stride) if warmed is None and ring > 0 else None
+        (int(addrs[0]), ring * stride, stride) if warmed is None and ring > 0 else None
     )
 
     def chase(cache) -> np.ndarray | None:
         """The analytic answer for a cache seeing the whole pass, if any."""
         if warmed is not None:
-            return cache.chase_cyclic(
-                addrs,
-                n,
-                warmed=warmed,
-                stride=stride,
-                update_state=not warmed,
-                ring=ring,
-            )
+            return cache.chase_cyclic(addrs, n, warmed=warmed, stride=stride, ring=ring)
         if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
             return cache.chase_cyclic(addrs, n, warmed=True, stride=stride, ring=ring)
         return None
 
-    def filtered(cache, mask: np.ndarray) -> np.ndarray | None:
-        if restorable:
-            h = cache.fixed_point_hits(addrs, ring, stride, mask)
-            if h is not None:
-                return h
-        h = _pass_filtered(cache, addrs, n, mask)
-        if h is not None and restorable:
-            cache.warm_fixed_point(int(addrs[0]), ring_nbytes, stride)
-        return h
-
     for level_idx, (cache, level_lat) in enumerate(path.levels):
         hits = chase(cache) if pending.all() else None
+        if hits is None and warmed:
+            hits = cache.fixed_point_hits(addrs, ring, stride, pending)
         if hits is None:
-            if not pending.any():
-                hits = np.zeros(n, dtype=bool)
-            else:
-                hits = filtered(cache, pending)
-                if hits is None:
-                    return None, None
+            hits = (
+                _pass_filtered(cache, addrs, n, pending)
+                if pending.any()
+                else np.zeros(n, dtype=bool)
+            )
         if level_idx == 0:
-            first_hits = hits.copy()
+            first_hits = hits
         lat[pending & hits] = level_lat
         pending &= ~hits
-    full = np.ones(n, dtype=bool)
-    for cache in path.side_effects:
-        if chase(cache) is None and filtered(cache, full) is None:
-            return None, None
     return lat, first_hits
 
 
@@ -301,22 +277,16 @@ def _probe_walk(
     """One probe pass down a path: (first-level hits, noise-free latencies).
 
     The analytic engine batches the pass level by level (see
-    :func:`probe_hits`); the exact engine, or a sequence the batch walker
-    cannot replay, walks every load.
+    :func:`probe_hits`); the exact engine walks every load.
     """
     n = len(addrs)
     if not path.levels:
         return np.ones(n, dtype=bool), np.full(n, float(path.terminal_latency))
     if engine == "analytic":
         lat, first_hits = _walk_many(
-            path,
-            np.asarray(addrs, dtype=np.int64),
-            n,
-            warmed=None,
-            stride=stride,
+            path, np.asarray(addrs, dtype=np.int64), n, warmed=None, stride=stride
         )
-        if lat is not None:
-            return first_hits, lat
+        return first_hits, lat
     hits = np.empty(n, dtype=bool)
     base = np.empty(n, dtype=np.float64)
     first_cache = path.levels[0][0]
@@ -353,8 +323,7 @@ def probe_hits(
     other level replays the loads it sees through
     :meth:`SimCache.pass_monotone` on whatever state the cache is in; a
     probe immediately precedes its own load, so the probe outcome *is*
-    the first-level hit outcome of the walk.  Non-monotone address
-    sequences fall back to the per-load loop.
+    the first-level hit outcome of the walk.
     """
     path = device.resolve_path(kind, sm, core)
     hits, base = _probe_walk(path, addrs, stride, engine)
@@ -499,23 +468,20 @@ def run_pchase_ex(
     addrs = pchase_addresses(base, nbytes, stride, limit=n_samples)
     n_ring = nbytes // stride
     caches = [c for c, _ in path.levels] + list(path.side_effects)
+    # One executed warm pass stands in for all requested passes: a
+    # repeated cyclic warm is an LRU fixed point (property-tested).
     warmed = warmup_passes > 0
-    if warmed:
-        # One executed pass stands in for all requested passes: a repeated
-        # cyclic warm is an LRU fixed point (property-tested).
-        if analytic:
+    if analytic:
+        if warmed:
             # The warm after the flush is a deferred descriptor — O(1).
             for cache in caches:
                 cache.warm_fixed_point(base, nbytes, stride)
-        else:
+        base_lat, _ = _walk_many(path, addrs, n_samples, warmed, stride, n_ring)
+    else:
+        if warmed:
             ring_addrs = pchase_addresses(base, nbytes, stride)
             for cache in caches:
                 cache.warm_cyclic(ring_addrs, stride=stride)
-
-    base_lat = None
-    if analytic:
-        base_lat, _ = _walk_many(path, addrs, n_samples, warmed, stride, n_ring)
-    if base_lat is None:
         base_lat = np.empty(n_samples, dtype=np.float64)
         for i in range(n_samples):
             base_lat[i] = _walk(path, int(addrs[i % n_ring]))

@@ -93,14 +93,13 @@ def _nv_constant_pair(
     cl1_lat: float,
     cl15_size: int,
     cl15_lat: float,
-    cl1_line: int = 64,
 ) -> tuple[CacheSpec, CacheSpec]:
     return (
         CacheSpec(
             name="ConstL1",
             size=cl1_size,
-            line_size=cl1_line,
-            fetch_granularity=cl1_line,
+            line_size=64,
+            fetch_granularity=64,
             ways=4,
             load_latency=cl1_lat,
             scope=CacheScope.SM,

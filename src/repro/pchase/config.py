@@ -38,10 +38,10 @@ class PChaseConfig:
     #: "MT4G uses size of 256 * Fetch Granularity").
     latency_array_elems: int = 256
     #: measurement engine: "analytic" batches warm/timed/probe passes
-    #: through the vectorised cache primitives (with automatic exact
-    #: fallback); "exact" walks every load through the per-access simulator.  Both
-    #: produce identical measurements — the analytic engine exists purely
-    #: for speed (see benchmarks/bench_discovery_speed.py).
+    #: through the vectorised cache primitives; "exact" walks every load
+    #: through the per-access simulator.  Both produce identical
+    #: measurements — the analytic engine exists purely for speed (see
+    #: benchmarks/bench_discovery_speed.py).
     engine: str = "analytic"
 
     def __post_init__(self) -> None:

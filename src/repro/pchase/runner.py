@@ -12,16 +12,16 @@ measurement primitives every Section-IV benchmark builds on:
 **Every run** follows the paper's recipe literally: flush the device,
 warm every cache of the load path, then the timed pass.  On the analytic
 engine the warm after the flush is an O(1) deferred descriptor
-(:meth:`SimCache.warm_fixed_point`), and the timed pass of a warmed run
-leaves the caches at that fixed point instead of applying its own state
-updates: the next run flushes them anyway.
+(:meth:`SimCache.warm_fixed_point`).
 
-One caveat the benchmarks satisfy by construction: a warmed run leaves
-the path's caches at the warm fixed point rather than the exact engine's
-post-timed-pass state.  Measurements are unaffected (every run starts
-from the same provably-identical state), but a caller that *reads* cache
-state after :meth:`PChaseRunner.latencies` without flushing first — no
-benchmark does — would observe the fixed point; use
+One caveat the benchmarks satisfy by construction: after every timed
+pass and every probe (:meth:`PChaseRunner.latencies`,
+:meth:`PChaseRunner.probe`, :meth:`PChaseRunner.pair_rounds`) the cache
+state is unspecified until the next flush, and the analytic engine does
+not keep the state the exact engine would leave.  Measurements are
+unaffected (every run and every protocol round flushes before it warms),
+but a caller that *reads* cache state after a pass or a probe without
+flushing first — no benchmark does — would see something else; use
 ``PChaseConfig(engine="exact")`` when that distinction matters.
 """
 

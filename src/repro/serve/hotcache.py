@@ -72,10 +72,6 @@ class HotReportCache:
         return len(self._renders)
 
     @property
-    def bytes_used(self) -> int:
-        return self._renders.bytes
-
-    @property
     def evictions(self) -> int:
         return self._renders.evictions
 

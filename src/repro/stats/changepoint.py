@@ -24,6 +24,9 @@ from repro.stats.kstest import ks_critical_value, ks_pvalue
 
 __all__ = ["ChangePoint", "detect_change_point"]
 
+#: Fewest points either side of a split may hold.
+_MIN_SEGMENT = 3
+
 
 @dataclass(frozen=True)
 class ChangePoint:
@@ -52,7 +55,6 @@ class ChangePoint:
 def detect_change_point(
     series: np.ndarray,
     alpha: float = 0.01,
-    min_segment: int = 3,
 ) -> ChangePoint | None:
     """Scan all splits of ``series`` for the strongest distribution change.
 
@@ -63,7 +65,7 @@ def detect_change_point(
     """
     s = np.asarray(series, dtype=np.float64)
     n = s.size
-    if n < 2 * min_segment:
+    if n < 2 * _MIN_SEGMENT:
         return None
 
     order = np.argsort(s, kind="stable")
@@ -82,7 +84,7 @@ def detect_change_point(
     best_index = -1
     best_d = 0.0
     best_margin = -math.inf
-    for t in range(min_segment, n - min_segment + 1):
+    for t in range(_MIN_SEGMENT, n - _MIN_SEGMENT + 1):
         left = s[:t]
         right = s[t:]
         # Kolmogorov distance via the pooled sorted values: for each pooled

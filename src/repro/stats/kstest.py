@@ -39,11 +39,6 @@ class KSResult:
     m: int
 
     @property
-    def reject_null(self) -> bool:
-        """True when the samples come from different distributions."""
-        return self.distance > self.critical_value
-
-    @property
     def confidence(self) -> float:
         """1 - p, clipped to [0, 1]: the paper's reported quality metric."""
         return float(min(1.0, max(0.0, 1.0 - self.p_value)))

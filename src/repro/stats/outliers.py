@@ -118,7 +118,11 @@ def scrub_outliers_matrix(
     return m
 
 
-def near_interval_edge(index: int, length: int, margin_fraction: float = 0.05) -> bool:
+#: Share of a sweep's length at either end that counts as its edge.
+_EDGE_MARGIN_FRACTION = 0.05
+
+
+def near_interval_edge(index: int, length: int) -> bool:
     """True when a change point sits suspiciously close to the sweep edge.
 
     The margin is at least two indices; benchmarks treat an edge hit as
@@ -128,5 +132,5 @@ def near_interval_edge(index: int, length: int, margin_fraction: float = 0.05) -
         raise ValueError("length must be positive")
     if not 0 <= index < length:
         raise ValueError(f"index {index} outside series of length {length}")
-    margin = max(2, int(round(length * margin_fraction)))
+    margin = max(2, int(round(length * _EDGE_MARGIN_FRACTION)))
     return index < margin or index >= length - margin

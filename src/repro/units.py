@@ -160,7 +160,11 @@ def round_to_power_of_two(n: float) -> int:
     return lower if (n - lower) < (upper - n) else upper
 
 
-def nearest_integer_fraction(total: int, measured: float, max_denominator: int = 16) -> tuple[int, float]:
+#: Largest integer fraction :func:`nearest_integer_fraction` considers.
+_MAX_DENOMINATOR = 16
+
+
+def nearest_integer_fraction(total: int, measured: float) -> tuple[int, float]:
     """Find ``k`` so that ``total / k`` is closest to ``measured``.
 
     Used by the L2 segment-size benchmark (paper Section IV-F.1): the API
@@ -172,7 +176,7 @@ def nearest_integer_fraction(total: int, measured: float, max_denominator: int =
     if total <= 0 or measured <= 0:
         raise ValueError("total and measured must be positive")
     best_k, best_err = 1, float("inf")
-    for k in range(1, max_denominator + 1):
+    for k in range(1, _MAX_DENOMINATOR + 1):
         err = abs(total / k - measured)
         if err < best_err:
             best_k, best_err = k, err

@@ -398,13 +398,12 @@ def validate_report(
     cache_config: str = "PreferL1",
     escalate: Escalator | None = None,
     tolerances: dict[str, float] | None = None,
-    max_escalations: int = MAX_ESCALATIONS,
 ) -> ValidationReport:
     """Run the full validation pass over ``report`` (mutating it).
 
     Structural checks always run; cross-checks need a ``spec`` reference.
     When ``escalate`` is given, each failing benchmarked attribute is
-    re-measured once (bounded by ``max_escalations``); a re-measurement
+    re-measured once (at most :data:`MAX_ESCALATIONS` of them); a re-measurement
     replaces the attribute value and every check is evaluated again.
     Cross-check agreement finally recalibrates the attribute confidences.
     The resulting :class:`ValidationReport` is stored on the report's
@@ -418,7 +417,7 @@ def validate_report(
     escalations: list[EscalationRecord] = []
     if escalate is not None:
         for element, attribute, reason in _escalation_targets(checks, crosses)[
-            :max_escalations
+            :MAX_ESCALATIONS
         ]:
             old = report.memory[element].get(attribute)
             try:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.benchmarks.amount import measure_amount, resolve_l2_segments
 from repro.core.benchmarks.bandwidth import measure_bandwidth, vector_load_kind
-from repro.core.benchmarks.base import BenchmarkContext, MeasurementResult, Source
+from repro.core.benchmarks.base import BenchmarkContext, MeasurementResult
 from repro.core.benchmarks.cacheline import measure_cache_line_size
 from repro.core.benchmarks.fetch_granularity import measure_fetch_granularity
 from repro.core.benchmarks.latency import measure_load_latency
@@ -45,10 +45,6 @@ class TestMeasurementResult:
     def test_no_result(self):
         m = MeasurementResult.no_result("amount", "L1", "count", "because")
         assert m.value is None and not m.conclusive and m.note == "because"
-
-    def test_from_api(self):
-        m = MeasurementResult.from_api("size", "L2", 100, "B")
-        assert m.source is Source.API and m.conclusive
 
 
 class TestSizeBenchmark:

@@ -8,17 +8,21 @@ byte-identical :class:`TopologyReport` dictionaries at a fixed seed.
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from repro import MT4G, SimulatedGPU
 from repro.core.benchmarks.base import BenchmarkContext
+from repro.core.output.json_out import to_json
 from repro.core.benchmarks.sharing import (
     _MISS_FRACTION,
     _working_set,
     measure_sl1d_sharing,
 )
+from repro.gpusim import kernel
+from repro.gpusim.device import LoadPath
 from repro.gpusim.isa import LoadKind
 from repro.gpusim.kernel import pchase_addresses, probe_hits, run_pchase_ex, warm
 from repro.pchase import PChaseConfig, PChaseRunner
@@ -337,3 +341,67 @@ class TestDiscoveryEquivalence:
                 report.as_dict(), default=str, sort_keys=True
             )
         assert reports["analytic"] == reports["exact"]
+
+
+#: The kernel entry points after which the cache state is unspecified.
+TIMED = ("run_pchase_ex", "probe_hits", "_probe_walk")
+
+
+def scramble(path: LoadPath) -> None:
+    """Replace every cache on ``path`` by garbage: a foreign warm ring."""
+    for cache in [c for c, _ in path.levels] + list(path.side_effects):
+        cache.flush()
+        cache.warm_cyclic_lazy(1 << 40, 4 * cache.size, cache.line_size)
+
+
+def report_json(preset: str, seed: int, scramble_after: tuple[str, ...] = ()) -> str:
+    """``to_json`` of a validated discovery that scrambles each path's
+    caches after every call of the kernel functions in ``scramble_after``.
+
+    A function handed a path scrambles that path; the others scramble
+    the path they resolved last.  The path is recorded rather than
+    resolved again, because resolving the P6000 constant path draws a
+    random number.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        last: list[LoadPath] = []
+        resolve = SimulatedGPU.resolve_path
+
+        def recording_resolve(self, kind, sm=0, core=0):
+            last[:] = [resolve(self, kind, sm, core)]
+            return last[0]
+
+        mp.setattr(SimulatedGPU, "resolve_path", recording_resolve)
+        for name in scramble_after:
+            original = getattr(kernel, name)
+
+            def scrambling(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                scramble(args[0] if isinstance(args[0], LoadPath) else last[0])
+                return out
+
+            # Every module that imported the function by name calls it
+            # through its own binding.
+            for module in list(sys.modules.values()):
+                if (
+                    getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, name, None) is original
+                ):
+                    mp.setattr(module, name, scrambling)
+        report = MT4G(SimulatedGPU.from_preset(preset, seed=seed)).discover(validate=True)
+        return to_json(report)
+
+
+class TestPassStateContract:
+    """After a timed pass or a probe the cache state is unspecified until
+    the next flush: every measurement flushes before it warms again, so
+    replacing every cache on the path by garbage after each pass or
+    probe must not move a single byte of the report."""
+
+    @pytest.mark.parametrize("preset", ["TestGPU-NV", "TestGPU-AMD", "P6000"])
+    def test_scrambling_after_every_pass_and_probe_keeps_the_report(self, preset):
+        assert report_json(preset, 0, TIMED) == report_json(preset, 0)
+
+    def test_scrambling_after_a_warm_moves_the_report(self):
+        """Negative control: a probe reads the state its warms leave."""
+        assert report_json("TestGPU-NV", 0, ("warm",)) != report_json("TestGPU-NV", 0)

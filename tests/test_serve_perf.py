@@ -331,7 +331,6 @@ class TestHotReportCache:
         cache.put("k3", "report:json", b"c" * 30, "application/json")
         assert cache.get("k2", "report:json") is None  # LRU victim
         assert cache.get("k1", "report:json") is not None
-        assert cache.bytes_used <= 100
         assert cache.evictions == 1
 
     def test_oversized_body_is_refused(self):

@@ -110,7 +110,6 @@ class TestHashRing:
     def test_single_member_ring_has_no_peer_target(self):
         ring = HashRing("http://only:1")
         assert ring.owner(KEY) == "http://only:1"
-        assert ring.is_owner(KEY)
         assert ring.peer_target(KEY) is None
 
     def test_membership_change_remaps_a_minority(self):
@@ -325,7 +324,7 @@ class TestPeerTier:
         assert tier.fetch(KEY) is None
         assert tier.fetch(KEY) is None
         assert tier.degradations["read_error"] == 2
-        assert tier.open_peers() == ["http://127.0.0.1:1"]
+        assert list(tier.breaker.open_names()) == ["http://127.0.0.1:1"]
         # Blocked: the next fetch is a miss without another attempt.
         assert tier.fetch(KEY) is None
         assert tier.degradations["read_error"] == 2

@@ -52,21 +52,23 @@ p-chase passes, some over 50 MB L2 footprints):
   p-chase — it sees only the loads that missed above it — from the
   deferred descriptor: when no such load lies in an over-subscribed set
   every one hits the fixed point, and no row is materialised;
-* :meth:`pass_monotone` is the batch equivalent of an ascending
-  ``access`` sequence on *arbitrary* cache state: sets whose touched
-  lines are uniformly resident or uniformly absent are handled
-  vectorised, mixed sets fall back to the exact per-access loop.
+* :meth:`known_state_hits` answers a protocol probe (Sections IV-D,
+  IV-F..H) — one revolution, at any level of the path — from the state
+  its protocol left: a flushed empty cache, or a flush followed by
+  deferred warms of line-disjoint rings, the probed one among them.  An
+  LRU stack-distance count per set gives every hit without rows or
+  per-load work.
 
 Every analytic path gives the exact :meth:`access` loop's hit vector,
-and every warm and :meth:`pass_monotone` also leave the loop's end state
-(asserted by property tests in ``tests/test_cache_chase.py`` and
-``tests/test_cache_warm.py``).  A timed pass answered by
-:meth:`chase_cyclic` or :meth:`fixed_point_hits` returns its hits only:
-the cache state it leaves is unspecified until the next flush, because
+and every warm also leaves the loop's end state (asserted by property
+tests in ``tests/test_cache_chase.py`` and ``tests/test_cache_warm.py``).
+A timed pass or probe answered analytically returns its hits only: the
+cache state it leaves is unspecified until the next flush, because
 every microbenchmark observes nothing but the per-load latencies (hit
-or miss, Section IV-A) of one pass after a flush and its warm-ups.  The
-ring primitives take the ring's stride and cover every uniform strided
-ring.  The model keeps cache state only, no access statistics.
+or miss, Section IV-A) of one pass after a flush and its warm-ups.  A
+pass no closed form answers goes through :meth:`access` load by load.
+The ring primitives take the ring's stride and cover every uniform
+strided ring.  The model keeps cache state only, no access statistics.
 """
 
 from __future__ import annotations
@@ -636,29 +638,6 @@ class SimCache:
         self._valid_sets += int(stale.sum())
         self._note_lines(int(inc_tags[valid_inc].min()), int(inc_tags.max()))
 
-    def _promote_rows(
-        self,
-        touched: np.ndarray,
-        row_idx: np.ndarray,
-        ways_idx: np.ndarray,
-        ranks: np.ndarray,
-        or_masks: np.ndarray,
-    ) -> None:
-        """Re-access resident lines: OR sector masks, promote to MRU.
-
-        ``(row_idx, ways_idx)`` locate each re-accessed line inside the
-        gathered ``touched`` rows; ``ranks`` is its access order.  The
-        final LRU order is: untouched entries in their previous relative
-        order, then the re-accessed lines in access order.
-        """
-        sets_of = touched[row_idx]
-        self._masks[sets_of, ways_idx] = self._masks[sets_of, ways_idx] | or_masks
-        key = np.zeros((touched.size, self.ways), dtype=np.int64)
-        key[row_idx, ways_idx] = 1 + ranks
-        order = np.argsort(key, axis=1, kind="stable")
-        self._tags[touched] = np.take_along_axis(self._tags[touched], order, axis=1)
-        self._masks[touched] = np.take_along_axis(self._masks[touched], order, axis=1)
-
     # ------------------------------------------------------------------ #
     # analytic cyclic warm-up                                             #
     # ------------------------------------------------------------------ #
@@ -786,13 +765,7 @@ class SimCache:
         run_ids = np.cumsum(run_first) - 1
         uniq = lines[run_first]
         # Same (line, sector) repeats are contiguous in a monotone walk.
-        sec_key = lines * self.sectors_per_line + (
-            (sub % self.line_size) // self.fetch_granularity
-        )
-        dup = np.empty(pattern_len, dtype=bool)
-        dup[0] = False
-        np.equal(sec_key[1:], sec_key[:-1], out=dup[1:])
-
+        dup = self._repeats(sub)
         counts = self._ring_set_counts(addrs, ring, stride, uniq)
         steady = (counts <= self.ways)[run_ids] | dup
         if warmed:  # every wrap shows the steady pattern
@@ -830,92 +803,98 @@ class SimCache:
                 return None
         return pending.copy()
 
-    # ------------------------------------------------------------------ #
-    # batch monotone pass on arbitrary state                              #
-    # ------------------------------------------------------------------ #
+    def known_state_hits(
+        self, addrs: np.ndarray, stride: int, pending: np.ndarray
+    ) -> np.ndarray | None:
+        """Hits of one probe revolution on a known state, in closed form.
 
-    def pass_monotone(self, addrs: np.ndarray) -> np.ndarray:
-        """Exact batch equivalent of ``[self.access(a) for a in addrs]``.
+        ``addrs`` is one revolution of a ring strided by ``stride`` and
+        only the loads flagged in ``pending`` reach this cache (all of
+        them at the first level of a path).  Two states are answered
+        without rows or per-load work:
 
-        ``addrs`` must be ascending: its callers hand it the loads of one
-        revolution of a strided ring that reach this cache.  Works on
-        arbitrary cache state, and leaves the exact end state: sets whose
-        touched lines are uniformly resident see pure promotions, sets
-        with no resident touched line see pure inserts — both vectorised;
-        mixed sets are replayed through the exact :meth:`access` loop.
-        Used by the probe protocols and by filtered (multi-level) p-chase
-        walks, whose later revolutions read the state earlier ones leave.
+        * **flushed and empty**: a pending load hits exactly when the
+          previous pending load has its (line, sector) key, since an
+          ascending walk touches each key contiguously (for a whole pass
+          this is the first wrap of a cold :meth:`chase_cyclic`);
+        * **a flush then deferred warms ``R1..Rk``**, when the probe is a
+          prefix of exactly one ``Rj`` (same base and stride, at least
+          ``len(addrs)`` loads) and ``Rj..Rk`` are pairwise line-disjoint.
+          This is the LRU stack distance.  Since its last warm touch, a
+          line ``x`` of ``Rj`` in set ``s`` has seen the lines of ``Rj`` in
+          ``s`` after it (warm), every line of the later rings in ``s``, and
+          the pending lines of ``Rj`` in ``s`` before it (this probe; lines
+          of ``R1..Rj-1`` and skipped lines were touched earlier).  With
+          ``c_s`` the ring-wide count of ``Rj..Rk`` lines in ``s``, ``x``'s
+          first pending load hits exactly when ``c_s`` minus the skipped
+          lines before ``x`` in ``s`` is at most ``ways``: in a whole pass,
+          when ``c_s <= ways``.  Its warm touched every sector the probe
+          reads, and after a miss only repeats of a (line, sector) hit.
+
+        Otherwise returns ``None`` without changing anything.  A pass it
+        answers leaves the cache as it found it.
         """
-        addrs = np.asarray(addrs, dtype=np.int64)
         n = int(addrs.size)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if self._virtual is not None:
-            self._materialize()
-        lines, bits = self._addr_parts(addrs)
+        v = self._virtual
+        if v is None and self._valid_sets:
+            return None
+        hits = np.zeros(n, dtype=bool)
+        idx = np.flatnonzero(pending)
+        if v is None:
+            if idx.size:
+                hits[idx] = self._repeats(addrs[idx])
+            return hits
+        flush_first, rings = v
+        a0 = int(addrs[0])
+        held = [
+            j
+            for j, (base, nbytes, s) in enumerate(rings)
+            if base == a0 and s == stride and nbytes // s >= n
+        ]
+        if not (flush_first and len(held) == 1):
+            return None
+        rings = rings[held[0] :]
+        line = self.line_size
+        spans = sorted(
+            (base // line, (base + (nbytes // s - 1) * s) // line)
+            for base, nbytes, s in rings
+        )
+        if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+            return None
+        if idx.size == 0:
+            return hits
+        lines = addrs // line
         run_first = np.empty(n, dtype=bool)
         run_first[0] = True
         np.not_equal(lines[1:], lines[:-1], out=run_first[1:])
-        run_starts = np.flatnonzero(run_first)
-        run_ids = np.cumsum(run_first) - 1
-        uniq = lines[run_starts]
-        g_total = uniq.size
-        run_masks = np.bitwise_or.reduceat(bits, run_starts)
-        sec_key = lines * self.sectors_per_line + (
+        uniq = lines[run_first]
+        line_of = np.cumsum(run_first) - 1
+        slack = self.ways - sum(
+            self._ring_set_counts(np.array([base]), nbytes // s, s, uniq)
+            for base, nbytes, s in rings
+        )
+        if idx.size < n:
+            # Lines skipped earlier in the set: their last touch was the
+            # warm, before x's, so they do not count against x.
+            sets = uniq % self.num_sets
+            touched = np.zeros(uniq.size, dtype=bool)
+            touched[line_of[idx]] = True
+            t = np.flatnonzero(touched)
+            seen = _group_rank(sets)[3]
+            seen[t] -= _group_rank(sets[t])[3]
+            slack += seen
+        hits[idx] = (slack >= 0)[line_of[idx]] | self._repeats(addrs[idx])
+        return hits
+
+    def _repeats(self, addrs: np.ndarray) -> np.ndarray:
+        """Per load of an ascending walk: same (line, sector) as the previous."""
+        key = addrs // self.line_size * self.sectors_per_line + (
             (addrs % self.line_size) // self.fetch_granularity
         )
-        dup = np.empty(n, dtype=bool)
+        dup = np.empty(addrs.size, dtype=bool)
         dup[0] = False
-        np.equal(sec_key[1:], sec_key[:-1], out=dup[1:])
-
-        set_ids = uniq % self.num_sets
-        fresh = self._set_gen[set_ids] == self._gen
-        rows = self._tags[set_ids]
-        eq = (rows == uniq[:, None]) & fresh[:, None]
-        found = eq.any(axis=1)
-        fway = eq.argmax(axis=1)
-        start_masks = np.where(found, self._masks[set_ids, fway], np.int64(0))
-
-        # Group the touched lines by set; classify each set.
-        order, gstarts, gsizes, rank, gsize_line = _group_rank(set_ids)
-        found_per_group = np.add.reduceat(found[order].astype(np.int64), gstarts)
-        group_of_line = np.empty(g_total, dtype=np.int64)
-        group_of_line[order] = np.repeat(np.arange(gstarts.size), gsizes)
-        all_found = (found_per_group == gsizes)[group_of_line]
-        none_found = (found_per_group == 0)[group_of_line]
-        mixed = ~all_found & ~none_found
-
-        hits = np.empty(n, dtype=bool)
-
-        sel = all_found
-        if sel.any():
-            addr_sel = sel[run_ids]
-            hit_sel = dup[addr_sel] | (
-                (bits[addr_sel] & start_masks[run_ids[addr_sel]]) != 0
-            )
-            hits[addr_sel] = hit_sel
-            touched = np.unique(set_ids[sel])
-            row_idx = np.searchsorted(touched, set_ids[sel])
-            self._promote_rows(
-                touched, row_idx, fway[sel], rank[sel], run_masks[sel]
-            )
-        sel = none_found
-        if sel.any():
-            addr_sel = sel[run_ids]
-            hits[addr_sel] = dup[addr_sel]
-            touched = np.unique(set_ids[sel])
-            from_end = gsize_line[sel] - 1 - rank[sel]
-            inc_tags, inc_masks = self._incoming_rows(
-                uniq[sel], run_masks[sel], set_ids[sel], from_end, touched
-            )
-            self._merge_rows(touched, inc_tags, inc_masks)
-        if mixed.any():
-            addr_sel = mixed[run_ids]
-            idx = np.flatnonzero(addr_sel)
-            access = self.access
-            for i in idx:
-                hits[i] = access(int(addrs[i]))
-        return hits
+        np.equal(key[1:], key[:-1], out=dup[1:])
+        return dup
 
     # ------------------------------------------------------------------ #
     # maintenance & introspection                                         #

@@ -20,17 +20,19 @@ MT4G launches (paper Section IV):
 Two execution engines produce identical results (asserted by tests and
 by ``benchmarks/bench_discovery_speed.py``):
 
-* ``engine="analytic"`` (default) drives the timed pass through
-  :meth:`SimCache.chase_cyclic` / :meth:`SimCache.pass_monotone` — a
-  fully vectorised hit/latency computation with zero per-load Python.
-  On a warmed run every level is answered from its deferred warm
-  descriptor where it can be: the first level by
+* ``engine="analytic"`` (default) answers every pass from the cache
+  state it starts from — a fully vectorised hit/latency computation
+  with zero per-load Python.  On a warmed run every level is answered
+  from its deferred warm descriptor where it can be: the first level by
   :meth:`SimCache.chase_cyclic`, whose per-set ring line counts are
   closed form for strides below *and* above the line size, and each
   lower level — which sees only the loads that missed above it — by
   :meth:`SimCache.fixed_point_hits`, which proves every such load hits
-  when none lies in an over-subscribed set.  Only the remaining levels
-  install their rows and replay the filtered loads;
+  when none lies in an over-subscribed set.  A protocol probe starts
+  from a flush and the warms its protocol deferred since, and
+  :meth:`SimCache.known_state_hits` answers each of its levels from
+  that state.  A level no closed form answers walks its loads one by
+  one through :meth:`SimCache.access`;
 * ``engine="exact"`` walks every load through the per-access simulator
   (the reference implementation the property tests compare against).
 
@@ -49,7 +51,7 @@ latency would understate the Section V-A run-time report).
 Engine contract: after a timed pass or a probe the cache state is
 unspecified until the next flush.  Every caller flushes before it warms
 again, so only the latencies of a pass are data.  The analytic engine
-therefore keeps only the state a pass reads while it runs (a filtered
+therefore keeps only the state a pass reads while it runs (a per-load
 walk over several ring revolutions) and does not walk side-effect
 caches; :func:`warm` still fills them, since a protocol reads them.
 
@@ -135,21 +137,18 @@ def _walk(path: LoadPath, addr: int) -> float:
 def _pass_filtered(
     cache, addrs: np.ndarray, n_samples: int, pending: np.ndarray
 ) -> np.ndarray:
-    """Batch-walk the pending subset of a cyclic sequence through a cache.
+    """Walk the pending loads of a cyclic sequence through a cache, one by one.
 
-    The pending positions of each ring revolution form an ascending
-    subsequence, which :meth:`SimCache.pass_monotone` replays exactly on
-    whatever state the cache is in.  ``addrs`` may be the sampled prefix
-    of a longer ring: a ring longer than ``n_samples`` is never wrapped,
-    so its first ``n_samples`` addresses are the whole walk.  Returns a
-    full-length hit vector (False at non-pending positions).
+    The exact fallback for a level no closed form answers: each pending
+    load ``addrs[i % len(addrs)]`` goes through :meth:`SimCache.access` in
+    walk order, on whatever state the cache is in.  ``addrs`` may be the
+    sampled prefix of a longer ring: a ring longer than ``n_samples`` is
+    never wrapped.  Returns a full-length hit vector (False at non-pending
+    positions).
     """
-    ring = len(addrs)
     out = np.zeros(n_samples, dtype=bool)
-    for seg in range(0, n_samples, ring):
-        idx = np.flatnonzero(pending[seg : seg + ring])
-        if idx.size:
-            out[seg + idx] = cache.pass_monotone(addrs[idx])
+    idx = np.flatnonzero(pending)
+    out[idx] = cache.access_many(addrs[idx % len(addrs)])
     return out
 
 
@@ -171,51 +170,39 @@ def _walk_many(
     Combines the per-level analytic hit vectors into one latency vector:
     a load observes the latency of the first level it hits, and levels
     below a hit are not accessed (the ``pending`` cascade).  ``warmed``
-    mirrors the :meth:`SimCache.chase_cyclic` contract (``None`` =
-    unknown state, a protocol probe).
+    mirrors the :meth:`SimCache.chase_cyclic` contract; ``None`` marks a
+    protocol probe, one revolution over the first ``n_samples`` loads.
 
     The path has at least one level.  Returns ``(latencies,
     first_level_hits)``; the caches are left in an unspecified state,
-    which the next flush discards.  On a warmed pass
-    (``warmed=True``, right after a flush and one warm) a level that sees
-    only some loads is answered from its descriptor by
-    :meth:`SimCache.fixed_point_hits` when all of them hit; every other
-    such level takes the filtered batch walker, which computes its hits
-    exactly on the materialised state.  On unknown prior state
-    (``warmed=None``) a cache that provably still holds this ring's
-    deferred fixed point (:meth:`SimCache.holds_fixed_point` — a protocol
-    probe right after its own warm) is answered by the warmed analytic
-    chase from the descriptor alone; every other level takes the
-    filtered walker.  Side-effect caches are not walked: nothing reads
-    what a timed pass would leave in them.
+    which the next flush discards.  A timed pass (``warmed`` a bool)
+    answers its first level by :meth:`SimCache.chase_cyclic`; on a warmed
+    pass, right after a flush and one warm, a level that sees only some
+    loads is answered from its descriptor by
+    :meth:`SimCache.fixed_point_hits` when all of them hit.  A probe
+    answers every level, whole or filtered, by
+    :meth:`SimCache.known_state_hits` from the state its protocol's flush
+    and warms left.  A level no closed form answers walks its pending
+    loads one by one (:func:`_pass_filtered`); no preset's discovery
+    reaches that fallback.  Side-effect caches are not walked: nothing
+    reads what a timed pass would leave in them.
     """
     n = int(n_samples)
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     first_hits = None
     ring = len(addrs) if ring is None else int(ring)
-    fixed_point = (
-        (int(addrs[0]), ring * stride, stride) if warmed is None and ring > 0 else None
-    )
-
-    def chase(cache) -> np.ndarray | None:
-        """The analytic answer for a cache seeing the whole pass, if any."""
-        if warmed is not None:
-            return cache.chase_cyclic(addrs, n, warmed=warmed, stride=stride, ring=ring)
-        if fixed_point is not None and cache.holds_fixed_point(*fixed_point):
-            return cache.chase_cyclic(addrs, n, warmed=True, stride=stride, ring=ring)
-        return None
-
+    probe = warmed is None and n <= len(addrs)  # one revolution
     for level_idx, (cache, level_lat) in enumerate(path.levels):
-        hits = chase(cache) if pending.all() else None
-        if hits is None and warmed:
+        hits = None
+        if probe:
+            hits = cache.known_state_hits(addrs[:n], stride, pending)
+        elif warmed is not None and pending.all():
+            hits = cache.chase_cyclic(addrs, n, warmed=warmed, stride=stride, ring=ring)
+        elif warmed:
             hits = cache.fixed_point_hits(addrs, ring, stride, pending)
         if hits is None:
-            hits = (
-                _pass_filtered(cache, addrs, n, pending)
-                if pending.any()
-                else np.zeros(n, dtype=bool)
-            )
+            hits = _pass_filtered(cache, addrs, n, pending)
         if level_idx == 0:
             first_hits = hits
         lat[pending & hits] = level_lat
@@ -315,15 +302,15 @@ def probe_hits(
     evaluation would have to threshold.
 
     The analytic engine batches the pass level by level.  ``addrs`` is
-    a ring strided by ``stride`` (the one :func:`warm` takes): a level
-    whose cache still holds the deferred warm fixed point of exactly
-    this ring — the usual protocol round, warm A then probe A with B
-    warmed elsewhere — is answered from the descriptor by
-    :meth:`SimCache.chase_cyclic` without materialising any rows.  Every
-    other level replays the loads it sees through
-    :meth:`SimCache.pass_monotone` on whatever state the cache is in; a
-    probe immediately precedes its own load, so the probe outcome *is*
-    the first-level hit outcome of the walk.
+    one revolution of a ring strided by ``stride`` (a prefix of the ring
+    :func:`warm` takes).  Each level is answered in closed form by
+    :meth:`SimCache.known_state_hits` from what the protocol did since
+    its flush — nothing, or deferred warms of line-disjoint rings, the
+    probed one among them (the usual round: warm A, warm B elsewhere or
+    in the same cache, probe A) — without materialising any rows.  A
+    level in another state walks the loads it sees one by one through
+    :meth:`SimCache.access`; a probe immediately precedes its own load,
+    so the probe outcome *is* the first-level hit outcome of the walk.
     """
     path = device.resolve_path(kind, sm, core)
     hits, base = _probe_walk(path, addrs, stride, engine)
@@ -379,8 +366,7 @@ def pair_rounds(
     :meth:`SimulatedGPU.account_loads` charges with the representative's
     exact floats, and one ``device.noise.perturb`` of the probe's samples,
     whose output the protocol discards but whose draws advance the device
-    generator.  The last pair always runs for real, so the caches end in
-    the state the literal per-round loop leaves.
+    generator.
 
     Every path must be fixed per SM (:meth:`SimulatedGPU.resolve_path`
     stores it); a path that re-draws side effects on each resolve, like
@@ -403,13 +389,12 @@ def pair_rounds(
     slots = {sm: {c: j for j, c in enumerate(ids)} for sm, (_, _, ids) in parts.items()}
     warm_cycles = {sm: _warm_cycles(path, count) for sm, path in paths.items()}
     classes: dict[tuple, tuple[float, np.ndarray, float]] = {}
-    last = len(pairs) - 1
     for i, (a, b) in enumerate(pairs):
         as_a, _, ids_a = parts[a]
         _, as_b, _ = parts[b]
         key = (as_a, as_b, tuple(map(slots[b].get, ids_a)))
         known = classes.get(key)
-        if known is None or i == last:
+        if known is None:
             device.flush_caches()
             warm(device, kind, head_a, sm=a, stride=stride, engine=engine, ring=count)
             warm(device, kind, head_b, sm=b, stride=stride, engine=engine, ring=count)

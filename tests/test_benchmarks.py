@@ -206,6 +206,54 @@ class TestSharingNvidia:
         assert flaky
 
 
+def protocol_log(ctx: BenchmarkContext, monkeypatch) -> list[str]:
+    """Record, in order, every flush, warm and probe a protocol makes."""
+    log: list[str] = []
+    flush = ctx.device.flush_caches
+
+    def flush_spy():
+        log.append("flush")
+        flush()
+
+    monkeypatch.setattr(ctx.device, "flush_caches", flush_spy)
+    for name in ("warm", "probe"):
+
+        def spy(*args, _name=name, _original=getattr(ctx.runner, name), **kwargs):
+            log.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ctx.runner, name, spy)
+    return log
+
+
+class TestEveryRoundFlushes:
+    """Each warm-A, warm-B, probe-A round starts from its own flush.
+
+    The probes answer from the known post-flush state in closed form; a
+    round that skipped its flush would still produce the same report,
+    because its warms re-install the probed ring, so only the order of
+    the calls shows it.
+    """
+
+    ROUND = ["flush", "warm", "warm", "probe"]
+
+    def test_amount(self, nv_ctx, monkeypatch):
+        log = protocol_log(nv_ctx, monkeypatch)
+        measure_amount(nv_ctx, LoadKind.LD_GLOBAL_CA, "L1", 4096, 32)
+        rounds = nv_ctx.device.sm(0).cores.bit_length() - 1  # core B: 1, 2, 4, ...
+        assert log == self.ROUND * rounds
+
+    def test_sharing(self, nv_ctx, monkeypatch):
+        log = protocol_log(nv_ctx, monkeypatch)
+        targets = {
+            "L1": (LoadKind.LD_GLOBAL_CA, 4096, 32),
+            "Texture": (LoadKind.TEX1DFETCH, 4096, 32),
+            "ConstL1": (LoadKind.LD_CONST, 1024, 32),
+        }
+        measure_sharing_nvidia(nv_ctx, targets)
+        assert log == self.ROUND * (3 * 2 * 3)  # ordered pairs x votes
+
+
 class TestSharingAMD:
     def test_cu_map_matches_physical_pairs(self, amd_ctx):
         m = measure_sl1d_sharing(amd_ctx, cache_size=2048, fetch_granularity=64)

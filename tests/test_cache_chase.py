@@ -1,27 +1,28 @@
 """Property tests for the batch/analytic measurement engine.
 
 The analytic primitives — :meth:`SimCache.chase_cyclic`,
-:meth:`SimCache.pass_monotone`, the deferred warm state
+:meth:`SimCache.known_state_hits`, the deferred warm state
 (:meth:`warm_fixed_point` / :meth:`warm_cyclic_lazy`) and the
 incremental suffix-extension warm — must be *access-for-access*
 equivalent to the exact :meth:`SimCache.access` loop: the same
-hit/miss vector, and for the warms and :meth:`SimCache.pass_monotone`
-the same end state (snapshot).  A timed pass's end state is unspecified
-until the next flush, so its tests compare hits only.  These tests pin
-that equivalence over randomized cache geometries, strides, ring sizes,
-sample counts (including multi-wrap chases), warm/cold starts and
-post-flush generations.  A protocol probe answered from the deferred
-warm descriptor must be indistinguishable from one that materialises
-the rows and replays the ring, a timed pass handed only the sampled
-prefix of its ring must be indistinguishable from one handed the whole
-ring, a warm that skips the per-set replay for lines outside the
-resident [min, max] tag bound must still land on the exact end state,
-and a warmed pass over a ring that fits the cache, answered in closed
-form, must be indistinguishable from the general per-set analysis.  A
-lower level answered from its warm descriptor must match the filtered
-walk on materialised rows, and the closed-form per-set line counts of
-a ring strided above the line size must match counting the whole ring.
-Set counts include non-powers of two, as real caches have.
+hit/miss vector, and for the warms the same end state (snapshot).  A
+timed pass's or probe's end state is unspecified until the next flush,
+so their tests compare hits only.  These tests pin that equivalence over
+randomized cache geometries, strides, ring sizes, sample counts
+(including multi-wrap chases), warm/cold starts and post-flush
+generations.  A protocol probe answered in closed form from a flushed
+cache or from its protocol's deferred warms must match the exact loop
+and be indistinguishable from one that materialises the rows and walks
+the loads, a timed pass handed only the sampled prefix of its ring must
+be indistinguishable from one handed the whole ring, a warm that skips
+the per-set replay for lines outside the resident [min, max] tag bound
+must still land on the exact end state, and a warmed pass over a ring
+that fits the cache, answered in closed form, must be indistinguishable
+from the general per-set analysis.  A lower level answered from its
+warm descriptor must match the per-load walk on materialised rows, and
+the closed-form per-set line counts of a ring strided above the line
+size must match counting the whole ring.  Set counts include
+non-powers of two, as real caches have.
 """
 
 import tracemalloc
@@ -124,45 +125,6 @@ class TestChaseCyclic:
         )
 
 
-class TestPassMonotone:
-    @settings(max_examples=150, deadline=None)
-    @given(geometry_and_ring(), st.integers(min_value=0, max_value=3))
-    def test_arbitrary_state_equivalence(self, params, n_prior):
-        """pass_monotone == access_many on states built from prior warms."""
-        size, line, fg, ways, stride, addrs = params
-        analytic = SimCache(size, line, fg, ways)
-        exact = SimCache(size, line, fg, ways)
-        rng = np.random.default_rng(len(addrs) * 31 + n_prior)
-        for _ in range(n_prior):
-            pr_stride = int(rng.choice([fg, line]))
-            pr = strided_ring(
-                int(rng.integers(pr_stride, 3 * size)),
-                pr_stride,
-                base=int(rng.integers(0, 4 * size)) // 4 * 4,
-            )
-            # Same state on both sides, built by the same (exact) machinery.
-            analytic.access_many(pr)
-            exact.access_many(pr)
-        hits = analytic.pass_monotone(addrs)
-        ref = exact.access_many(addrs)
-        assert (hits == ref).all()
-        assert analytic.snapshot() == exact.snapshot()
-
-    def test_partially_evicted_set_matches_exact(self):
-        """Mixed sets (some probed lines resident, some not) stay exact."""
-        cache = SimCache(512, 64, 64, 4)  # 2 sets, 4 ways
-        exact = SimCache(512, 64, 64, 4)
-        a = strided_ring(512, 64)  # fills both sets
-        b = strided_ring(256, 64, base=1024)  # evicts part of A
-        for c in (cache, exact):
-            c.access_many(a)
-            c.access_many(b)
-        hits = cache.pass_monotone(a)
-        ref = exact.access_many(a)
-        assert (hits == ref).all()
-        assert cache.snapshot() == exact.snapshot()
-
-
 class TestOverlappingMerge:
     @settings(max_examples=120, deadline=None)
     @given(geometry_and_ring(), geometry_and_ring())
@@ -262,15 +224,15 @@ materialise = SimCache.resident_lines
 
 
 class TestProbeFromDescriptor:
-    """A protocol probe answered from the deferred warm fixed point.
+    """A protocol probe answered from the state its protocol left.
 
-    :func:`probe_hits` lets a cache that still holds exactly the probed
-    ring's deferred fixed point answer from the descriptor
-    (:meth:`SimCache.chase_cyclic`) instead of materialising its rows and
-    replaying the ring through :meth:`SimCache.pass_monotone`.  The two
-    routes — the second taken by materialising the first level's rows
-    before the probe — must be indistinguishable: hits, noisy latencies,
-    simulated time and the end state.
+    :func:`probe_hits` lets a cache holding a flush and deferred warms
+    answer from the descriptors (:meth:`SimCache.known_state_hits`)
+    instead of materialising its rows and walking the loads one by one.
+    The two routes — the second taken by materialising the first level's
+    rows before the probe — must be indistinguishable: hits, noisy
+    latencies, simulated time and the next noise draw.  The state a probe
+    leaves is unspecified until the next flush, so it is not compared.
     """
 
     KIND = LoadKind.S_LOAD
@@ -294,37 +256,38 @@ class TestProbeFromDescriptor:
             warm(dev, self.KIND, ring, stride=stride)
         if prepare is not None:
             prepare(l1)
-        ring, stride = warms[0]
-        warm_ring = (int(ring[0]), len(ring) * stride, stride)
-        held_before = l1.holds_fixed_point(*warm_ring)
         hits, lat = probe_hits(dev, self.KIND, probe_addrs, stride=probe_stride)
-        held_after = l1.holds_fixed_point(*warm_ring)
-        snaps = (l1.snapshot(), l2.snapshot())
         return {
-            # Only the descriptor-answered probe leaves the warm ring deferred.
-            "fired": held_before and held_after,
+            # Only a probe answered in closed form leaves the warms deferred.
+            "fired": l1._virtual is not None,
             "hits": hits,
             "lat": lat,
             "elapsed": dev.elapsed_seconds(),
             "loads": dev.total_loads,
-            "snapshots": snaps,
             "next_draw": dev.noise.rng.random(),
         }
 
     def assert_same(self, fast, slow):
         assert np.array_equal(fast["hits"], slow["hits"])
         assert np.array_equal(fast["lat"], slow["lat"])
-        for key in ("elapsed", "loads", "snapshots", "next_draw"):
+        for key in ("elapsed", "loads", "next_draw"):
             assert fast[key] == slow[key], key
 
     @settings(max_examples=120, deadline=None)
-    @given(geometry_and_ring())
-    def test_fast_path_matches_materialised_path(self, params):
-        """Fits and thrashes, strides below and above the line size."""
+    @given(geometry_and_ring(), st.sampled_from(["whole", "prefix", "two_rings"]))
+    def test_fast_path_matches_materialised_path(self, params, case):
+        """Fits and thrashes, strides below and above the line size; the
+        whole ring or a prefix, alone or with a disjoint ring warmed after."""
         size, line, fg, ways, stride, addrs = params
         geom = (size, line, fg, ways)
-        fast = self.probe(geom, [(addrs, stride)], addrs, stride)
-        slow = self.probe(geom, [(addrs, stride)], addrs, stride, materialise)
+        warms = [(addrs, stride)]
+        probe_addrs = addrs
+        if case == "prefix":
+            probe_addrs = addrs[: (len(addrs) + 1) // 2]
+        elif case == "two_rings":
+            warms.append((addrs + 64 * size, stride))
+        fast = self.probe(geom, warms, probe_addrs, stride)
+        slow = self.probe(geom, warms, probe_addrs, stride, materialise)
         assert fast["fired"]
         assert not slow["fired"]
         self.assert_same(fast, slow)
@@ -344,7 +307,7 @@ class TestProbeFromDescriptor:
     @settings(max_examples=60, deadline=None)
     @given(
         geometry_and_ring(),
-        st.sampled_from(["prefix", "base", "stride", "two_rings", "materialised"]),
+        st.sampled_from(["base", "stride", "twice", "overlapping", "materialised"]),
     )
     def test_fast_path_does_not_fire_without_proof(self, params, case):
         size, line, fg, ways, stride, addrs = params
@@ -352,17 +315,17 @@ class TestProbeFromDescriptor:
         warms = [(addrs, stride)]
         probe_addrs = addrs
         prepare = None
-        if case == "prefix":
-            if len(addrs) < 2:
-                return
-            probe_addrs = addrs[: len(addrs) - 1]
-        elif case == "base":
+        if case == "base":
             probe_addrs = addrs + stride
         elif case == "stride":
             wide = strided_ring(len(addrs) * 2 * stride, 2 * stride, int(addrs[0]))
             warms = [(wide, 2 * stride)]
-        elif case == "two_rings":
-            warms = [(addrs, stride), (addrs + 64 * size, stride)]
+        elif case == "twice":
+            warms = [(addrs, stride), (addrs, stride)]
+        elif case == "overlapping":
+            if len(addrs) < 2:
+                return
+            warms = [(addrs, stride), (addrs + stride * (len(addrs) // 2), stride)]
         else:
             prepare = materialise
         probed = self.probe(geom, warms, probe_addrs, stride, prepare)
@@ -371,21 +334,118 @@ class TestProbeFromDescriptor:
         self.assert_same(probed, replayed)
 
     def test_partial_wrap_keeps_the_descriptor(self):
-        """``n % ring != 0``: a cut final wrap is answered from the
-        descriptor too, since nothing reads the state a probe leaves."""
+        """``n % ring != 0``: a warmed pass with a cut final wrap is
+        answered from the descriptor too, since nothing reads the state a
+        timed pass leaves."""
         l1 = SimCache(2048, 64, 32, 2)
         l2 = SimCache(8192, 64, 32, 4)
         addrs = strided_ring(1536, 32)
         l1.warm_fixed_point(0, 1536, 32)
         l2.warm_fixed_point(0, 1536, 32)
         path = LoadPath(self.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
-        lat, first = _walk_many(path, addrs, len(addrs) + 3, None, 32)
+        lat, first = _walk_many(path, addrs, len(addrs) + 3, True, 32)
         assert first.all() and (lat == 20.0).all()
         assert l1.holds_fixed_point(0, 1536, 32)
         assert l1._valid_sets == 0
         hits = l1.chase_cyclic(addrs, len(addrs) + 3, warmed=True, stride=32)
         assert hits.all()
         assert l1.holds_fixed_point(0, 1536, 32)
+
+
+@st.composite
+def known_state(draw):
+    """A cache geometry, its flush-first deferred warms and one probe.
+
+    Returns ``(geom, rings, probe, stride, pending, layout)``: zero to
+    three line-disjoint rings in random order, the probe a prefix of one
+    of them (any strided walk over a flushed cache when there are none),
+    and the loads that reach the cache, all of them or a random subset.
+    ``layout`` "overlap" adds a ring sharing lines with the probed one
+    after it; "earlier" adds one before it, which the probe must ignore.
+    """
+    line = draw(st.sampled_from([32, 64, 128]))
+    fg = line // draw(st.sampled_from([1, 2, 4]))
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    sets = draw(st.sampled_from([*SET_COUNTS, 368]))
+    size = sets * line * ways
+    strides = st.sampled_from(
+        [max(4, fg // 2), fg, line, 3 * line // 2, 2 * line, 3 * line]
+    )
+    rings = []
+    base = 4 * draw(st.integers(min_value=0, max_value=size))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        stride = draw(strides)
+        count = draw(st.integers(min_value=1, max_value=min(3000, 3 * size // stride)))
+        rings.append((base, count * stride, stride))
+        base += count * stride + line * draw(st.integers(min_value=1, max_value=4))
+    rings = draw(st.permutations(rings))
+    layout = "disjoint"
+    if rings:
+        j = draw(st.integers(min_value=0, max_value=len(rings) - 1))
+        base, nbytes, stride = rings[j]
+        count = nbytes // stride
+        n = draw(st.integers(min_value=1, max_value=min(count, 600)))
+        layout = draw(st.sampled_from(["disjoint", "overlap", "earlier"]))
+        shift = stride * draw(st.integers(min_value=0, max_value=count - 1))
+        if layout == "overlap":
+            at = draw(st.integers(min_value=j + 1, max_value=len(rings)))
+            rings.insert(at, (base + shift, nbytes, stride))
+        elif layout == "earlier":
+            rings.insert(draw(st.integers(min_value=0, max_value=j)), (base + stride, nbytes, stride))
+    else:
+        stride = draw(strides)
+        n = draw(st.integers(min_value=1, max_value=600))
+    probe = base + np.arange(n, dtype=np.int64) * stride
+    if draw(st.booleans()):
+        pending = np.ones(n, dtype=bool)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pending = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return (size, line, fg, ways), rings, probe, stride, pending, layout
+
+
+class TestKnownStateHits:
+    """A probe revolution answered in closed form from a known state.
+
+    :meth:`SimCache.known_state_hits` must give the exact :meth:`access`
+    loop's hit vector — the literal warms, then the pending loads one by
+    one — on a flushed empty cache and after one to three deferred warms,
+    whole or filtered, leaving the deferred state untouched.  It must
+    decline when a ring warmed after the probed one shares its lines.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(known_state())
+    def test_matches_the_exact_loop(self, params):
+        geom, rings, probe, stride, pending, layout = params
+        cache = SimCache(*geom)
+        exact = SimCache(*geom)
+        for i, (base, nbytes, ring_stride) in enumerate(rings):
+            if i == 0:
+                cache.warm_fixed_point(base, nbytes, ring_stride)
+            else:
+                cache.warm_cyclic_lazy(base, nbytes, ring_stride)
+            exact.access_many(strided_ring(nbytes, ring_stride, base))
+        before = cache._virtual, cache._valid_sets
+        got = cache.known_state_hits(probe, stride, pending)
+        assert (cache._virtual, cache._valid_sets) == before
+        if layout == "overlap":
+            assert got is None
+            return
+        want = np.zeros(probe.size, dtype=bool)
+        want[pending] = exact.access_many(probe[pending])
+        assert got is not None
+        assert np.array_equal(got, want)
+
+    def test_declines_rows_and_unflushed_warms(self):
+        ring = strided_ring(1024, 64)
+        pending = np.ones(ring.size, dtype=bool)
+        cache = SimCache(2048, 64, 32, 2)
+        cache.access(4096)
+        assert cache.known_state_hits(ring, 64, pending) is None
+        cache.warm_cyclic_lazy(0, 1024, 64)  # deferred, but not after a flush
+        assert cache.known_state_hits(ring, 64, pending) is None
+        assert cache._virtual is not None
 
 
 def samples_for(ring: int):
@@ -398,7 +458,7 @@ class TestSampledPrefix:
 
     ``run_pchase_ex`` builds the first ``min(ring, n)`` addresses and
     passes the ring length separately; ``_walk_many`` — and through it
-    :meth:`SimCache.chase_cyclic` and the filtered walker — must behave
+    :meth:`SimCache.chase_cyclic` and the per-load walker — must behave
     exactly as when handed the whole ring, in every cache state a timed
     pass or a protocol probe can start from.
     """
@@ -643,9 +703,8 @@ class TestFittingRing:
 class TestFixedPointHits:
     """A lower level of a fresh warmed p-chase, answered from its descriptor.
 
-    :meth:`SimCache.fixed_point_hits` must give the hits the filtered
-    walker gives on the materialised fixed point (replaying the pending
-    loads through :meth:`SimCache.pass_monotone`) while its descriptor
+    :meth:`SimCache.fixed_point_hits` must give the hits the per-load
+    walker gives on the materialised fixed point while its descriptor
     stays deferred, and must decline, leaving everything as it was,
     whenever a pending load lies in an over-subscribed set.
     """

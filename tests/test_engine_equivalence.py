@@ -210,17 +210,15 @@ def literal_sl1d_partners(ctx, cache_size, fetch_granularity, max_cus=None):
 
 
 def device_state(device):
-    """Everything a later measurement or a cache key can observe."""
-    caches = {
-        **{("sm", i, *k): c for i, sm in device._sms.items() for k, c in sm._caches.items()},
-        **{("gpu", *k): c for k, c in device._gpu_caches.items()},
-        **{("group", g): c for g, c in device._cu_group_caches.items()},
-    }
+    """Everything a later measurement or a cache key can observe.
+
+    The caches are not compared: after a probe their state is
+    unspecified until the next flush.
+    """
     return (
         device.elapsed_seconds(),
         device.total_loads,
         device.op_serial,
-        {key: cache.snapshot() for key, cache in caches.items()},
         device.rng.random(),
     )
 
@@ -254,7 +252,7 @@ class TestPairRoundsOracle:
         assert any(results[0][0].values())  # some CUs do share
 
     @pytest.mark.parametrize("preset", ["MI210", "MI100"])
-    def test_one_full_round_per_class_plus_the_last(self, preset):
+    def test_one_full_round_per_class(self, preset):
         device = SimulatedGPU.from_preset(preset, seed=0)
         ctx = BenchmarkContext(device)
         names = [n for n in ("sL1d", "L2", "L3") if device.spec.has_cache(n)]
@@ -277,7 +275,7 @@ class TestPairRoundsOracle:
         device.flush_caches = counting_flush
         sl1d = device.spec.cache("sL1d")
         measure_sl1d_sharing(ctx, sl1d.size, sl1d.fetch_granularity)
-        assert flushes <= len(classes) + 1
+        assert flushes <= len(classes)
 
 
 class TestRunnerEquivalence:

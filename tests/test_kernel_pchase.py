@@ -9,6 +9,8 @@ from repro.core.benchmarks.base import BenchmarkContext
 from repro.core.benchmarks.cacheline import measure_cache_line_size
 from repro.core.benchmarks.size import measure_cache_size
 from repro.errors import SimulationError
+from repro import MT4G
+from repro.gpusim import kernel
 from repro.gpusim.cache import SimCache
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
@@ -100,6 +102,51 @@ class TestAddressGeneration:
         assert materialised == []
         assert l2.holds_fixed_point(*l1._fixed_point_ring())
         assert l2._valid_sets == 0
+
+
+    def test_a100_probes_walk_no_load_and_install_no_row(self, monkeypatch):
+        """Every protocol probe of an A100 discovery — amount, sharing and
+        the cold fetch-granularity probes — is answered in closed form.
+
+        Each probe starts from a flushed cache or from the warms its
+        protocol deferred after the flush, so no level walks its loads
+        one by one and none installs rows (the L2.0 included).
+        """
+        walks, installed, kinds = [], [], set()
+        probing = [False]
+        pass_filtered = kernel._pass_filtered
+        probe_walk = kernel._probe_walk
+        materialize = SimCache._materialize
+
+        def walk_spy(cache, *args):
+            walks.append(cache.name)
+            return pass_filtered(cache, *args)
+
+        def probe_spy(path, *args):
+            kinds.add(path.kind)
+            probing[0] = True
+            try:
+                return probe_walk(path, *args)
+            finally:
+                probing[0] = False
+
+        def materialize_spy(self):
+            if probing[0] and self._virtual is not None:
+                installed.append(self.name)
+            return materialize(self)
+
+        monkeypatch.setattr(kernel, "_pass_filtered", walk_spy)
+        monkeypatch.setattr(kernel, "_probe_walk", probe_spy)
+        monkeypatch.setattr(SimCache, "_materialize", materialize_spy)
+        MT4G(SimulatedGPU.from_preset("A100", seed=0)).discover()
+        assert {
+            LoadKind.LD_GLOBAL_CA,
+            LoadKind.LD_GLOBAL_CG,
+            LoadKind.TEX1DFETCH,
+            LoadKind.LD_CONST,
+        } <= kinds
+        assert walks == []
+        assert installed == []
 
 
 class TestRunPchase:

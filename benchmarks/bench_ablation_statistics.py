@@ -113,19 +113,18 @@ class TestWarmupAblation:
             device = SimulatedGPU.from_preset("TestGPU-NV", seed=5)
             base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
             fits = {}
-            for warmup in (1, 0):
+            for warmup in (True, False):
                 lat = run_pchase_ex(
-                    device, LoadKind.LD_GLOBAL_CA, base, 2048, 32,
-                    warmup_passes=warmup,
+                    device, LoadKind.LD_GLOBAL_CA, base, 2048, 32, warmup=warmup
                 )
                 fits[warmup] = float(lat.mean())
             return fits
 
         means = benchmark(run)
-        print(f"\nwarm-up ablation: warmed {means[1]:.1f} cyc vs cold {means[0]:.1f} cyc")
+        print(f"\nwarm-up ablation: warmed {means[True]:.1f} cyc vs cold {means[False]:.1f} cyc")
         # Without warm-up even a fitting array looks slow — the size
         # benchmark would see a cliff at every size.
-        assert means[0] > means[1] + 30
+        assert means[False] > means[True] + 30
 
 
 class TestSamplingAblation:

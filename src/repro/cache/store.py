@@ -433,16 +433,19 @@ class DiscoveryCache:
     #: A crashed writer's lock file is reclaimed after this many seconds;
     #: a healthy record_wall holds the lock for well under a millisecond.
     _STATS_LOCK_STALE_SECONDS = 10.0
+    #: How long record_wall waits for a held lock before it writes lock-free.
+    _STATS_LOCK_TIMEOUT_SECONDS = 1.0
 
-    def _acquire_stats_lock(self, timeout: float = 1.0) -> Path | None:
+    def _acquire_stats_lock(self) -> Path | None:
         """Exclusive sidecar lock via ``O_CREAT | O_EXCL``, or None.
 
         Returns the lock path to unlink on release.  None means the lock
-        could not be acquired within ``timeout`` — the caller proceeds
-        unlocked rather than dropping the wall (best-effort semantics).
+        could not be acquired within ``_STATS_LOCK_TIMEOUT_SECONDS`` — the
+        caller proceeds unlocked rather than dropping the wall
+        (best-effort semantics).
         """
         lock_path = self.root / ".stats.lock"
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self._STATS_LOCK_TIMEOUT_SECONDS
         while True:
             try:
                 fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)

@@ -34,9 +34,9 @@ __all__ = ["measure_amount", "resolve_l2_segments"]
 _HIT_FRACTION = 0.5
 
 
-def _preflight_all_warps(ctx: BenchmarkContext, sm: int) -> None:
+def _preflight_all_warps(ctx: BenchmarkContext) -> None:
     """The L1 protocol pins one observer thread per warp; verify we can."""
-    core = ctx.device.sm(sm)
+    core = ctx.device.sm(0)
     for warp in range(core.warps):
         if not core.check_warp_schedulable(warp):
             raise SchedulingError(
@@ -50,7 +50,6 @@ def measure_amount(
     target: str,
     cache_size: int,
     fetch_granularity: int,
-    sm: int = 0,
     spans_all_warps: bool = False,
 ) -> MeasurementResult:
     """Count independent cache segments per SM for one memory element.
@@ -64,17 +63,17 @@ def measure_amount(
     # (Section IV-F) — but safely inside it, so a small size-benchmark
     # overestimate cannot make core A's probe thrash its own array.
     nbytes = max(stride, int(cache_size * 0.85) // stride * stride)
-    cores = ctx.device.sm(sm).cores
+    cores = ctx.device.sm(0).cores
     try:
         if spans_all_warps:
-            _preflight_all_warps(ctx, sm)
+            _preflight_all_warps(ctx)
         core_b = 1
         segments = 1
         while core_b < cores:
             ctx.device.flush_caches()
-            ctx.runner.warm(kind, nbytes, stride, sm=sm, core=0, slot=0)
-            ctx.runner.warm(kind, nbytes, stride, sm=sm, core=core_b, slot=1)
-            hits, _ = ctx.runner.probe(kind, nbytes, stride, sm=sm, core=0, slot=0)
+            ctx.runner.warm(kind, nbytes, stride, core=0, slot=0)
+            ctx.runner.warm(kind, nbytes, stride, core=core_b, slot=1)
+            hits, _ = ctx.runner.probe(kind, nbytes, stride, core=0, slot=0)
             if hits.mean() > _HIT_FRACTION:
                 segments = cores // core_b
                 break

@@ -45,7 +45,6 @@ def measure_cache_line_size(
     target: str,
     cache_size: int,
     fetch_granularity: int,
-    sm: int = 0,
     max_size_cap: int | None = None,
 ) -> MeasurementResult:
     """Estimate the line size of a cache of known capacity.
@@ -78,7 +77,6 @@ def measure_cache_line_size(
             stride,
             lo=lo,
             hi_cap=hi,
-            sm=sm,
             budget=max(stride * 2, cache_size // 32),
         )
         if bounds is not None:

@@ -26,7 +26,7 @@ __all__ = ["measure_fetch_granularity"]
 _PROBE_LOADS = 96
 
 
-def _anchor_threshold(ctx: BenchmarkContext, kind: LoadKind, sm: int) -> float:
+def _anchor_threshold(ctx: BenchmarkContext, kind: LoadKind) -> float:
     """Hit-band anchor from a minimal-stride cold probe.
 
     A 4 B stride is below any plausible sector size (the paper assumes
@@ -38,8 +38,7 @@ def _anchor_threshold(ctx: BenchmarkContext, kind: LoadKind, sm: int) -> float:
     transaction size — never masquerade as target-level hits.
     """
     ctx.device.flush_caches()
-    _, latencies = ctx.runner.probe(kind, 4 * _PROBE_LOADS, 4, sm=sm,
-                                    n_samples=_PROBE_LOADS)
+    _, latencies = ctx.runner.probe(kind, 4 * _PROBE_LOADS, 4, n_samples=_PROBE_LOADS)
     anchor = float(np.min(latencies))
     return anchor + max(10.0, 0.3 * anchor)
 
@@ -49,7 +48,6 @@ def measure_fetch_granularity(
     kind: LoadKind,
     target: str,
     max_stride: int = 512,
-    sm: int = 0,
     hit_threshold: float | None = None,
 ) -> MeasurementResult:
     """Find the sector size of the element behind ``kind``.
@@ -64,15 +62,13 @@ def measure_fetch_granularity(
     if max_stride < 4:
         raise ValueError("max_stride must be at least 4")
     if hit_threshold is None:
-        hit_threshold = _anchor_threshold(ctx, kind, sm)
+        hit_threshold = _anchor_threshold(ctx, kind)
     first_all_miss: int | None = None
     observed: dict[int, int] = {}
     for stride in range(4, max_stride + 1, 4):
         ctx.device.flush_caches()
         nbytes = stride * _PROBE_LOADS
-        _, latencies = ctx.runner.probe(
-            kind, nbytes, stride, sm=sm, n_samples=_PROBE_LOADS
-        )
+        _, latencies = ctx.runner.probe(kind, nbytes, stride, n_samples=_PROBE_LOADS)
         hits = np.asarray(latencies) < hit_threshold
         observed[stride] = int(hits.sum())
         if not hits.any():

@@ -23,6 +23,10 @@ from repro.gpusim.isa import LoadKind
 
 __all__ = ["measure_load_latency"]
 
+#: Array length in fetch-granularity units (IV-C: "MT4G uses size of
+#: 256 * Fetch Granularity").
+LATENCY_ARRAY_ELEMS = 256
+
 
 def measure_load_latency(
     ctx: BenchmarkContext,
@@ -31,7 +35,6 @@ def measure_load_latency(
     fetch_granularity: int,
     array_bytes: int | None = None,
     cold: bool = False,
-    sm: int = 0,
 ) -> MeasurementResult:
     """Measure the load latency of one memory element, in clock cycles.
 
@@ -48,14 +51,8 @@ def measure_load_latency(
         # hit the caches filled by the probe itself.
         nbytes = ctx.config.n_samples * stride
     else:
-        nbytes = ctx.config.latency_array_elems * stride
-    latencies = ctx.runner.latencies(
-        kind,
-        nbytes,
-        stride,
-        sm=sm,
-        warmup=not cold,
-    )
+        nbytes = LATENCY_ARRAY_ELEMS * stride
+    latencies = ctx.runner.latencies(kind, nbytes, stride, warmup=not cold)
     stats = summarize(latencies)
     ctx.count("load_latency", target)
     # Tight samples => trustworthy average; wide spread lowers confidence.

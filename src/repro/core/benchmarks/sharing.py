@@ -62,22 +62,20 @@ def _evicts(
     kind_b: LoadKind,
     size_b: int,
     stride_b: int,
-    sm: int,
 ) -> bool:
     """One round of warm-A, warm-B, probe-A; True when B displaced A."""
     ws_a = _working_set(size_a, stride_a)
     ws_b = _working_set(size_b, stride_b)
     ctx.device.flush_caches()
-    ctx.runner.warm(kind_a, ws_a, stride_a, sm=sm, slot=0)
-    ctx.runner.warm(kind_b, ws_b, stride_b, sm=sm, slot=0)
-    hits, _ = ctx.runner.probe(kind_a, ws_a, stride_a, sm=sm, slot=0)
+    ctx.runner.warm(kind_a, ws_a, stride_a)
+    ctx.runner.warm(kind_b, ws_b, stride_b)
+    hits, _ = ctx.runner.probe(kind_a, ws_a, stride_a)
     return float(np.mean(~hits)) > _MISS_FRACTION
 
 
 def measure_sharing_nvidia(
     ctx: BenchmarkContext,
     targets: dict[str, tuple[LoadKind, int, int]],
-    sm: int = 0,
 ) -> dict[str, MeasurementResult]:
     """Pairwise physical-sharing matrix for NVIDIA logical spaces.
 
@@ -94,7 +92,7 @@ def measure_sharing_nvidia(
         kind_a, size_a, stride_a = targets[a]
         kind_b, size_b, stride_b = targets[b]
         votes[(a, b)] = sum(
-            _evicts(ctx, kind_a, size_a, stride_a, kind_b, size_b, stride_b, sm)
+            _evicts(ctx, kind_a, size_a, stride_a, kind_b, size_b, stride_b)
             for _ in range(_VOTES)
         )
 

@@ -8,10 +8,10 @@ Implements the four-step workflow:
    the final sweep stays fine-grained;
 2. **sweep** — fresh p-chase runs for every size in the interval, step =
    fetch granularity (coarsened only if the interval would exceed the
-   configured point budget);
+   ``_MAX_SWEEP_POINTS`` budget);
 3. **outlier handling** — isolated spikes are scrubbed; a change point
    detected at the sweep edge or an insignificant test widens the
-   interval and repeats (up to ``max_widen_rounds``);
+   interval and repeats (up to ``_MAX_WIDEN_ROUNDS``);
 4. **K-S change-point detection** — the geometric reduction (Eq. 2) of
    the latency matrix is scanned for its strongest distribution split;
    the boundary is the last size on the low side, and the test's
@@ -35,6 +35,14 @@ from repro.stats.reduction import geometric_reduction
 from repro.gpusim.isa import LoadKind
 
 __all__ = ["measure_cache_size", "find_capacity_bounds", "SizeSweepData"]
+
+#: Upper bound on the sizes of one sweep: the step is never finer than
+#: the fetch granularity and never yields more p-chase runs than this.
+_MAX_SWEEP_POINTS = 192
+#: Interval growth per widening round (Section IV-B step 3), as a share
+#: of its width, and the rounds tried before the result is inconclusive.
+_WIDEN_FACTOR = 0.5
+_MAX_WIDEN_ROUNDS = 4
 
 
 class SizeSweepData(dict):
@@ -73,7 +81,6 @@ def _exceeds(
     stride: int,
     baseline: float,
     floor: float,
-    sm: int,
 ) -> bool:
     """Does an array of ``size`` bytes overflow the target element?
 
@@ -81,7 +88,7 @@ def _exceeds(
     thrashing set already multiplies it (Section IV-B's "latency rises
     significantly"), so a 3x-baseline threshold is conservative.
     """
-    lat = ctx.runner.latencies(kind, size, stride, sm=sm)
+    lat = ctx.runner.latencies(kind, size, stride)
     return _reduced_value(lat, floor) > 3.0 * baseline + 1e-9
 
 
@@ -91,7 +98,6 @@ def find_capacity_bounds(
     stride: int,
     lo: int,
     hi_cap: int,
-    sm: int = 0,
     budget: int | None = None,
 ) -> tuple[int, int] | None:
     """Workflow step 1: doubling ascent, then binary-search descent.
@@ -102,12 +108,12 @@ def find_capacity_bounds(
     cache-line benchmark reuses this routine to localise *apparent*
     capacities under line-skipping strides (Section IV-E).
     """
-    baseline_lat = ctx.runner.latencies(kind, lo, stride, sm=sm)
+    baseline_lat = ctx.runner.latencies(kind, lo, stride)
     floor = float(np.min(baseline_lat))
     baseline = max(_reduced_value(baseline_lat, floor), 1e-9)
     size = lo
     prev = lo
-    while not _exceeds(ctx, kind, size, stride, baseline, floor, sm):
+    while not _exceeds(ctx, kind, size, stride, baseline, floor):
         prev = size
         if size >= hi_cap:
             return None
@@ -118,13 +124,13 @@ def find_capacity_bounds(
     # Binary descent until the interval fits the sweep budget at natural
     # stride resolution; keep a margin so the boundary stays inside.
     if budget is None:
-        budget = ctx.config.max_sweep_points * stride
+        budget = _MAX_SWEEP_POINTS * stride
     while (b - a) > budget and (b - a) > 4 * stride:
         mid = (a + b) // 2
         mid -= mid % stride
         if mid <= a or mid >= b:
             break
-        if _exceeds(ctx, kind, mid, stride, baseline, floor, sm):
+        if _exceeds(ctx, kind, mid, stride, baseline, floor):
             b = mid
         else:
             a = mid
@@ -155,22 +161,21 @@ def measure_cache_size(
     kind: LoadKind,
     target: str,
     fetch_granularity: int,
-    lo: int | None = None,
-    hi_cap: int | None = None,
-    sm: int = 0,
+    *,
+    lo: int,
+    hi_cap: int,
 ) -> MeasurementResult:
     """Measure the capacity of the memory element behind ``kind``.
 
     ``fetch_granularity`` (from the Section IV-D benchmark or an API) is
-    both the access stride and the natural sweep step.  ``hi_cap`` caps
-    the probe size (constant bank limit, device-memory budget).
+    both the access stride and the natural sweep step.  The search starts
+    at ``lo`` and ``hi_cap`` caps the probe size (constant bank limit,
+    device-memory budget).
     """
-    cfg = ctx.config
     stride = int(fetch_granularity)
-    lo = int(lo if lo is not None else cfg.search_lo)
-    hi_cap = int(hi_cap if hi_cap is not None else cfg.search_hi)
+    lo, hi_cap = int(lo), int(hi_cap)
 
-    bounds = find_capacity_bounds(ctx, kind, stride, lo, hi_cap, sm)
+    bounds = find_capacity_bounds(ctx, kind, stride, lo, hi_cap)
     ctx.count("size", target)
     if bounds is None:
         return MeasurementResult(
@@ -188,14 +193,14 @@ def measure_cache_size(
 
     a, b = bounds
     width = b - a
-    for round_idx in range(cfg.max_widen_rounds + 1):
+    for round_idx in range(_MAX_WIDEN_ROUNDS + 1):
         sweep_lo = max(stride, a - max(width // 2, 2 * stride))
         sweep_hi = min(hi_cap, b + max(width // 4, 2 * stride))
-        sizes = linear_sizes(sweep_lo, sweep_hi, stride, cfg.max_sweep_points)
-        matrix = ctx.runner.sweep(kind, sizes, stride, sm=sm)
+        sizes = linear_sizes(sweep_lo, sweep_hi, stride, _MAX_SWEEP_POINTS)
+        matrix = ctx.runner.sweep(kind, sizes, stride)
         reduced = geometric_reduction(matrix)
         scrubbed = scrub_outliers(reduced)
-        cp = detect_change_point(scrubbed, alpha=cfg.ks_alpha)
+        cp = detect_change_point(scrubbed)
         if (
             cp is not None
             and cp.significant
@@ -231,7 +236,7 @@ def measure_cache_size(
                 detail=data,
             )
         # Workflow step 3: widen and repeat.
-        grow = max(int(width * cfg.widen_factor), 4 * stride)
+        grow = max(int(width * _WIDEN_FACTOR), 4 * stride)
         a = max(stride, a - grow)
         b = min(hi_cap, b + grow)
         width = b - a
@@ -240,5 +245,5 @@ def measure_cache_size(
         "size",
         target,
         "B",
-        f"no significant change point after {cfg.max_widen_rounds} widening rounds",
+        f"no significant change point after {_MAX_WIDEN_ROUNDS} widening rounds",
     )

@@ -35,7 +35,7 @@ from repro.core.benchmarks.base import BenchmarkContext, MeasurementResult, Sour
 from repro.core.benchmarks.cacheline import measure_cache_line_size
 from repro.core.benchmarks.fetch_granularity import measure_fetch_granularity
 from repro.core.benchmarks.flops import measure_all_flops
-from repro.core.benchmarks.latency import measure_load_latency
+from repro.core.benchmarks.latency import LATENCY_ARRAY_ELEMS, measure_load_latency
 from repro.core.benchmarks.sharing import measure_sharing_nvidia, measure_sl1d_sharing
 from repro.core.benchmarks.size import measure_cache_size
 from repro.core.report import (
@@ -540,7 +540,7 @@ class MT4G:
             if measured is not None and measured < _CONST_BANK:
                 return max(2 * cl1, int(measured * 0.9) // stride * stride)
             return min(8 * cl1, _CONST_BANK)
-        default = self.ctx.config.latency_array_elems * stride
+        default = LATENCY_ARRAY_ELEMS * stride
         if measured is not None and measured < default:
             return max(stride, int(measured * 0.9) // stride * stride)
         # An inconclusive ConstL1 size probes the nominal 2 KiB.

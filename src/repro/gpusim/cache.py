@@ -22,15 +22,16 @@ p-chase passes, some over 50 MB L2 footprints):
   (``-1``) packed at the LRU side;
 * :meth:`flush` is O(1): rows carry a generation stamp and are lazily
   reset on first touch after a flush;
-* :meth:`warm_fixed_point` — flush plus one warm pass over a strided
-  ring, every fresh p-chase's preamble — is O(1) too: it records a
+* :meth:`warm_cyclic_lazy` — one warm pass over a strided ring, after
+  a flush every fresh p-chase's preamble — is O(1) too: it records a
   deferred descriptor, and rows are installed only if something reads
   them;
 * :meth:`warm_cyclic` installs the *end state* of a full cyclic pass
   analytically — for uniform strided rings the grouping is a pure
   counting pass (no ``argsort``), merges onto a non-empty cache are a
   handful of vectorised row operations; only sets holding a line inside
-  the generation's resident [min, max] tag bound are replayed per line;
+  the generation's resident [min, max] tag bound go through
+  :meth:`access` load by load;
 * :meth:`chase_cyclic` computes the hit/miss vector of the *timed* pass
   of a p-chase analytically from per-set occupancy (line counts vs.
   associativity, per-sector valid masks) — zero per-load Python; it
@@ -172,7 +173,7 @@ class SimCache:
         # While set, the logical state is the current rows (after a flush,
         # when the flag is set) warmed with the listed rings in order, but
         # no rows are materialised; any operation that reads or mutates
-        # rows materialises first (see warm_fixed_point / warm_cyclic_lazy).
+        # rows materialises first (see warm_cyclic_lazy).
         # Cooperative protocols warm caches they never probe — those warms
         # are discarded for free by the next flush.
         self._virtual: tuple[bool, list[tuple[int, int, int]]] | None = None
@@ -189,24 +190,16 @@ class SimCache:
             self._set_gen[set_id] = self._gen
             self._valid_sets += 1
 
-    def warm_fixed_point(self, base: int, nbytes: int, stride: int) -> None:
-        """Deferred flush + :meth:`warm_cyclic` of a uniform strided ring.
-
-        O(1): the logical state becomes the warm LRU fixed point of the
-        ring, but rows are only materialised when an operation actually
-        reads or mutates them.  :meth:`chase_cyclic` answers analytic
-        timed passes against the descriptor directly, so a fresh p-chase
-        sweep never touches per-set state at all.
-        """
-        self._virtual = (True, [(int(base), int(nbytes), int(stride))])
-
     def warm_cyclic_lazy(self, base: int, nbytes: int, stride: int) -> None:
         """Deferred :meth:`warm_cyclic` of a uniform strided ring — O(1).
 
         Appends the ring to the pending warm list; the rows are only
         installed if something later reads them.  A flush discards the
         pending warms for free — exactly what the cooperative protocols
-        do to the caches they warm but never probe.
+        do to the caches they warm but never probe.  The first warm after
+        a flush records the ring's warm LRU fixed point, which
+        :meth:`chase_cyclic` answers timed passes against directly, so a
+        fresh p-chase sweep never touches per-set state at all.
         """
         if self._virtual is not None:
             flag, rings = self._virtual
@@ -541,48 +534,6 @@ class SimCache:
             old_masks[stale] = 0
         return old_tags, old_masks, stale
 
-    def _replay_merge(self, lines: np.ndarray, line_masks: np.ndarray, set_ids: np.ndarray) -> None:
-        """Exact per-set replay of a warm pass (one event per line run).
-
-        Used for the few sets where an incoming line may re-access a
-        resident one: a hit promotes and unions sector masks, a miss
-        evicts LRU — whether a given line hits depends on the evictions
-        this very pass performed earlier in the set, which the replay
-        reproduces literally.
-        """
-        ways = self.ways
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for i in range(lines.size):
-            buckets.setdefault(int(set_ids[i]), []).append(
-                (int(lines[i]), int(line_masks[i]))
-            )
-        for set_id, events in buckets.items():
-            self._ensure_row(set_id)
-            row_t = self._tags[set_id]
-            row_m = self._masks[set_id]
-            row = [
-                (int(row_t[w]), int(row_m[w])) for w in range(ways) if row_t[w] != -1
-            ]
-            for line, mask in events:
-                for idx, (tag, old_mask) in enumerate(row):
-                    if tag == line:
-                        row.pop(idx)
-                        row.append((line, old_mask | mask))
-                        break
-                else:
-                    if len(row) == ways:
-                        row.pop(0)
-                    row.append((line, mask))
-            row_t[:] = -1
-            row_m[:] = 0
-            pad = ways - len(row)
-            for w, (tag, mask) in enumerate(row):
-                row_t[pad + w] = tag
-                row_m[pad + w] = mask
-            self._note_lines(
-                min(line for line, _ in events), max(line for line, _ in events)
-            )
-
     def _merge_rows(
         self,
         touched: np.ndarray,
@@ -650,9 +601,9 @@ class SimCache:
 
         The end state equals exact per-load simulation on *any* prior
         cache state (sets whose lines may re-access resident content are
-        replayed literally; all others take the vectorised pure-insert
-        path).  Consequence relied on elsewhere: repeating the pass
-        (multiple warm-up rounds) is a fixed point.
+        walked load by load through :meth:`access`; all others take the
+        vectorised pure-insert path).  Consequence relied on elsewhere:
+        repeating the pass (multiple warm-up rounds) is a fixed point.
         """
         if self._virtual is not None:
             self._materialize()
@@ -666,17 +617,18 @@ class SimCache:
             # A pass line inside the resident [min, max] tag bound may
             # re-access a resident line; whether it hits depends on the
             # evictions the pass itself performed earlier in that set, so
-            # those few sets are replayed exactly.  Lines outside the bound
-            # are provably absent — their sets take the vectorised
-            # pure-insert path.
+            # the loads of those few sets go through access() one by one.
+            # Lines outside the bound are provably absent — their sets
+            # take the vectorised pure-insert path.
             lo, hi = self._line_bounds()
             cand_line = (uniq >= lo) & (uniq <= hi)
             if cand_line.any():
                 in_cand_set = np.zeros(self.num_sets, dtype=bool)
                 in_cand_set[sets[cand_line]] = True
-                sel = in_cand_set[sets]
-                self._replay_merge(uniq[sel], masks[sel], sets[sel])
-                keep = ~sel
+                self.access_many(
+                    addrs[in_cand_set[(addrs // self.line_size) % self.num_sets]]
+                )
+                keep = ~in_cand_set[sets]
                 uniq, masks, sets, from_end = (
                     uniq[keep],
                     masks[keep],

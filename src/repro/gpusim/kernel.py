@@ -37,16 +37,15 @@ by ``benchmarks/bench_discovery_speed.py``):
   (the reference implementation the property tests compare against).
 
 Every p-chase follows one path: flush the device, warm each cache of
-the load path, then the timed pass over a uniform strided ring.  Every
-ring carries its stride: the warm, probe and timed passes take it, and
-the analytic primitives need it.  Warm-up passes are executed once per
-cache regardless of ``warmup_passes`` — a repeated cyclic warm is an
-LRU fixed point, which the analytic engine records after the flush as
-an O(1) deferred descriptor (:meth:`SimCache.warm_fixed_point`) — while
-the simulated run-time model still charges every requested pass, with
-the first pass after the flush charged at *miss* latency (the loads of
-a cold warm-up traverse to the terminal level; charging them at hit
-latency would understate the Section V-A run-time report).
+the load path once (or not at all, for a cold probe), then the timed
+pass over a uniform strided ring.  Every ring carries its stride: the
+warm, probe and timed passes take it, and the analytic primitives need
+it.  The analytic engine records the warm after the flush as an O(1)
+deferred descriptor (:meth:`SimCache.warm_cyclic_lazy`).  The simulated
+run-time model charges that warm pass at *miss* latency: its loads run
+against flushed caches and traverse to the terminal level, and
+charging them at hit latency would understate the Section V-A run-time
+report.
 
 Engine contract: after a timed pass or a probe the cache state is
 unspecified until the next flush.  Every caller flushes before it warms
@@ -418,18 +417,17 @@ def run_pchase_ex(
     nbytes: int,
     stride: int,
     n_samples: int = DEFAULT_SAMPLES,
-    sm: int = 0,
-    core: int = 0,
-    warmup_passes: int = 1,
+    warmup: bool = True,
     engine: str = "analytic",
 ) -> np.ndarray:
-    """Fine-grained p-chase: returns the first ``n_samples`` load latencies.
+    """Fine-grained p-chase from SM 0, core 0: the first ``n_samples`` latencies.
 
-    Follows the paper's recipe: flush the device's caches,
-    ``warmup_passes`` untimed passes over the whole ring (ensuring the
-    array is resident in the benchmarked element), then a timed pass
-    whose first N per-load latencies are recorded (wrapping around the
-    ring if N exceeds the element count).
+    Follows the paper's recipe: flush the device's caches, with
+    ``warmup`` one untimed pass over the whole ring (a repeated cyclic
+    warm is an LRU fixed point, so one pass makes the array resident in
+    the benchmarked element), then a timed pass whose first N per-load
+    latencies are recorded (wrapping around the ring if N exceeds the
+    element count).
 
     Only the sampled addresses are generated: the timed pass reads at
     most the first ``min(ring, n_samples)`` of them, and the ring length
@@ -440,10 +438,9 @@ def run_pchase_ex(
         raise SimulationError("n_samples must be positive")
     if engine not in ENGINES:
         raise SimulationError(f"unknown engine {engine!r}; valid: {ENGINES}")
-    device.sm(sm).pin_core(core)
     analytic = engine == "analytic"
     device.flush_caches()
-    path = device.resolve_path(kind, sm, core)
+    path = device.resolve_path(kind)
     if not path.levels:
         # Scratchpad: constant latency, no cache dynamics.
         base_lat = np.full(n_samples, path.terminal_latency)
@@ -453,17 +450,14 @@ def run_pchase_ex(
     addrs = pchase_addresses(base, nbytes, stride, limit=n_samples)
     n_ring = nbytes // stride
     caches = [c for c, _ in path.levels] + list(path.side_effects)
-    # One executed warm pass stands in for all requested passes: a
-    # repeated cyclic warm is an LRU fixed point (property-tested).
-    warmed = warmup_passes > 0
     if analytic:
-        if warmed:
+        if warmup:
             # The warm after the flush is a deferred descriptor — O(1).
             for cache in caches:
-                cache.warm_fixed_point(base, nbytes, stride)
-        base_lat, _ = _walk_many(path, addrs, n_samples, warmed, stride, n_ring)
+                cache.warm_cyclic_lazy(base, nbytes, stride)
+        base_lat, _ = _walk_many(path, addrs, n_samples, warmup, stride, n_ring)
     else:
-        if warmed:
+        if warmup:
             ring_addrs = pchase_addresses(base, nbytes, stride)
             for cache in caches:
                 cache.warm_cyclic(ring_addrs, stride=stride)
@@ -471,16 +465,16 @@ def run_pchase_ex(
         for i in range(n_samples):
             base_lat[i] = _walk(path, int(addrs[i % n_ring]))
 
-    # Run-time model (Section V-A): charge every requested warm pass; the
-    # first pass after the flush runs against cold caches and is charged at
-    # terminal (miss) latency, later passes at first-level hit latency.
-    first_latency = path.levels[0][1]
-    warm_cycles = warmup_passes * n_ring * first_latency
-    if warmed:
-        warm_cycles += n_ring * (path.terminal_latency - first_latency)
-    device.account_loads(
-        n_samples + warmup_passes * n_ring, float(base_lat.sum()) + warm_cycles
-    )
+    # Run-time model (Section V-A): the warm pass after the flush runs
+    # against cold caches and is charged at terminal (miss) latency, as a
+    # hit-latency pass plus the miss surcharge: ``n_ring * terminal_latency``
+    # rounds differently and would move the reported simulated times.
+    loads, cycles = n_samples, float(base_lat.sum())
+    if warmup:
+        first = path.levels[0][1]
+        loads += n_ring
+        cycles += n_ring * first + n_ring * (path.terminal_latency - first)
+    device.account_loads(loads, cycles)
     return device.noise.perturb(base_lat)
 
 

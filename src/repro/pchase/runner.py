@@ -10,9 +10,10 @@ measurement primitives every Section-IV benchmark builds on:
   :meth:`PChaseRunner.pair_rounds` runs a whole all-pairs protocol.
 
 **Every run** follows the paper's recipe literally: flush the device,
-warm every cache of the load path, then the timed pass.  On the analytic
-engine the warm after the flush is an O(1) deferred descriptor
-(:meth:`SimCache.warm_fixed_point`).
+warm every cache of the load path once, then the timed pass.  On the
+analytic engine the warm after the flush is an O(1) deferred descriptor
+(:meth:`SimCache.warm_cyclic_lazy`).  A timed run loads from SM 0,
+core 0 and keeps the first ``config.n_samples`` latencies.
 
 One caveat the benchmarks satisfy by construction: after every timed
 pass and every probe (:meth:`PChaseRunner.latencies`,
@@ -127,14 +128,10 @@ class PChaseRunner:
         kind: LoadKind,
         nbytes: int,
         stride: int,
-        sm: int = 0,
-        core: int = 0,
         warmup: bool = True,
-        n_samples: int | None = None,
-        slot: int = 0,
     ) -> np.ndarray:
         """One flushed p-chase run; returns the first-N observed latencies."""
-        base = self.buffer(kind, nbytes, slot)
+        base = self.buffer(kind, nbytes)
         stats = self.stats
         run_start = perf_counter()
         lat = run_pchase_ex(
@@ -143,10 +140,8 @@ class PChaseRunner:
             base,
             nbytes,
             stride,
-            n_samples=n_samples or self.config.n_samples,
-            sm=sm,
-            core=core,
-            warmup_passes=self.config.warmup_passes if warmup else 0,
+            n_samples=self.config.n_samples,
+            warmup=warmup,
             engine=self.config.engine,
         )
         stats["seconds"] += perf_counter() - run_start
@@ -155,21 +150,14 @@ class PChaseRunner:
         stats["full_warms"] += 1
         return lat
 
-    def sweep(
-        self,
-        kind: LoadKind,
-        sizes: np.ndarray,
-        stride: int,
-        sm: int = 0,
-        core: int = 0,
-    ) -> np.ndarray:
+    def sweep(self, kind: LoadKind, sizes: np.ndarray, stride: int) -> np.ndarray:
         """Latency matrix: one fresh p-chase run per array size."""
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.size == 0:
             raise SimulationError("sweep requires at least one size")
         matrix = np.empty((sizes.size, self.config.n_samples), dtype=np.float64)
         for i, size in enumerate(sizes):
-            matrix[i] = self.latencies(kind, int(size), stride, sm=sm, core=core)
+            matrix[i] = self.latencies(kind, int(size), stride)
         return matrix
 
     def warm(

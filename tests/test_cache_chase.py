@@ -2,7 +2,7 @@
 
 The analytic primitives — :meth:`SimCache.chase_cyclic`,
 :meth:`SimCache.known_state_hits`, the deferred warm state
-(:meth:`warm_fixed_point` / :meth:`warm_cyclic_lazy`) and the
+(:meth:`warm_cyclic_lazy`) and the
 incremental suffix-extension warm — must be *access-for-access*
 equivalent to the exact :meth:`SimCache.access` loop: the same
 hit/miss vector, and for the warms the same end state (snapshot).  A
@@ -340,8 +340,8 @@ class TestProbeFromDescriptor:
         l1 = SimCache(2048, 64, 32, 2)
         l2 = SimCache(8192, 64, 32, 4)
         addrs = strided_ring(1536, 32)
-        l1.warm_fixed_point(0, 1536, 32)
-        l2.warm_fixed_point(0, 1536, 32)
+        l1.warm_cyclic_lazy(0, 1536, 32)
+        l2.warm_cyclic_lazy(0, 1536, 32)
         path = LoadPath(self.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
         lat, first = _walk_many(path, addrs, len(addrs) + 3, True, 32)
         assert first.all() and (lat == 20.0).all()
@@ -420,11 +420,8 @@ class TestKnownStateHits:
         geom, rings, probe, stride, pending, layout = params
         cache = SimCache(*geom)
         exact = SimCache(*geom)
-        for i, (base, nbytes, ring_stride) in enumerate(rings):
-            if i == 0:
-                cache.warm_fixed_point(base, nbytes, ring_stride)
-            else:
-                cache.warm_cyclic_lazy(base, nbytes, ring_stride)
+        for base, nbytes, ring_stride in rings:
+            cache.warm_cyclic_lazy(base, nbytes, ring_stride)
             exact.access_many(strided_ring(nbytes, ring_stride, base))
         before = cache._virtual, cache._valid_sets
         got = cache.known_state_hits(probe, stride, pending)
@@ -474,7 +471,7 @@ class TestSampledPrefix:
         base, nbytes = int(addrs[0]), len(addrs) * stride
         for cache in (l1, l2):
             if state in ("fixed_point", "unknown_descriptor"):
-                cache.warm_fixed_point(base, nbytes, stride)
+                cache.warm_cyclic_lazy(base, nbytes, stride)
             elif state == "unknown":
                 # Foreign lines overlapping the ring's start, then one
                 # unflushed warm of the ring: a mixed arbitrary state.
@@ -599,9 +596,13 @@ class TestLineBound:
 
     def test_ring_below_resident_lines_is_not_replayed(self, monkeypatch):
         replayed = []
-        monkeypatch.setattr(
-            SimCache, "_replay_merge", lambda self, lines, *_: replayed.append(lines)
-        )
+        original = SimCache.access_many
+
+        def spy(self, addrs):
+            replayed.append(addrs)
+            return original(self, addrs)
+
+        monkeypatch.setattr(SimCache, "access_many", spy)
         cache = SimCache(2048, 64, 32, 2)
         cache.warm_cyclic(strided_ring(1024, 32, base=1 << 20), stride=32)
         cache.warm_cyclic(strided_ring(1024, 32, base=4096), stride=32)
@@ -650,7 +651,7 @@ class TestFittingRing:
         cache = cls(*geom)
         addrs = a0 + np.arange(min(ring, n), dtype=np.int64) * stride
         if state == "descriptor":
-            cache.warm_fixed_point(a0, ring * stride, stride)
+            cache.warm_cyclic_lazy(a0, ring * stride, stride)
         elif state == "materialised":
             cache.warm_cyclic(a0 + np.arange(ring, dtype=np.int64) * stride, stride=stride)
         hits = cache.chase_cyclic(
@@ -712,7 +713,7 @@ class TestFixedPointHits:
     @staticmethod
     def at_fixed_point(geom, ring_addrs, stride):
         cache = SimCache(*geom)
-        cache.warm_fixed_point(int(ring_addrs[0]), len(ring_addrs) * stride, stride)
+        cache.warm_cyclic_lazy(int(ring_addrs[0]), len(ring_addrs) * stride, stride)
         return cache
 
     @settings(max_examples=200, deadline=None)
@@ -739,7 +740,8 @@ class TestFixedPointHits:
             assert got is None
             return
         want = _pass_filtered(slow, addrs, n, pending)
-        slow.warm_fixed_point(int(addrs[0]), ring * stride, stride)
+        slow.flush()
+        slow.warm_cyclic_lazy(int(addrs[0]), ring * stride, stride)
         assert got is not None
         assert np.array_equal(got, want)
         assert fast.snapshot() == slow.snapshot()
@@ -747,7 +749,7 @@ class TestFixedPointHits:
     def test_declines_an_oversubscribed_set_untouched(self):
         cache = SimCache(2048, 64, 32, 2)  # 16 sets x 2 ways
         addrs = strided_ring(3 * 1024, 1024)  # three lines, all in set 0
-        cache.warm_fixed_point(0, 3 * 1024, 1024)
+        cache.warm_cyclic_lazy(0, 3 * 1024, 1024)
         pending = np.array([False, True, False, False])  # one wrap + 1
         assert cache.fixed_point_hits(addrs, 3, 1024, pending) is None
         assert cache.holds_fixed_point(0, 3 * 1024, 1024)
@@ -758,12 +760,12 @@ class TestFixedPointHits:
         cache = SimCache(2048, 64, 32, 2)
         addrs = strided_ring(1024, 64)  # 16 lines: fits
         if state == "other_stride":
-            cache.warm_fixed_point(0, 2048, 128)
+            cache.warm_cyclic_lazy(0, 2048, 128)
         elif state == "two_rings":
-            cache.warm_fixed_point(0, 1024, 64)
+            cache.warm_cyclic_lazy(0, 1024, 64)
             cache.warm_cyclic_lazy(4096, 1024, 64)
         elif state == "materialised":
-            cache.warm_fixed_point(0, 1024, 64)
+            cache.warm_cyclic_lazy(0, 1024, 64)
             cache.resident_lines()
         before = cache._virtual, cache._valid_sets
         assert cache.fixed_point_hits(addrs, 16, 64, np.ones(16, dtype=bool)) is None

@@ -500,6 +500,9 @@ class TestRecordWallMerge:
         # atomic replace.  The merge-on-write re-read must pick it up
         # instead of silently reverting the sidecar.
         other_writer = DiscoveryCache(store.root)
+        # This writer holds the lock while the other one writes: the other
+        # waits out its (shrunk) timeout and writes lock-free.
+        other_writer._STATS_LOCK_TIMEOUT_SECONDS = 0.01
         real_read = DiscoveryCache._read_stats
         injected = {"done": False}
 
@@ -520,6 +523,7 @@ class TestRecordWallMerge:
         store.record_wall("mine", 3.0)
         walls = store.recorded_walls()
         assert walls == {"mine": pytest.approx(3.0), "other": pytest.approx(7.0)}
+        assert other_writer.degradations["lock_timeout"] == 1
 
     def test_threaded_writers_lose_no_labels(self, store):
         import threading
@@ -562,7 +566,8 @@ class TestRecordWallMerge:
         store.root.mkdir(parents=True, exist_ok=True)
         (store.root / ".stats.lock").write_text("1")
         store._STATS_LOCK_STALE_SECONDS = 3600.0  # never reclaim
-        assert store._acquire_stats_lock(timeout=0.05) is None
+        store._STATS_LOCK_TIMEOUT_SECONDS = 0.05
+        assert store._acquire_stats_lock() is None
         store.record_wall("p", 1.0)  # proceeds unlocked (best-effort)
         assert store.recorded_walls() == {"p": pytest.approx(1.0)}
 
@@ -570,7 +575,7 @@ class TestRecordWallMerge:
         # The lock-free fallback used to be invisible to operators; it
         # must now show up as a named degradation (folded into /metrics).
         monkeypatch.setattr(
-            DiscoveryCache, "_acquire_stats_lock", lambda self, timeout=1.0: None
+            DiscoveryCache, "_acquire_stats_lock", lambda self: None
         )
         assert store.degradations["lock_timeout"] == 0
         store.record_wall("p", 1.0)

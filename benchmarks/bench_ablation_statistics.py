@@ -18,6 +18,7 @@ from repro.core.benchmarks.size import measure_cache_size
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind
 from repro.gpusim.kernel import run_pchase_ex
+from repro.pchase.config import PChaseConfig
 from repro.stats.changepoint import detect_change_point
 from repro.stats.outliers import scrub_outliers
 from repro.stats.reduction import geometric_reduction
@@ -115,7 +116,13 @@ class TestWarmupAblation:
             fits = {}
             for warmup in (True, False):
                 lat = run_pchase_ex(
-                    device, LoadKind.LD_GLOBAL_CA, base, 2048, 32, warmup=warmup
+                    device,
+                    LoadKind.LD_GLOBAL_CA,
+                    base,
+                    2048,
+                    32,
+                    PChaseConfig().n_samples,
+                    warmup=warmup,
                 )
                 fits[warmup] = float(lat.mean())
             return fits
@@ -132,8 +139,6 @@ class TestSamplingAblation:
 
     @pytest.mark.parametrize("n_samples", [384, 96, 24])
     def test_size_benchmark_vs_sample_count(self, n_samples):
-        from repro.pchase.config import PChaseConfig
-
         ctx = BenchmarkContext(
             SimulatedGPU.from_preset("TestGPU-NV", seed=9),
             PChaseConfig(n_samples=n_samples),

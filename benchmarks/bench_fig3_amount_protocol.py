@@ -36,7 +36,7 @@ def protocol_trace(preset: str) -> list[tuple[int, float]]:
         device.flush_caches()
         runner.warm(LoadKind.LD_GLOBAL_CA, nbytes, STRIDE, core=0, slot=0)
         runner.warm(LoadKind.LD_GLOBAL_CA, nbytes, STRIDE, core=core_b, slot=1)
-        hits, _ = runner.probe(LoadKind.LD_GLOBAL_CA, nbytes, STRIDE, core=0, slot=0)
+        hits, _ = runner.probe(LoadKind.LD_GLOBAL_CA, nbytes, STRIDE, slot=0)
         trace.append((core_b, float(np.mean(hits))))
         core_b *= 2
     return trace

@@ -73,7 +73,7 @@ def measure_amount(
             ctx.device.flush_caches()
             ctx.runner.warm(kind, nbytes, stride, core=0, slot=0)
             ctx.runner.warm(kind, nbytes, stride, core=core_b, slot=1)
-            hits, _ = ctx.runner.probe(kind, nbytes, stride, core=0, slot=0)
+            hits, _ = ctx.runner.probe(kind, nbytes, stride, slot=0)
             if hits.mean() > _HIT_FRACTION:
                 segments = cores // core_b
                 break

@@ -25,6 +25,9 @@ __all__ = ["measure_fetch_granularity"]
 
 _PROBE_LOADS = 96
 
+#: Largest stride tried; hits that persist up to it give no result.
+_MAX_STRIDE = 512
+
 
 def _anchor_threshold(ctx: BenchmarkContext, kind: LoadKind) -> float:
     """Hit-band anchor from a minimal-stride cold probe.
@@ -47,7 +50,6 @@ def measure_fetch_granularity(
     ctx: BenchmarkContext,
     kind: LoadKind,
     target: str,
-    max_stride: int = 512,
     hit_threshold: float | None = None,
 ) -> MeasurementResult:
     """Find the sector size of the element behind ``kind``.
@@ -59,13 +61,11 @@ def measure_fetch_granularity(
     counts loads below the CL1/CL1.5 midpoint (paper Table III reports
     both: 64 B and 256 B on the H100).
     """
-    if max_stride < 4:
-        raise ValueError("max_stride must be at least 4")
     if hit_threshold is None:
         hit_threshold = _anchor_threshold(ctx, kind)
     first_all_miss: int | None = None
     observed: dict[int, int] = {}
-    for stride in range(4, max_stride + 1, 4):
+    for stride in range(4, _MAX_STRIDE + 1, 4):
         ctx.device.flush_caches()
         nbytes = stride * _PROBE_LOADS
         _, latencies = ctx.runner.probe(kind, nbytes, stride, n_samples=_PROBE_LOADS)
@@ -80,7 +80,7 @@ def measure_fetch_granularity(
             "fetch_granularity",
             target,
             "B",
-            f"hits persisted up to the {max_stride} B stride cap",
+            f"hits persisted up to the {_MAX_STRIDE} B stride cap",
         )
     return MeasurementResult(
         benchmark="fetch_granularity",

@@ -32,33 +32,24 @@ p-chase passes, some over 50 MB L2 footprints):
   handful of vectorised row operations; only sets holding a line inside
   the generation's resident [min, max] tag bound go through
   :meth:`access` load by load;
-* :meth:`chase_cyclic` computes the hit/miss vector of the *timed* pass
-  of a p-chase analytically from per-set occupancy (line counts vs.
-  associativity, per-sector valid masks) — zero per-load Python; it
-  reads only the first ``min(ring, n_samples)`` addresses (the ring
-  length is passed separately, so callers need not build the whole
-  ring), and a warmed pass is answered from the deferred warm
-  descriptor (no rows materialised); when that pass walks a ring of
-  at most ``num_sets * ways`` lines at a stride within the line size, no
-  set is over-subscribed and the answer is closed form — every load
-  hits (the capacity cliff) — with no per-load or per-set work at all;
+* :meth:`known_state_hits` answers one revolution of a timed pass or a
+  protocol probe (Sections IV-A, IV-D, IV-F..H), at any level of the
+  path, from the state it starts from: a flushed empty cache, or a
+  flush followed by deferred warms of line-disjoint rings, the walked
+  one among them — the fresh p-chase's own warm, or its protocol's.  An
+  LRU stack-distance count per set gives every hit without rows or
+  per-load work, and reads only the walked addresses (a p-chase stores
+  its first N latencies only, so callers need not build the whole ring);
+  a lone ring strided within the line size that spans at most
+  ``num_sets * ways`` lines over-subscribes no set, and every load hits
+  (the capacity cliff) with no per-set work at all;
 * the per-set ring line counts behind that analysis are closed form for
   uniform strides: consecutive lines below the line size, and above it
   (the cache-line-size benchmark's line-skipping rings, up to 8x the
   cache) ``q = line / gcd(stride, line)`` arithmetic progressions of line
   indices, each counted per set with a modular inverse — O(q) per
   queried line instead of one O(ring) pass over the whole ring, which
-  remains only where ``q`` is large;
-* :meth:`fixed_point_hits` answers a lower level of a fresh warmed
-  p-chase — it sees only the loads that missed above it — from the
-  deferred descriptor: when no such load lies in an over-subscribed set
-  every one hits the fixed point, and no row is materialised;
-* :meth:`known_state_hits` answers a protocol probe (Sections IV-D,
-  IV-F..H) — one revolution, at any level of the path — from the state
-  its protocol left: a flushed empty cache, or a flush followed by
-  deferred warms of line-disjoint rings, the probed one among them.  An
-  LRU stack-distance count per set gives every hit without rows or
-  per-load work.
+  remains only where ``q`` is large.
 
 Every analytic path gives the exact :meth:`access` loop's hit vector,
 and every warm also leaves the loop's end state (asserted by property
@@ -198,8 +189,10 @@ class SimCache:
         pending warms for free — exactly what the cooperative protocols
         do to the caches they warm but never probe.  The first warm after
         a flush records the ring's warm LRU fixed point, which
-        :meth:`chase_cyclic` answers timed passes against directly, so a
-        fresh p-chase sweep never touches per-set state at all.
+        :meth:`known_state_hits` answers passes and probes against
+        directly, so a fresh p-chase sweep never touches per-set state at
+        all.  A cold timed pass records its first revolution this way too:
+        over a flushed cache, that revolution installs what one warm does.
         """
         if self._virtual is not None:
             flag, rings = self._virtual
@@ -211,28 +204,6 @@ class SimCache:
             self._virtual = (True, [(int(base), int(nbytes), int(stride))])
         else:
             self._virtual = (False, [(int(base), int(nbytes), int(stride))])
-
-    def _fixed_point_ring(self) -> tuple[int, int, int] | None:
-        """The deferred ring when the state is exactly its fixed point."""
-        v = self._virtual
-        if v is not None and v[0] and len(v[1]) == 1:
-            return v[1][0]
-        return None
-
-    def holds_fixed_point(self, base: int, nbytes: int, stride: int) -> bool:
-        """True when the state is the deferred warm fixed point of this ring.
-
-        The ring is ``nbytes // stride`` loads of ``stride`` from ``base``;
-        the proof is the descriptor alone (flush + one warm of exactly
-        this ring, nothing materialised since), so it costs O(1).
-        """
-        ring = self._fixed_point_ring()
-        return (
-            ring is not None
-            and ring[0] == base
-            and ring[2] == stride
-            and ring[1] // ring[2] == nbytes // stride
-        )
 
     def _materialize(self) -> None:
         """Install the rows of the deferred warm list."""
@@ -403,24 +374,19 @@ class SimCache:
         return lines, bits, set_ids, size - 1 - rank, set_ids[order][gstarts]
 
     def _ring_set_counts(
-        self,
-        addrs: np.ndarray,
-        ring: int,
-        stride: int,
-        query_lines: np.ndarray,
+        self, a0: int, ring: int, stride: int, query_lines: np.ndarray
     ) -> np.ndarray:
         """Ring-wide per-set line counts, looked up for ``query_lines``.
 
-        ``addrs`` starts the ``ring``-load ring (a prefix is enough).  The
-        counts follow from arithmetic: O(len(query_lines)) at or below the
-        line size, and O(q * len(query_lines)) above it, ``q = line /
+        The ring is ``ring`` loads of ``stride`` from ``a0``.  The counts
+        follow from arithmetic: O(len(query_lines)) at or below the line
+        size, and O(q * len(query_lines)) above it, ``q = line /
         gcd(stride, line)`` (see :meth:`_skip_set_counts`).  Where ``q``
         makes the arithmetic dearer than the ring, the ring is built from
         its first address and one O(ring) counting pass is made.
         """
         line = self.line_size
         sets_total = self.num_sets
-        a0 = int(addrs[0])
         if stride <= line:
             l0 = a0 // line
             m = (a0 + (ring - 1) * stride) // line - l0 + 1
@@ -643,160 +609,55 @@ class SimCache:
                 self._merge_rows(touched, inc_tags, inc_masks)
 
     # ------------------------------------------------------------------ #
-    # analytic timed p-chase                                              #
+    # analytic pass on a known state                                      #
     # ------------------------------------------------------------------ #
-
-    def chase_cyclic(
-        self,
-        addrs: np.ndarray,
-        n_samples: int,
-        *,
-        warmed: bool = True,
-        stride: int,
-        ring: int | None = None,
-    ) -> np.ndarray | None:
-        """Analytic timed pass of a cyclic strided p-chase.
-
-        Computes the hit/miss vector of the first ``n_samples`` loads of
-        the cyclic walk ``addrs[i % ring]`` over a ring strided by
-        ``stride`` directly from per-set occupancy, with zero per-load
-        Python.  ``ring`` is the ring length; ``None`` means
-        ``len(addrs)``.  Only the first ``min(ring, n_samples)`` addresses
-        are ever read, so ``addrs`` may hold just that sampled prefix (a
-        p-chase stores only its first N latencies, Section IV-A):
-
-        * a set holding ``k <= ways`` ring lines serves every access from
-          the warmed state (pure hits);
-        * an over-subscribed set (``k > ways``) thrashes — every line
-          access misses, intra-line sector repeats hit — because a cyclic
-          monotone walk under LRU always evicts a line exactly one
-          revolution before re-accessing it.
-
-        Preconditions (the caller's contract; ``None`` means "walk the
-        pass another way"):
-
-        * ``warmed=True``: the cache state is the *fresh* warm fixed point
-          of this exact ring (flush + :meth:`warm_cyclic`);
-        * ``warmed=False``: the cache is flushed (verified internally).
-
-        The pass returns its hits only: afterwards the cache state is
-        unspecified until the next flush (every caller flushes before it
-        warms again).  A warmed pass over a cache that holds this ring's
-        deferred descriptor (:meth:`holds_fixed_point`) is answered from
-        it without materialising rows, and a cold pass leaves the cache
-        as it found it.  If a warmed pass's stride is at most the line
-        size and the ring spans at most ``num_sets * ways`` lines
-        (:meth:`_ring_fits`), every load hits: the pass returns all-True
-        in O(1).
-
-        Equivalence of the hit vector with the exact loop is pinned by
-        property tests.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        ring = int(addrs.size) if ring is None else int(ring)
-        if ring == 0 or n_samples <= 0:
-            return None
-        n = int(n_samples)
-        wraps, rem = divmod(n, ring)
-        a0 = int(addrs[0])
-        if self._virtual is not None and not (
-            warmed and self.holds_fixed_point(a0, ring * stride, stride)
-        ):
-            self._materialize()
-        if not warmed and self._valid_sets != 0:
-            return None
-        if warmed and stride <= self.line_size and self._ring_fits(a0, ring, stride):
-            # No set is over-subscribed: every load hits the fixed point.
-            return np.ones(n, dtype=bool)
-        pattern_len = ring if wraps >= 1 else rem
-        sub = addrs[:pattern_len]
-        lines = sub // self.line_size
-        run_first = np.empty(pattern_len, dtype=bool)
-        run_first[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=run_first[1:])
-        run_ids = np.cumsum(run_first) - 1
-        uniq = lines[run_first]
-        # Same (line, sector) repeats are contiguous in a monotone walk.
-        dup = self._repeats(sub)
-        counts = self._ring_set_counts(addrs, ring, stride, uniq)
-        steady = (counts <= self.ways)[run_ids] | dup
-        if warmed:  # every wrap shows the steady pattern
-            return steady if wraps == 0 else np.resize(steady, n)
-        # Cold wrap 1: only the repeats of a (line, sector) hit.
-        if wraps == 0:
-            return dup
-        return np.concatenate([dup, np.resize(steady, n - ring)])
-
-    def fixed_point_hits(
-        self, addrs: np.ndarray, ring: int, stride: int, pending: np.ndarray
-    ) -> np.ndarray | None:
-        """Hits of the ``pending`` loads of a timed pass, from the descriptor.
-
-        The pass is the cyclic walk ``addrs[i % ring]`` (``addrs`` holds
-        the first ``min(ring, len(pending))`` addresses) and only the
-        loads flagged in ``pending`` reach this cache — a lower level of
-        a fresh warmed p-chase.  When the state is this ring's deferred
-        warm fixed point (:meth:`holds_fixed_point`) and no pending load
-        lies in a set holding more than ``ways`` ring lines, the fixed
-        point holds every ring line of those sets with the ring's own
-        sector bits, and the pass only promotes: every pending load hits.
-        The pending mask is returned and the descriptor stays deferred,
-        as it does after a warmed :meth:`chase_cyclic`.
-
-        Otherwise returns ``None`` without changing anything.
-        """
-        if not self.holds_fixed_point(int(addrs[0]), ring * stride, stride):
-            return None
-        idx = np.flatnonzero(pending)
-        if idx.size:
-            lines = np.unique(addrs[idx % addrs.size] // self.line_size)
-            counts = self._ring_set_counts(addrs, ring, stride, lines)
-            if (counts > self.ways).any():
-                return None
-        return pending.copy()
 
     def known_state_hits(
         self, addrs: np.ndarray, stride: int, pending: np.ndarray
     ) -> np.ndarray | None:
-        """Hits of one probe revolution on a known state, in closed form.
+        """Hits of one pass revolution on a known state, in closed form.
 
         ``addrs`` is one revolution of a ring strided by ``stride`` and
         only the loads flagged in ``pending`` reach this cache (all of
         them at the first level of a path).  Two states are answered
-        without rows or per-load work:
+        without rows or per-load work — every state a timed pass or a
+        protocol probe starts from:
 
         * **flushed and empty**: a pending load hits exactly when the
           previous pending load has its (line, sector) key, since an
-          ascending walk touches each key contiguously (for a whole pass
-          this is the first wrap of a cold :meth:`chase_cyclic`);
-        * **a flush then deferred warms ``R1..Rk``**, when the probe is a
+          ascending walk touches each key contiguously;
+        * **a flush then deferred warms ``R1..Rk``**, when ``addrs`` is a
           prefix of exactly one ``Rj`` (same base and stride, at least
           ``len(addrs)`` loads) and ``Rj..Rk`` are pairwise line-disjoint.
           This is the LRU stack distance.  Since its last warm touch, a
           line ``x`` of ``Rj`` in set ``s`` has seen the lines of ``Rj`` in
           ``s`` after it (warm), every line of the later rings in ``s``, and
-          the pending lines of ``Rj`` in ``s`` before it (this probe; lines
+          the pending lines of ``Rj`` in ``s`` before it (this pass; lines
           of ``R1..Rj-1`` and skipped lines were touched earlier).  With
           ``c_s`` the ring-wide count of ``Rj..Rk`` lines in ``s``, ``x``'s
           first pending load hits exactly when ``c_s`` minus the skipped
           lines before ``x`` in ``s`` is at most ``ways``: in a whole pass,
-          when ``c_s <= ways``.  Its warm touched every sector the probe
+          when ``c_s <= ways``.  Its warm touched every sector the pass
           reads, and after a miss only repeats of a (line, sector) hit.
+          When ``Rj`` is the only ring left and, strided within the line
+          size, over-subscribes no set (:meth:`_ring_fits`), or when
+          ``c_s <= ways`` for every pending line, every pending load hits
+          with no per-set count or ranking at all.
 
         Otherwise returns ``None`` without changing anything.  A pass it
         answers leaves the cache as it found it.
         """
-        n = int(addrs.size)
         v = self._virtual
-        if v is None and self._valid_sets:
-            return None
-        hits = np.zeros(n, dtype=bool)
-        idx = np.flatnonzero(pending)
         if v is None:
+            if self._valid_sets:
+                return None
+            hits = np.zeros(addrs.size, dtype=bool)
+            idx = np.flatnonzero(pending)
             if idx.size:
                 hits[idx] = self._repeats(addrs[idx])
             return hits
         flush_first, rings = v
+        n = int(addrs.size)
         a0 = int(addrs[0])
         held = [
             j
@@ -807,35 +668,42 @@ class SimCache:
             return None
         rings = rings[held[0] :]
         line = self.line_size
-        spans = sorted(
-            (base // line, (base + (nbytes // s - 1) * s) // line)
-            for base, nbytes, s in rings
-        )
-        if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
-            return None
-        if idx.size == 0:
-            return hits
+        if len(rings) > 1:
+            spans = sorted(
+                (base // line, (base + (nbytes // s - 1) * s) // line)
+                for base, nbytes, s in rings
+            )
+            if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+                return None
+        elif stride <= line and self._ring_fits(a0, rings[0][1] // stride, stride):
+            return pending.copy()
+        if not pending.any():
+            return pending.copy()
         lines = addrs // line
+        counts = sum(
+            self._ring_set_counts(base, nbytes // s, s, lines) for base, nbytes, s in rings
+        )
+        fits = counts <= self.ways
+        if pending.all():
+            return fits | self._repeats(addrs)
+        if (pending <= fits).all():
+            return pending.copy()
+        # Lines skipped earlier in the set: their last touch was the warm,
+        # before x's, so they do not count against x.
         run_first = np.empty(n, dtype=bool)
         run_first[0] = True
         np.not_equal(lines[1:], lines[:-1], out=run_first[1:])
-        uniq = lines[run_first]
+        sets = lines[run_first] % self.num_sets
         line_of = np.cumsum(run_first) - 1
-        slack = self.ways - sum(
-            self._ring_set_counts(np.array([base]), nbytes // s, s, uniq)
-            for base, nbytes, s in rings
-        )
-        if idx.size < n:
-            # Lines skipped earlier in the set: their last touch was the
-            # warm, before x's, so they do not count against x.
-            sets = uniq % self.num_sets
-            touched = np.zeros(uniq.size, dtype=bool)
-            touched[line_of[idx]] = True
-            t = np.flatnonzero(touched)
-            seen = _group_rank(sets)[3]
-            seen[t] -= _group_rank(sets[t])[3]
-            slack += seen
-        hits[idx] = (slack >= 0)[line_of[idx]] | self._repeats(addrs[idx])
+        idx = np.flatnonzero(pending)
+        touched = np.zeros(sets.size, dtype=bool)
+        touched[line_of[idx]] = True
+        t = np.flatnonzero(touched)
+        seen = _group_rank(sets)[3]
+        seen[t] -= _group_rank(sets[t])[3]
+        hits = np.zeros(n, dtype=bool)
+        hits[idx] = (counts - seen[line_of] <= self.ways)[idx]
+        hits[idx] |= self._repeats(addrs[idx])
         return hits
 
     def _repeats(self, addrs: np.ndarray) -> np.ndarray:

@@ -22,17 +22,15 @@ by ``benchmarks/bench_discovery_speed.py``):
 
 * ``engine="analytic"`` (default) answers every pass from the cache
   state it starts from — a fully vectorised hit/latency computation
-  with zero per-load Python.  On a warmed run every level is answered
-  from its deferred warm descriptor where it can be: the first level by
-  :meth:`SimCache.chase_cyclic`, whose per-set ring line counts are
-  closed form for strides below *and* above the line size, and each
-  lower level — which sees only the loads that missed above it — by
-  :meth:`SimCache.fixed_point_hits`, which proves every such load hits
-  when none lies in an over-subscribed set.  A protocol probe starts
-  from a flush and the warms its protocol deferred since, and
-  :meth:`SimCache.known_state_hits` answers each of its levels from
-  that state.  A level no closed form answers walks its loads one by
-  one through :meth:`SimCache.access`;
+  with zero per-load Python.  A timed pass starts from a flush and, when
+  warmed, its own deferred warm; a protocol probe from a flush and the
+  warms its protocol deferred since.  One closed form,
+  :meth:`SimCache.known_state_hits`, answers the first revolution at
+  every level of either — a lower level sees only the loads that missed
+  above it — and later revolutions repeat it, or follow from the warm
+  the first revolution of a flushed level leaves.  A level no closed
+  form answers walks its loads one by one through
+  :meth:`SimCache.access`;
 * ``engine="exact"`` walks every load through the per-access simulator
   (the reference implementation the property tests compare against).
 
@@ -51,8 +49,9 @@ Engine contract: after a timed pass or a probe the cache state is
 unspecified until the next flush.  Every caller flushes before it warms
 again, so only the latencies of a pass are data.  The analytic engine
 therefore keeps only the state a pass reads while it runs (a per-load
-walk over several ring revolutions) and does not walk side-effect
-caches; :func:`warm` still fills them, since a protocol reads them.
+walk over several ring revolutions, or the warm a flushed level's first
+revolution leaves) and does not walk side-effect caches; :func:`warm`
+still fills them, since a protocol reads them.
 
 All functions account simulated GPU time on the device so the Section V-A
 run-time model can report per-benchmark durations.
@@ -77,9 +76,6 @@ __all__ = [
     "pair_rounds",
     "run_stream_kernel",
 ]
-
-#: Default number of stored samples per timed pass (first-N capture).
-DEFAULT_SAMPLES = 384
 
 #: Valid measurement engines.
 ENGINES = ("analytic", "exact")
@@ -155,58 +151,80 @@ def _walk_many(
     path: LoadPath,
     addrs: np.ndarray,
     n_samples: int,
-    warmed: bool | None,
     stride: int,
     ring: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch timed pass over a cyclic ring: per-load latency vector.
+    """Batch pass over a cyclic ring: per-load latency vector.
 
     ``addrs`` starts a ring strided by ``stride``; ``ring`` is the ring
     length when ``addrs`` holds only the sampled prefix (its first
     ``min(ring, n_samples)`` addresses); ``None`` means ``addrs`` is the
-    whole ring.
+    whole ring.  The pass is the first ``n_samples`` loads of the walk
+    ``addrs[i % ring]``, from any cache state: a timed p-chase starts
+    from a flush, alone or followed by one warm of its own ring, and a
+    protocol probe (one revolution) from a flush and its protocol's warms.
 
-    Combines the per-level analytic hit vectors into one latency vector:
-    a load observes the latency of the first level it hits, and levels
-    below a hit are not accessed (the ``pending`` cascade).  ``warmed``
-    mirrors the :meth:`SimCache.chase_cyclic` contract; ``None`` marks a
-    protocol probe, one revolution over the first ``n_samples`` loads.
+    Combines the per-level hit vectors into one latency vector: a load
+    observes the latency of the first level it hits, and levels below a
+    hit are not accessed (the ``pending`` cascade).  Each level answers
+    its first revolution by :meth:`SimCache.known_state_hits`, and later
+    revolutions from that state alone (:func:`_level_hits`).  A level no
+    closed form answers walks its pending loads one by one
+    (:func:`_pass_filtered`); no preset's discovery reaches that
+    fallback.
 
     The path has at least one level.  Returns ``(latencies,
     first_level_hits)``; the caches are left in an unspecified state,
-    which the next flush discards.  A timed pass (``warmed`` a bool)
-    answers its first level by :meth:`SimCache.chase_cyclic`; on a warmed
-    pass, right after a flush and one warm, a level that sees only some
-    loads is answered from its descriptor by
-    :meth:`SimCache.fixed_point_hits` when all of them hit.  A probe
-    answers every level, whole or filtered, by
-    :meth:`SimCache.known_state_hits` from the state its protocol's flush
-    and warms left.  A level no closed form answers walks its pending
-    loads one by one (:func:`_pass_filtered`); no preset's discovery
-    reaches that fallback.  Side-effect caches are not walked: nothing
-    reads what a timed pass would leave in them.
+    which the next flush discards.  Side-effect caches are not walked:
+    nothing reads what a pass would leave in them.
     """
     n = int(n_samples)
+    rev = addrs[: min(n, len(addrs) if ring is None else int(ring))]
     lat = np.full(n, path.terminal_latency, dtype=np.float64)
     pending = np.ones(n, dtype=bool)
     first_hits = None
-    ring = len(addrs) if ring is None else int(ring)
-    probe = warmed is None and n <= len(addrs)  # one revolution
     for level_idx, (cache, level_lat) in enumerate(path.levels):
-        hits = None
-        if probe:
-            hits = cache.known_state_hits(addrs[:n], stride, pending)
-        elif warmed is not None and pending.all():
-            hits = cache.chase_cyclic(addrs, n, warmed=warmed, stride=stride, ring=ring)
-        elif warmed:
-            hits = cache.fixed_point_hits(addrs, ring, stride, pending)
-        if hits is None:
-            hits = _pass_filtered(cache, addrs, n, pending)
+        hits = _level_hits(cache, rev, n, stride, pending)
         if level_idx == 0:
             first_hits = hits
         lat[pending & hits] = level_lat
         pending &= ~hits
     return lat, first_hits
+
+
+def _level_hits(
+    cache, rev: np.ndarray, n: int, stride: int, pending: np.ndarray
+) -> np.ndarray:
+    """One level's hits over the ``n`` loads of a pass (see :func:`_walk_many`).
+
+    ``rev`` is one revolution.  Past it (``n > len(rev)``) a level
+    repeats its first revolution when every load reaches it over its
+    ring's warm fixed point, or when every pending load hits (no line is
+    evicted, and later revolutions load no line the first did not).  A
+    flushed level that every load reaches holds after one revolution
+    what one warm installs, so the warm is recorded and the later
+    revolutions are answered from it.
+    """
+    p = rev.size
+    head = pending[:p]
+    hits = cache.known_state_hits(rev, stride, head)
+    if hits is None:
+        return _pass_filtered(cache, rev, n, pending)
+    if n == p:
+        return hits
+    if pending.all():
+        v = cache._virtual
+        if v is None:
+            cache.warm_cyclic_lazy(int(rev[0]), p * stride, stride)
+            rest = cache.known_state_hits(rev, stride, head)
+            return np.concatenate([hits, np.resize(rest, n - p)])
+        if len(v[1]) == 1 and v[1][0][1] // stride == p:  # this ring's fixed point
+            return np.resize(hits, n)
+    # Every pending load of the first revolution hit, and no later one
+    # loads a position the first did not: nothing is ever evicted.
+    if np.array_equal(hits, head) and (pending <= np.resize(head, n)).all():
+        return pending.copy()
+    return _pass_filtered(cache, rev, n, pending)
 
 
 def warm(
@@ -269,9 +287,7 @@ def _probe_walk(
     if not path.levels:
         return np.ones(n, dtype=bool), np.full(n, float(path.terminal_latency))
     if engine == "analytic":
-        lat, first_hits = _walk_many(
-            path, np.asarray(addrs, dtype=np.int64), n, warmed=None, stride=stride
-        )
+        lat, first_hits = _walk_many(path, np.asarray(addrs, dtype=np.int64), n, stride)
         return first_hits, lat
     hits = np.empty(n, dtype=bool)
     base = np.empty(n, dtype=np.float64)
@@ -343,7 +359,7 @@ def pair_rounds(
     nbytes: int,
     stride: int,
     pairs: list[tuple[int, int]],
-    n_samples: int = DEFAULT_SAMPLES,
+    n_samples: int,
     engine: str = "analytic",
 ) -> np.ndarray:
     """Cooperative rounds over SM/CU pairs: first-level miss fraction per pair.
@@ -416,7 +432,7 @@ def run_pchase_ex(
     base: int,
     nbytes: int,
     stride: int,
-    n_samples: int = DEFAULT_SAMPLES,
+    n_samples: int,
     warmup: bool = True,
     engine: str = "analytic",
 ) -> np.ndarray:
@@ -455,7 +471,7 @@ def run_pchase_ex(
             # The warm after the flush is a deferred descriptor — O(1).
             for cache in caches:
                 cache.warm_cyclic_lazy(base, nbytes, stride)
-        base_lat, _ = _walk_many(path, addrs, n_samples, warmup, stride, n_ring)
+        base_lat, _ = _walk_many(path, addrs, n_samples, stride, n_ring)
     else:
         if warmup:
             ring_addrs = pchase_addresses(base, nbytes, stride)

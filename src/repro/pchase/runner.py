@@ -165,11 +165,10 @@ class PChaseRunner:
         kind: LoadKind,
         nbytes: int,
         stride: int,
-        sm: int = 0,
         core: int = 0,
         slot: int = 0,
     ) -> None:
-        """Untimed warm pass over a buffer (protocol building block)."""
+        """Untimed warm pass over a buffer from SM 0 (protocol building block)."""
         base = self.buffer(kind, nbytes, slot)
         count = _ring_count(nbytes, stride)
         # The first address and the ring length describe the ring; the
@@ -178,7 +177,6 @@ class PChaseRunner:
             self.device,
             kind,
             np.array([base], dtype=np.int64),
-            sm=sm,
             core=core,
             stride=stride,
             engine=self.config.engine,
@@ -190,12 +188,13 @@ class PChaseRunner:
         kind: LoadKind,
         nbytes: int,
         stride: int,
-        sm: int = 0,
-        core: int = 0,
         n_samples: int | None = None,
         slot: int = 0,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Timed probe pass (no warm-up): (first-level hits, latencies)."""
+        """Timed probe pass (no warm-up): (first-level hits, latencies).
+
+        The probe loads from SM 0, core 0, as every protocol's probing side does.
+        """
         base = self.buffer(kind, nbytes, slot)
         n = min(n_samples or self.config.n_samples, _ring_count(nbytes, stride))
         addrs = base + np.arange(n, dtype=np.int64) * stride
@@ -203,8 +202,6 @@ class PChaseRunner:
             self.device,
             kind,
             addrs,
-            sm=sm,
-            core=core,
             stride=stride,
             engine=self.config.engine,
         )

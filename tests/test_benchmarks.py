@@ -7,6 +7,7 @@ exercise each benchmark in isolation, including the honesty paths.
 import numpy as np
 import pytest
 
+from repro.core.benchmarks import fetch_granularity
 from repro.core.benchmarks.amount import measure_amount, resolve_l2_segments
 from repro.core.benchmarks.bandwidth import measure_bandwidth, vector_load_kind
 from repro.core.benchmarks.base import BenchmarkContext, MeasurementResult
@@ -116,9 +117,9 @@ class TestFetchGranularity:
         m = measure_fetch_granularity(amd_ctx, LoadKind.FLAT_LOAD, "vL1")
         assert m.value == 64
 
-    def test_cap_produces_no_result(self, nv_ctx):
-        m = measure_fetch_granularity(nv_ctx, LoadKind.LD_GLOBAL_CA, "L1",
-                                      max_stride=16)
+    def test_cap_produces_no_result(self, nv_ctx, monkeypatch):
+        monkeypatch.setattr(fetch_granularity, "_MAX_STRIDE", 16)
+        m = measure_fetch_granularity(nv_ctx, LoadKind.LD_GLOBAL_CA, "L1")
         assert m.value is None
 
     def test_threshold_override(self, nv_ctx):

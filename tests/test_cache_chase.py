@@ -1,28 +1,32 @@
 """Property tests for the batch/analytic measurement engine.
 
-The analytic primitives — :meth:`SimCache.chase_cyclic`,
-:meth:`SimCache.known_state_hits`, the deferred warm state
-(:meth:`warm_cyclic_lazy`) and the
-incremental suffix-extension warm — must be *access-for-access*
-equivalent to the exact :meth:`SimCache.access` loop: the same
-hit/miss vector, and for the warms the same end state (snapshot).  A
-timed pass's or probe's end state is unspecified until the next flush,
-so their tests compare hits only.  These tests pin that equivalence over
-randomized cache geometries, strides, ring sizes, sample counts
-(including multi-wrap chases), warm/cold starts and post-flush
-generations.  A protocol probe answered in closed form from a flushed
-cache or from its protocol's deferred warms must match the exact loop
-and be indistinguishable from one that materialises the rows and walks
-the loads, a timed pass handed only the sampled prefix of its ring must
-be indistinguishable from one handed the whole ring, a warm that skips
-the per-set replay for lines outside the resident [min, max] tag bound
-must still land on the exact end state, and a warmed pass over a ring
-that fits the cache, answered in closed form, must be indistinguishable
-from the general per-set analysis.  A lower level answered from its
-warm descriptor must match the per-load walk on materialised rows, and
-the closed-form per-set line counts of a ring strided above the line
-size must match counting the whole ring.  Set counts include
-non-powers of two, as real caches have.
+The analytic primitives — :meth:`SimCache.known_state_hits`, which
+answers every revolution of a timed pass or a probe, the deferred warm
+state (:meth:`warm_cyclic_lazy`) and the incremental suffix-extension
+warm — must be *access-for-access* equivalent to the exact
+:meth:`SimCache.access` loop: the same hit/miss vector, and for the
+warms the same end state (snapshot).  A timed pass's or probe's end
+state is unspecified until the next flush, so their tests compare hits
+only.  These tests pin that equivalence over randomized cache
+geometries, strides, ring sizes, sample counts (including multi-wrap
+chases), warm/cold starts and post-flush generations.  A timed pass
+(:func:`_walk_many`) answers each level's first revolution on the state
+its flush and warm left and the later ones from that state alone; down
+one cache and down a two-level path it must match the exact loop, and
+walk per load only where no closed form holds.  A protocol probe
+answered in closed form from a flushed cache or from its protocol's
+deferred warms must match the exact loop and be indistinguishable from
+one that materialises the rows and walks the loads, a timed pass handed
+only the sampled prefix of its ring must be indistinguishable from one
+handed the whole ring, a warm that skips the per-set replay for lines
+outside the resident [min, max] tag bound must still land on the exact
+end state, and a warmed pass over a ring that fits the cache, answered
+in closed form, must be indistinguishable from the general per-set
+analysis.  A lower level answered from its warm descriptor must match
+the per-load walk on materialised rows, and the closed-form per-set
+line counts of a ring strided above the line size must match counting
+the whole ring.  Set counts include non-powers of two, as real caches
+have.
 """
 
 import tracemalloc
@@ -32,10 +36,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpusim import kernel
 from repro.gpusim.cache import SimCache
 from repro.gpusim.device import LoadPath, SimulatedGPU
 from repro.gpusim.isa import LoadKind
-from repro.gpusim.kernel import _pass_filtered, _walk_many, probe_hits, warm
+from repro.gpusim.kernel import _level_hits, _pass_filtered, _walk, _walk_many, probe_hits, warm
+
+KIND = LoadKind.S_LOAD
 
 
 def strided_ring(nbytes: int, stride: int, base: int = 0) -> np.ndarray:
@@ -48,6 +55,18 @@ def chase_reference(cache: SimCache, addrs: np.ndarray, n: int) -> np.ndarray:
     return np.fromiter(
         (cache.access(int(addrs[i % ring])) for i in range(n)), dtype=bool, count=n
     )
+
+
+def timed_hits(
+    cache: SimCache, addrs: np.ndarray, n: int, stride: int, ring: int | None = None
+) -> np.ndarray:
+    """Hits of an ``n``-load timed pass down a path of ``cache`` alone."""
+    return _walk_many(LoadPath(KIND, [(cache, 1.0)], 2.0), addrs, n, stride, ring)[1]
+
+
+def warm_lazy(cache: SimCache, addrs: np.ndarray, stride: int) -> None:
+    """The fresh p-chase's warm of the ring ``addrs``: a deferred descriptor."""
+    cache.warm_cyclic_lazy(int(addrs[0]), len(addrs) * stride, stride)
 
 
 #: Powers of two and the non-powers real parts have (A100: 368 L1 sets,
@@ -71,6 +90,15 @@ def geometry_and_ring(draw):
 
 
 class TestChaseCyclic:
+    """A timed pass down one cache equals the exact loop.
+
+    Every revolution is answered in closed form by
+    :meth:`SimCache.known_state_hits`: warmed, from the ring's deferred
+    warm; cold, from the flush for the first revolution and from the warm
+    it leaves for the later ones.  No row is installed, so no load was
+    walked.
+    """
+
     @settings(max_examples=150, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=900))
     def test_warmed_equivalence(self, params, n_samples):
@@ -78,12 +106,11 @@ class TestChaseCyclic:
         size, line, fg, ways, stride, addrs = params
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
-        analytic.warm_cyclic(addrs, stride=stride)
+        warm_lazy(analytic, addrs, stride)
         exact.warm_cyclic(addrs, stride=stride)
-        hits = analytic.chase_cyclic(addrs, n_samples, warmed=True, stride=stride)
-        ref = chase_reference(exact, addrs, n_samples)
-        assert hits is not None
-        assert (hits == ref).all()
+        hits = timed_hits(analytic, addrs, n_samples, stride)
+        assert np.array_equal(hits, chase_reference(exact, addrs, n_samples))
+        assert analytic._valid_sets == 0
 
     @settings(max_examples=100, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=900))
@@ -92,10 +119,9 @@ class TestChaseCyclic:
         size, line, fg, ways, stride, addrs = params
         analytic = SimCache(size, line, fg, ways)
         exact = SimCache(size, line, fg, ways)
-        hits = analytic.chase_cyclic(addrs, n_samples, warmed=False, stride=stride)
-        ref = chase_reference(exact, addrs, n_samples)
-        assert hits is not None
-        assert (hits == ref).all()
+        hits = timed_hits(analytic, addrs, n_samples, stride)
+        assert np.array_equal(hits, chase_reference(exact, addrs, n_samples))
+        assert analytic._valid_sets == 0
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_and_ring(), st.integers(min_value=1, max_value=400))
@@ -110,19 +136,20 @@ class TestChaseCyclic:
         exact.warm_cyclic(junk, stride=line)
         analytic.flush()
         exact.flush()
-        analytic.warm_cyclic(addrs, stride=stride)
+        warm_lazy(analytic, addrs, stride)
         exact.warm_cyclic(addrs, stride=stride)
-        hits = analytic.chase_cyclic(addrs, n_samples, warmed=True, stride=stride)
-        ref = chase_reference(exact, addrs, n_samples)
-        assert hits is not None
-        assert (hits == ref).all()
+        hits = timed_hits(analytic, addrs, n_samples, stride)
+        assert np.array_equal(hits, chase_reference(exact, addrs, n_samples))
 
     def test_cold_mode_rejects_dirty_cache(self):
+        """Rows left without a flush: no closed form, the exact walk."""
         cache = SimCache(1024, 64, 32, 2)
+        exact = SimCache(1024, 64, 32, 2)
         cache.access(0)
-        assert (
-            cache.chase_cyclic(strided_ring(512, 32), 8, warmed=False, stride=32) is None
-        )
+        exact.access(0)
+        ring = strided_ring(512, 32)
+        assert cache.known_state_hits(ring, 32, np.ones(ring.size, dtype=bool)) is None
+        assert np.array_equal(timed_hits(cache, ring, 40, 32), chase_reference(exact, ring, 40))
 
 
 class TestOverlappingMerge:
@@ -208,15 +235,19 @@ class TestLazyWarmList:
 
 @pytest.mark.parametrize("stride", [16, 32, 64, 96, 128, 256])
 def test_chase_multi_wrap_exactness(stride):
-    """n_samples far beyond the ring length wraps with the steady pattern."""
-    cache = SimCache(2048, 64, 32, 2)
-    exact = SimCache(2048, 64, 32, 2)
+    """n_samples far beyond the ring length wraps with the steady pattern,
+    warmed and cold (whose first wrap is answered from the flush)."""
     addrs = strided_ring(1600, stride)
-    cache.warm_cyclic(addrs, stride=stride)
-    exact.warm_cyclic(addrs, stride=stride)
-    hits = cache.chase_cyclic(addrs, 7 * len(addrs) + 3, warmed=True, stride=stride)
-    ref = chase_reference(exact, addrs, 7 * len(addrs) + 3)
-    assert (hits == ref).all()
+    n = 7 * len(addrs) + 3
+    for warmed in (True, False):
+        cache = SimCache(2048, 64, 32, 2)
+        exact = SimCache(2048, 64, 32, 2)
+        if warmed:
+            warm_lazy(cache, addrs, stride)
+            exact.warm_cyclic(addrs, stride=stride)
+        hits = timed_hits(cache, addrs, n, stride)
+        assert np.array_equal(hits, chase_reference(exact, addrs, n))
+        assert cache._valid_sets == 0
 
 
 #: Installs a cache's deferred rows (a test helper that reads them).
@@ -301,7 +332,7 @@ class TestProbeFromDescriptor:
         warm(dev, self.KIND, addrs, stride=32)
         hits, _ = probe_hits(dev, self.KIND, addrs, stride=32)
         assert hits.all()  # the ring fits: every probe hits the first level
-        assert l1.holds_fixed_point(4096, 1536, 32)
+        assert l1._virtual == (True, [(4096, 1536, 32)])
         assert l1._valid_sets == 0  # no row was materialised
 
     @settings(max_examples=60, deadline=None)
@@ -343,13 +374,12 @@ class TestProbeFromDescriptor:
         l1.warm_cyclic_lazy(0, 1536, 32)
         l2.warm_cyclic_lazy(0, 1536, 32)
         path = LoadPath(self.KIND, [(l1, 20.0), (l2, 110.0)], 400.0)
-        lat, first = _walk_many(path, addrs, len(addrs) + 3, True, 32)
+        lat, first = _walk_many(path, addrs, len(addrs) + 3, 32)
         assert first.all() and (lat == 20.0).all()
-        assert l1.holds_fixed_point(0, 1536, 32)
+        assert l1._virtual == (True, [(0, 1536, 32)])
         assert l1._valid_sets == 0
-        hits = l1.chase_cyclic(addrs, len(addrs) + 3, warmed=True, stride=32)
-        assert hits.all()
-        assert l1.holds_fixed_point(0, 1536, 32)
+        assert l1.known_state_hits(addrs, 32, np.ones(addrs.size, dtype=bool)).all()
+        assert l1._virtual == (True, [(0, 1536, 32)])
 
 
 @st.composite
@@ -455,9 +485,9 @@ class TestSampledPrefix:
 
     ``run_pchase_ex`` builds the first ``min(ring, n)`` addresses and
     passes the ring length separately; ``_walk_many`` — and through it
-    :meth:`SimCache.chase_cyclic` and the per-load walker — must behave
-    exactly as when handed the whole ring, in every cache state a timed
-    pass or a protocol probe can start from.
+    :meth:`SimCache.known_state_hits` and the per-load walker — must
+    behave exactly as when handed the whole ring, in every cache state a
+    timed pass can start from, and in one no closed form answers.
     """
 
     KIND = LoadKind.S_LOAD
@@ -470,7 +500,7 @@ class TestSampledPrefix:
         dev.flush_caches()
         base, nbytes = int(addrs[0]), len(addrs) * stride
         for cache in (l1, l2):
-            if state in ("fixed_point", "unknown_descriptor"):
+            if state == "fixed_point":
                 cache.warm_cyclic_lazy(base, nbytes, stride)
             elif state == "unknown":
                 # Foreign lines overlapping the ring's start, then one
@@ -478,13 +508,11 @@ class TestSampledPrefix:
                 foreign = strided_ring(2 * size, line, max(0, base - size))
                 cache.warm_cyclic(foreign, stride=line)
                 cache.warm_cyclic(addrs, stride=stride)
-        warmed = {"fixed_point": True, "cold": False}.get(state)
         ring = len(addrs)
         lat, first = _walk_many(
             dev.resolve_path(self.KIND),
             addrs[: min(ring, n)] if prefix else addrs,
             n,
-            warmed,
             stride,
             ring if prefix else None,
         )
@@ -505,7 +533,7 @@ class TestSampledPrefix:
     @given(
         geometry_and_ring(),
         st.data(),
-        st.sampled_from(["fixed_point", "cold", "unknown", "unknown_descriptor"]),
+        st.sampled_from(["fixed_point", "cold", "unknown"]),
     )
     def test_prefix_matches_whole_ring(self, params, data, state):
         """Rings shorter and longer than n; strides below, at, above a line."""
@@ -523,20 +551,23 @@ class TestSampledPrefix:
 
     @settings(max_examples=100, deadline=None)
     @given(geometry_and_ring(), st.data(), st.booleans())
-    def test_chase_cyclic_prefix_matches_whole_ring(self, params, data, warmed):
+    def test_one_level_prefix_matches_whole_ring(self, params, data, warmed):
+        """Down one cache, the prefix and the whole ring both give the
+        exact loop's hits."""
         size, line, fg, ways, stride, addrs = params
         ring = len(addrs)
         n = data.draw(samples_for(ring))
-        caches = [SimCache(size, line, fg, ways) for _ in range(2)]
         hits = []
-        for cache, arg, ring_arg in zip(caches, (addrs[: min(ring, n)], addrs), (ring, None)):
+        for arg, ring_arg in ((addrs[: min(ring, n)], ring), (addrs, None)):
+            cache = SimCache(size, line, fg, ways)
             if warmed:
-                cache.warm_cyclic(addrs, stride=stride)
-            hits.append(
-                cache.chase_cyclic(arg, n, warmed=warmed, stride=stride, ring=ring_arg)
-            )
+                warm_lazy(cache, addrs, stride)
+            hits.append(timed_hits(cache, arg, n, stride, ring_arg))
+        exact = SimCache(size, line, fg, ways)
+        if warmed:
+            exact.warm_cyclic(addrs, stride=stride)
         assert np.array_equal(hits[0], hits[1])
-        assert caches[0].snapshot() == caches[1].snapshot()
+        assert np.array_equal(hits[0], chase_reference(exact, addrs, n))
 
 
 class ReplayAll(SimCache):
@@ -643,8 +674,9 @@ def fitting_edge_ring(draw):
 
 class TestFittingRing:
     """A warmed pass over a ring of at most ``num_sets*ways`` lines hits
-    on every load (the capacity cliff), answered without the per-set
-    analysis: hits and end state equal the general path's."""
+    on every load (the capacity cliff), answered by
+    :meth:`SimCache.known_state_hits` without the per-set analysis: the
+    hits equal the general path's."""
 
     @staticmethod
     def run(cls, geom, stride, a0, ring, n, state):
@@ -654,10 +686,7 @@ class TestFittingRing:
             cache.warm_cyclic_lazy(a0, ring * stride, stride)
         elif state == "materialised":
             cache.warm_cyclic(a0 + np.arange(ring, dtype=np.int64) * stride, stride=stride)
-        hits = cache.chase_cyclic(
-            addrs, n, warmed=state != "cold", stride=stride, ring=ring
-        )
-        return hits, cache.snapshot()
+        return timed_hits(cache, addrs, n, stride, ring)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -675,11 +704,10 @@ class TestFittingRing:
         args = (geom, stride, a0, ring, n, state)
         fast = self.run(SimCache, *args)
         slow = self.run(GeneralPath, *args)
-        assert np.array_equal(fast[0], slow[0])
-        assert fast[1] == slow[1]
+        assert np.array_equal(fast, slow)
         sets, ways = geom[0] // (geom[1] * geom[3]), geom[3]
         if state != "cold" and lines <= sets * ways:
-            assert fast[0].all()
+            assert fast.all()
 
     def test_fitting_ring_skips_the_set_counts(self, monkeypatch):
         counted = []
@@ -691,7 +719,7 @@ class TestFittingRing:
 
         monkeypatch.setattr(SimCache, "_ring_set_counts", spy)
         geom = (2048, 64, 32, 2)  # 16 sets x 2 ways = 32 lines
-        for state in ("descriptor", "materialised"):
+        for state in ("descriptor", "cold"):
             for n in (100, 128, 6 * 64):
                 self.run(SimCache, geom, 32, 0, 64, n, state)
         assert counted == []
@@ -704,17 +732,31 @@ class TestFittingRing:
 class TestFixedPointHits:
     """A lower level of a fresh warmed p-chase, answered from its descriptor.
 
-    :meth:`SimCache.fixed_point_hits` must give the hits the per-load
-    walker gives on the materialised fixed point while its descriptor
-    stays deferred, and must decline, leaving everything as it was,
-    whenever a pending load lies in an over-subscribed set.
+    The level sees only the loads that missed above it (``pending``).
+    :func:`_level_hits` must give the hits the per-load walker gives on
+    the materialised fixed point, for one revolution and for many.  When
+    every pending load lies in a set holding at most ``ways`` ring lines
+    and no later revolution sends a load the first did not, the answer
+    comes from the descriptor and no row is installed; a level the closed
+    forms do not cover walks its pending loads one by one.
     """
 
     @staticmethod
     def at_fixed_point(geom, ring_addrs, stride):
         cache = SimCache(*geom)
-        cache.warm_cyclic_lazy(int(ring_addrs[0]), len(ring_addrs) * stride, stride)
+        warm_lazy(cache, ring_addrs, stride)
         return cache
+
+    @staticmethod
+    def spy_walks(monkeypatch) -> list[str]:
+        walked = []
+
+        def spy(cache, *args):
+            walked.append(cache.name)
+            return _pass_filtered(cache, *args)
+
+        monkeypatch.setattr(kernel, "_pass_filtered", spy)
+        return walked
 
     @settings(max_examples=200, deadline=None)
     @given(geometry_and_ring(), st.data())
@@ -728,48 +770,155 @@ class TestFixedPointHits:
         per_set = np.bincount(np.unique(ring_addrs // line) % sets, minlength=sets)
         fits = (per_set <= ways)[(addrs // line) % sets][np.arange(n) % addrs.size]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        pending = rng.random(n) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        share = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        # A level below a warmed one sees the same loads every revolution;
+        # "shrinking" drops some in later ones, "random" is any subset.
+        mode = data.draw(st.sampled_from(["periodic", "shrinking", "random"]))
+        if mode == "random":
+            pending = rng.random(n) < share
+        else:
+            pending = np.resize(rng.random(addrs.size) < share, n)
+            if mode == "shrinking":
+                pending[addrs.size :] &= rng.random(n - addrs.size) < 0.5
         if data.draw(st.booleans()):
             pending &= fits
         fast = self.at_fixed_point(geom, ring_addrs, stride)
         slow = self.at_fixed_point(geom, ring_addrs, stride)
-        got = fast.fixed_point_hits(addrs, ring, stride, pending)
-        assert fast.holds_fixed_point(int(addrs[0]), ring * stride, stride)
-        assert fast._valid_sets == 0
-        if (pending & ~fits).any():
-            assert got is None
-            return
+        got = _level_hits(fast, addrs, n, stride, pending)
         want = _pass_filtered(slow, addrs, n, pending)
-        slow.flush()
-        slow.warm_cyclic_lazy(int(addrs[0]), ring * stride, stride)
-        assert got is not None
         assert np.array_equal(got, want)
-        assert fast.snapshot() == slow.snapshot()
+        if mode != "random" and not (pending & ~fits).any():
+            assert fast._valid_sets == 0  # answered from the descriptor
 
-    def test_declines_an_oversubscribed_set_untouched(self):
+    def test_declines_an_oversubscribed_set_untouched(self, monkeypatch):
+        """A pending load that misses the fixed point in an over-subscribed
+        set: the first revolution is answered, leaving the descriptor as it
+        was, and the pass walks per load from there."""
+        walked = self.spy_walks(monkeypatch)
         cache = SimCache(2048, 64, 32, 2)  # 16 sets x 2 ways
+        exact = SimCache(2048, 64, 32, 2)
         addrs = strided_ring(3 * 1024, 1024)  # three lines, all in set 0
-        cache.warm_cyclic_lazy(0, 3 * 1024, 1024)
-        pending = np.array([False, True, False, False])  # one wrap + 1
-        assert cache.fixed_point_hits(addrs, 3, 1024, pending) is None
-        assert cache.holds_fixed_point(0, 3 * 1024, 1024)
-        assert cache._valid_sets == 0
+        warm_lazy(cache, addrs, 1024)
+        exact.warm_cyclic(addrs, stride=1024)
+        pending = np.array([True, False, False, True])  # one wrap + 1
+        before = cache._virtual, cache._valid_sets
+        # Lines 1 and 2 evicted line 0 during the warm.
+        assert not cache.known_state_hits(addrs, 1024, pending[:3]).any()
+        assert (cache._virtual, cache._valid_sets) == before
+        got = _level_hits(cache, addrs, 4, 1024, pending)
+        assert walked == [cache.name]
+        assert got.tolist() == [False, False, False, True]
+        assert np.array_equal(got, _pass_filtered(exact, addrs, 4, pending))
+
+    def test_later_load_the_first_revolution_skipped_walks(self, monkeypatch):
+        """Every pending load of the first revolution hits, but the second
+        sends one more, to a line the warm evicted: no closed form."""
+        walked = self.spy_walks(monkeypatch)
+        cache = SimCache(2048, 64, 32, 2)  # 16 sets x 2 ways
+        exact = SimCache(2048, 64, 32, 2)
+        addrs = strided_ring(40 * 64, 64)  # sets 0-7 hold 3 lines, 8-15 hold 2
+        warm_lazy(cache, addrs, 64)
+        exact.warm_cyclic(addrs, stride=64)
+        pending = np.zeros(80, dtype=bool)
+        pending[[8, 40]] = True  # line 8 (set 8) in wrap 1, line 0 in wrap 2
+        got = _level_hits(cache, addrs, 80, 64, pending)
+        assert walked == [cache.name]
+        assert np.flatnonzero(got).tolist() == [8]
+        assert np.array_equal(got, _pass_filtered(exact, addrs, 80, pending))
+
+    def test_later_warms_break_the_repeat(self, monkeypatch):
+        """Two rings warmed after this one: every line of the first
+        revolution misses, and each miss evicts a later ring's line, so the
+        second revolution hits.  Only the fixed point of the walked ring
+        alone repeats its first revolution; this pass walks per load."""
+        walked = self.spy_walks(monkeypatch)
+        cache = SimCache(2048, 64, 32, 2)  # 16 sets x 2 ways
+        exact = SimCache(2048, 64, 32, 2)
+        addrs = strided_ring(1024, 64)  # one line per set
+        for base in (0, 4096, 8192):  # line-disjoint: three lines per set
+            cache.warm_cyclic_lazy(base, 1024, 64)
+            exact.warm_cyclic(strided_ring(1024, 64, base), stride=64)
+        got = timed_hits(cache, addrs, 40, 64)
+        assert walked == [cache.name]
+        assert np.flatnonzero(got).tolist() == list(range(16, 40))
+        assert np.array_equal(got, chase_reference(exact, addrs, 40))
 
     @pytest.mark.parametrize("state", ["other_stride", "two_rings", "materialised", "cold"])
-    def test_declines_without_the_descriptor(self, state):
-        cache = SimCache(2048, 64, 32, 2)
+    def test_declines_without_the_descriptor(self, state, monkeypatch):
+        """Another stride's warm, a later warm sharing the ring's lines or
+        installed rows prove nothing, and a flushed level whose pending
+        loads miss in the first revolution holds no warm for the later
+        ones: the level walks per load, with the exact loop's hits."""
+        walked = self.spy_walks(monkeypatch)
         addrs = strided_ring(1024, 64)  # 16 lines: fits
-        if state == "other_stride":
-            cache.warm_cyclic_lazy(0, 2048, 128)
-        elif state == "two_rings":
-            cache.warm_cyclic_lazy(0, 1024, 64)
-            cache.warm_cyclic_lazy(4096, 1024, 64)
-        elif state == "materialised":
-            cache.warm_cyclic_lazy(0, 1024, 64)
-            cache.resident_lines()
-        before = cache._virtual, cache._valid_sets
-        assert cache.fixed_point_hits(addrs, 16, 64, np.ones(16, dtype=bool)) is None
-        assert (cache._virtual, cache._valid_sets) == before
+        pending = np.resize([True, False], 40)  # two and a half wraps
+        fast, slow = (SimCache(2048, 64, 32, 2) for _ in range(2))
+        for cache in (fast, slow):
+            if state == "other_stride":
+                cache.warm_cyclic_lazy(0, 2048, 128)
+            elif state == "two_rings":
+                cache.warm_cyclic_lazy(0, 1024, 64)
+                cache.warm_cyclic_lazy(512, 1024, 64)
+            elif state == "materialised":
+                cache.warm_cyclic_lazy(0, 1024, 64)
+                cache.resident_lines()
+        if state != "cold":
+            before = fast._virtual, fast._valid_sets
+            assert fast.known_state_hits(addrs, 64, pending[:16]) is None
+            assert (fast._virtual, fast._valid_sets) == before
+        got = _level_hits(fast, addrs, 40, 64, pending)
+        assert walked == [fast.name]
+        assert np.array_equal(got, _pass_filtered(slow, addrs, 40, pending))
+
+
+class TestLevelCascade:
+    """A timed pass down a two-level path equals the exact per-load walk.
+
+    Each level answers from the state the flush and the warm left (or the
+    flush alone), and the lower level sees only the loads the upper one
+    missed: latencies and first-level hits must be the exact engine's
+    (:func:`_walk` per load), warmed or cold, within one revolution and
+    over many, for any lower-level geometry.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry_and_ring(),
+        st.data(),
+        st.booleans(),
+        st.sampled_from([32, 64, 128]),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from(SET_COUNTS),
+    )
+    def test_matches_the_exact_walk(self, params, data, warmed, line2, sectors2, ways2, sets2):
+        size, line, fg, ways, stride, addrs = params
+        ring = len(addrs)
+        n = data.draw(samples_for(ring))
+        fast, slow = (
+            LoadPath(
+                KIND,
+                [
+                    (SimCache(size, line, fg, ways), 20.0),
+                    (SimCache(sets2 * line2 * ways2, line2, line2 // sectors2, ways2), 110.0),
+                ],
+                400.0,
+            )
+            for _ in range(2)
+        )
+        if warmed:
+            for (lazy, _), (eager, _) in zip(fast.levels, slow.levels):
+                warm_lazy(lazy, addrs, stride)
+                eager.warm_cyclic(addrs, stride=stride)
+        lat, first = _walk_many(fast, addrs[: min(ring, n)], n, stride, ring)
+        top = slow.levels[0][0]
+        want_first, want = np.empty(n, dtype=bool), np.empty(n)
+        for i in range(n):
+            addr = int(addrs[i % ring])
+            want_first[i] = top.probe(addr)
+            want[i] = _walk(slow, addr)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(lat, want)
 
 
 class TestSkipSetCounts:
@@ -797,7 +946,7 @@ class TestSkipSetCounts:
         full = a0 + np.arange(ring, dtype=np.int64) * stride
         want = np.bincount((full // line) % sets, minlength=sets)
         query = full[:prefix] // line
-        got = cache._ring_set_counts(full[:prefix], ring, stride, query)
+        got = cache._ring_set_counts(a0, ring, stride, query)
         assert np.array_equal(got, want[query % sets])
         every_set = a0 // line + np.arange(sets, dtype=np.int64)
         closed = cache._skip_set_counts(a0, ring, stride, every_set)
@@ -812,7 +961,7 @@ class TestSkipSetCounts:
         query = prefix // 128
         tracemalloc.start()
         try:
-            got = cache._ring_set_counts(prefix, ring, stride, query)
+            got = cache._ring_set_counts(4096, ring, stride, query)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -58,6 +58,7 @@ class TestRunPchaseEquivalence:
                 base,
                 nbytes,
                 stride,
+                PChaseConfig().n_samples,
                 warmup=warmup,
                 engine=engine,
             )
@@ -72,7 +73,9 @@ class TestRunPchaseEquivalence:
         base = device.alloc(LoadKind.LD_GLOBAL_CA, 1 << 20)
         n_ring = 4096 // 32
         before = device.clock.cycles
-        run_pchase_ex(device, LoadKind.LD_GLOBAL_CA, base, 4096, 32)
+        run_pchase_ex(
+            device, LoadKind.LD_GLOBAL_CA, base, 4096, 32, PChaseConfig().n_samples
+        )
         spent = device.clock.cycles - before
         path = device.resolve_path(LoadKind.LD_GLOBAL_CA)
         hit_only_warm = n_ring * path.levels[0][1]
@@ -173,18 +176,28 @@ def literal_sl1d_partners(ctx, cache_size, fetch_granularity, max_cus=None):
     """The all-pairs sL1d protocol with every round run in full.
 
     One flush, warm of CU a, warm of CU b and probe of CU a per pair, as
-    the paper states the protocol; the oracle for the per-class replay.
+    the paper states the protocol, each a kernel call on the runner's two
+    buffers; the oracle for the per-class replay.
     """
     device = ctx.device
+    engine = ctx.config.engine
     num_cus = min(max_cus or device.spec.compute.num_sms, device.spec.compute.num_sms)
     stride = int(fetch_granularity)
     nbytes = _working_set(int(cache_size), stride)
+    count = nbytes // stride
+    heads = [
+        np.array([ctx.runner.buffer(LoadKind.S_LOAD, nbytes, slot)], dtype=np.int64)
+        for slot in (0, 1)
+    ]
+    n = min(ctx.config.n_samples, count)
+    probe = heads[0][0] + np.arange(n, dtype=np.int64) * stride
+    kind = LoadKind.S_LOAD
     partners = {cu: [] for cu in range(num_cus)}
     for cu_a, cu_b in itertools.combinations(range(num_cus), 2):
         device.flush_caches()
-        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
-        ctx.runner.warm(LoadKind.S_LOAD, nbytes, stride, sm=cu_b, slot=1)
-        hits, _ = ctx.runner.probe(LoadKind.S_LOAD, nbytes, stride, sm=cu_a, slot=0)
+        for cu, head in ((cu_a, heads[0]), (cu_b, heads[1])):
+            warm(device, kind, head, sm=cu, stride=stride, engine=engine, ring=count)
+        hits, _ = probe_hits(device, kind, probe, sm=cu_a, stride=stride, engine=engine)
         if float(np.mean(~hits)) > _MISS_FRACTION:
             partners[cu_a].append(cu_b)
             partners[cu_b].append(cu_a)

@@ -16,7 +16,6 @@ from repro.gpusim.cache import SimCache
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.isa import LoadKind, MemorySpace, space_for_kind
 from repro.gpusim.kernel import (
-    DEFAULT_SAMPLES,
     KernelLaunch,
     pchase_addresses,
     probe_hits,
@@ -25,6 +24,9 @@ from repro.gpusim.kernel import (
     warm,
 )
 from repro.pchase import PChaseConfig, PChaseRunner, exponential_sizes, linear_sizes
+
+#: The first-N capture every caller passes (PChaseConfig's default).
+N = PChaseConfig().n_samples
 
 
 @pytest.fixture
@@ -66,14 +68,14 @@ class TestAddressGeneration:
         tracemalloc.start()
         try:
             lats = [
-                run_pchase_ex(dev, kind, base, mib << 20, 32)
+                run_pchase_ex(dev, kind, base, mib << 20, 32, N)
                 for mib in (32, 36, 40, 44)
             ]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert [lat.shape for lat in lats] == [(DEFAULT_SAMPLES,)] * 4
+        assert [lat.shape for lat in lats] == [(N,)] * 4
 
     def test_fresh_l1_runs_leave_l2_deferred(self, monkeypatch):
         """A100 L1 size and line-size runs never install L2 rows.
@@ -101,7 +103,8 @@ class TestAddressGeneration:
         line = measure_cache_line_size(ctx, kind, "L1", int(size.value), 32)
         assert (size.value, line.value) == (188352, 128)
         assert materialised == []
-        assert l2.holds_fixed_point(*l1._fixed_point_ring())
+        flushed, rings = l2._virtual
+        assert flushed and len(rings) == 1 and rings == l1._virtual[1]
         assert l2._valid_sets == 0
 
 
@@ -153,24 +156,24 @@ class TestAddressGeneration:
 class TestRunPchase:
     def test_in_cache_latencies_near_l1(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, N)
         expected = nv.spec.cache("L1").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 4
 
     def test_over_capacity_latencies_near_l2(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 16384, 32, N)
         expected = nv.spec.cache("L2").load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 6
 
     def test_no_warmup_cold_misses(self, nv):
         base = nv.alloc(LoadKind.LD_GLOBAL_CG, 1 << 20)
-        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CG, base, 384 * 64, 64, warmup=False)
+        lat = run_pchase_ex(nv, LoadKind.LD_GLOBAL_CG, base, 384 * 64, 64, N, warmup=False)
         expected = nv.spec.memory.load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 8
 
     def test_scratchpad_constant_latency(self, nv):
-        lat = run_pchase_ex(nv, LoadKind.LD_SHARED, 1 << 28, 2048, 32)
+        lat = run_pchase_ex(nv, LoadKind.LD_SHARED, 1 << 28, 2048, 32, N)
         expected = nv.spec.scratchpad.load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 3
 
@@ -182,7 +185,7 @@ class TestRunPchase:
     def test_accounts_time(self, nv):
         before = nv.elapsed_seconds()
         base = nv.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
-        run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32)
+        run_pchase_ex(nv, LoadKind.LD_GLOBAL_CA, base, 2048, 32, N)
         assert nv.elapsed_seconds() > before
 
     def test_warm_and_probe(self, nv):

@@ -61,9 +61,12 @@ def _reduced_values(matrix: np.ndarray, floor: float) -> np.ndarray:
     a *contiguous* group of slow loads (one per sector), which the
     isolation test preserves.  Scrub and reduction both operate on the
     full matrix at once (:func:`scrub_outliers_matrix` +
-    :func:`geometric_reduction`): the bound-finding predicate routes
-    single runs through it, and the sweep computes its per-run
-    ``reduced_per_run`` artefact in one batched call.
+    :func:`geometric_reduction`); the sweep computes its per-run
+    ``reduced_per_run`` artefact in one such call.  The bound search
+    calls it once per p-chase on a single row, and each step depends on
+    the last, so those calls cannot be batched: the scrub's cost per call
+    (two row partitions, then a few Python floats per spike) is what an
+    A100 discovery's ~600 calls pay.
     """
     cleaned = scrub_outliers_matrix(matrix, z_threshold=8.0)
     return geometric_reduction(cleaned, global_min=floor)

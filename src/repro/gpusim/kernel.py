@@ -27,8 +27,8 @@ by ``benchmarks/bench_discovery_speed.py``):
   warms its protocol deferred since.  One closed form,
   :meth:`SimCache.known_state_hits`, answers the first revolution at
   every level of either — a lower level sees only the loads that missed
-  above it — and later revolutions repeat it, or follow from the warm
-  the first revolution of a flushed level leaves.  A level no closed
+  above it — and later revolutions repeat it, never reach the level, or
+  follow from the warm the first revolution of a flushed level leaves.  A level no closed
   form answers walks its loads one by one through
   :meth:`SimCache.access`;
 * ``engine="exact"`` walks every load through the per-access simulator
@@ -197,13 +197,14 @@ def _level_hits(
 ) -> np.ndarray:
     """One level's hits over the ``n`` loads of a pass (see :func:`_walk_many`).
 
-    ``rev`` is one revolution.  Past it (``n > len(rev)``) a level
-    repeats its first revolution when every load reaches it over its
-    ring's warm fixed point, or when every pending load hits (no line is
-    evicted, and later revolutions load no line the first did not).  A
-    flushed level that every load reaches holds after one revolution
-    what one warm installs, so the warm is recorded and the later
-    revolutions are answered from it.
+    ``rev`` is one revolution.  Past it (``n > len(rev)``) a level that
+    no later load reaches answers its first revolution alone: loads it
+    never sees cannot change it.  A level repeats its first revolution
+    when every load reaches it over its ring's warm fixed point, or when
+    every pending load hits (no line is evicted, and later revolutions
+    load no line the first did not).  A flushed level that every load
+    reaches holds after one revolution what one warm installs, so the
+    warm is recorded and the later revolutions are answered from it.
     """
     p = rev.size
     head = pending[:p]
@@ -212,6 +213,8 @@ def _level_hits(
         return _pass_filtered(cache, rev, n, pending)
     if n == p:
         return hits
+    if not pending[p:].any():  # the level never sees a later revolution
+        return np.concatenate([hits, np.zeros(n - p, dtype=bool)])
     if pending.all():
         v = cache._virtual
         if v is None:

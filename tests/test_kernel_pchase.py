@@ -172,6 +172,29 @@ class TestRunPchase:
         expected = nv.spec.memory.load_latency + nv.spec.noise.measurement_overhead
         assert abs(lat.mean() - expected) < 8
 
+    def test_cold_multi_revolution_pass_walks_no_load(self, monkeypatch):
+        """A cold 384-sample pass over a 64-load ring that fits L1: L1
+        misses only in the first revolution, so L2 sees no later one and
+        is answered by that revolution's closed form, padded with misses."""
+        walks = []
+        pass_filtered = kernel._pass_filtered
+
+        def walk_spy(cache, *args):
+            walks.append(cache.name)
+            return pass_filtered(cache, *args)
+
+        monkeypatch.setattr(kernel, "_pass_filtered", walk_spy)
+        lat = {}
+        for engine in ("analytic", "exact"):
+            dev = SimulatedGPU.from_preset("TestGPU-NV", seed=2)
+            base = dev.alloc(LoadKind.LD_GLOBAL_CA, 1 << 16)
+            lat[engine] = run_pchase_ex(
+                dev, LoadKind.LD_GLOBAL_CA, base, 2048, 32, N, warmup=False, engine=engine
+            )
+            if engine == "analytic":
+                assert walks == []
+        assert np.array_equal(lat["analytic"], lat["exact"])
+
     def test_scratchpad_constant_latency(self, nv):
         lat = run_pchase_ex(nv, LoadKind.LD_SHARED, 1 << 28, 2048, 32, N)
         expected = nv.spec.scratchpad.load_latency + nv.spec.noise.measurement_overhead

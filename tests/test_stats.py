@@ -296,3 +296,85 @@ class TestScrubOutliersMatrix:
     def test_short_rows_are_identity(self):
         m = np.array([[1.0, 1.0, 500.0, 1.0]])
         assert np.array_equal(scrub_outliers_matrix(m), m)
+
+    @staticmethod
+    def per_row(m, z, window):
+        return np.stack([scrub_outliers(row, z_threshold=z, window=window) for row in m])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(5, 80),
+        st.integers(0, 5),
+        st.sampled_from([2, 3]),
+        st.integers(2, 6),
+        st.sampled_from([3.0, 6.0, 8.0]),
+        st.data(),
+    )
+    def test_spike_chains(self, n, window, gap, length, z, data):
+        # Spikes 2 or 3 apart stay isolated, and each lies in the window of
+        # the one before: its local median must see that replacement.
+        row = np.asarray(data.draw(st.lists(st.floats(50, 150), min_size=n, max_size=n)))
+        start = data.draw(st.integers(0, n - 1))
+        row[start : start + gap * length : gap] += 1e9
+        m = row[np.newaxis, :]
+        assert np.array_equal(scrub_outliers_matrix(m, z, window), self.per_row(m, z, window))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(5, 60),
+        st.integers(0, 5),
+        st.sets(st.integers(0, 5), min_size=1),
+        st.data(),
+    )
+    def test_spikes_at_the_row_edges(self, n, window, slots, data):
+        # Indices 0-2 and n-3..n-1: the window is clipped by the row edge.
+        row = np.asarray(data.draw(st.lists(st.floats(50, 150), min_size=n, max_size=n)))
+        for s in slots:
+            row[s if s < 3 else n - 6 + s] += 1e9
+        m = row[np.newaxis, :]
+        assert np.array_equal(scrub_outliers_matrix(m, 6.0, window), self.per_row(m, 6.0, window))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(5, 61),
+        st.integers(0, 5),
+        st.floats(1, 1e4),
+        st.lists(st.tuples(st.integers(0, 60), st.floats(1e-3, 1.0)), max_size=8),
+    )
+    def test_rows_with_zero_mad(self, n, window, level, bumps):
+        # More than half of a quantised row sits on its median: detection
+        # falls back to a per-mille of the median.
+        row = np.full(n, level)
+        for idx, rel in bumps:
+            row[idx % n] += level * rel
+        m = row[np.newaxis, :]
+        assert np.array_equal(scrub_outliers_matrix(m, 6.0, window), self.per_row(m, 6.0, window))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 60), st.integers(5, 50), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_many_rows(self, n_rows, n, window, seed):
+        rng = np.random.default_rng(seed)
+        m = np.round(rng.normal(100.0, 2.0, size=(n_rows, n)), int(rng.integers(0, 3)))
+        m[rng.random(m.shape) < rng.random() * 0.3] += 400.0
+        got = scrub_outliers_matrix(m, 8.0, window)
+        assert np.array_equal(got, self.per_row(m, 8.0, window))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 40), st.integers(0, 5), st.data())
+    def test_a_row_holding_nan_comes_back_unchanged(self, n, window, data):
+        m = np.asarray(
+            data.draw(st.lists(st.floats(50, 150), min_size=2 * n, max_size=2 * n))
+        ).reshape(2, n)
+        m[:, n // 2] += 1e9
+        m[0, data.draw(st.integers(0, n - 1))] = np.nan
+        got = scrub_outliers_matrix(m, 6.0, window)
+        assert np.array_equal(got[0], m[0], equal_nan=True)
+        assert np.array_equal(got, self.per_row(m, 6.0, window), equal_nan=True)
+
+    def test_a_spike_sees_the_replacement_of_the_one_before(self):
+        row = np.array([10, 10, 10, 20, 1e9, 30, 1e9, 40, 50, 10, 10, 10], dtype=np.float64)
+        out = scrub_outliers_matrix(row[np.newaxis, :], window=2)[0]
+        # Index 4: median of (10, 20, 30, 1e9).  Index 6: median of
+        # (25, 30, 40, 50) with index 4 replaced; 45 had it kept 1e9.
+        assert (out[4], out[6]) == (25.0, 35.0)
+        assert np.array_equal(out, scrub_outliers(row, window=2))
